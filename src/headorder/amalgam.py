@@ -22,15 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import StepBudgetExceeded
 from .exponent import (
     ExponentOrder,
     HereditaryType,
-    _radical_general,
     default_step_budget,
+    fixed_point_chain,
     glued_idealizer,
     is_hereditary,
     merge_unreduced,
+    radical,
 )
 
 KINDS = ("diagonal", "matrix")
@@ -135,7 +135,7 @@ def amalgam_idealizer_step(B: AmalgamBlock) -> AmalgamBlock:
     """
     depths = _depth_vectors(B)
     new_components = tuple(
-        glued_idealizer(comp, _radical_general(comp), depths[c])
+        glued_idealizer(comp, radical(comp), depths[c])
         for c, comp in enumerate(B.components)
     )
     new_gluings = tuple(
@@ -149,21 +149,7 @@ def amalgam_chain(B: AmalgamBlock, max_steps: int | None = None):
     if max_steps is None:
         max_steps = max(default_step_budget(c) for c in B.components)
         max_steps += max((g.depth for g in B.gluings), default=0)
-    chain = [B]
-    current = B
-    for _ in range(max_steps):
-        nxt = amalgam_idealizer_step(current)
-        if (
-            all(
-                a.M == b.M
-                for a, b in zip(nxt.components, current.components)
-            )
-            and nxt.gluings == current.gluings
-        ):
-            return chain
-        chain.append(nxt)
-        current = nxt
-    raise StepBudgetExceeded(max_steps)
+    return fixed_point_chain(amalgam_idealizer_step, B, max_steps)
 
 
 def block_head_order(B: AmalgamBlock) -> tuple[HereditaryType, ...]:

@@ -206,7 +206,6 @@ def hasse_invariant(r: int, m: int):
 def head_order_report(tree: PlanarBrauerTree) -> dict:
     """Per-component head data: hereditary types, arithmetic predictions,
     simple-module fibers and the measured chain length."""
-    validate_tree(tree)
     delta, rho, orbits = derive_permutations(tree)
     dist = _distances(tree)
     block = build_block(tree)

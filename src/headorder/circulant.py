@@ -92,10 +92,6 @@ def initial_reduction(n: int, a: int, dims=None):
     return CirculantState(dims, v, f=b), step
 
 
-def is_maximal(state: CirculantState) -> bool:
-    return all(x == 0 for x in state.v)
-
-
 def anfang_state(n: int, b: int, m: int, dims=None) -> CirculantState:
     """Closed form of the chain state m+1 steps after (0_b, b^{n-1}).
 
@@ -217,14 +213,10 @@ def head_order_f(n: int, a: int, dims=None) -> ExponentOrder:
     l, x = divmod(n, b)
 
     def f(j):
-        return 1 + _floordiv(j - 1 - _floordiv(x * j, n), l)
+        return 1 + (j - 1 - (x * j) // n) // l
 
     M = tuple(tuple(f(j - i) for j in range(n)) for i in range(n))
     return ExponentOrder(dims, M)
-
-
-def _floordiv(a, b):
-    return a // b  # python floordiv already rounds toward -infinity
 
 
 def _perm_order(sigma: dict) -> int:

@@ -28,16 +28,15 @@ from .circulant import (
     simple_module_match,
 )
 from .circulant import _split
-from .errors import HeadOrderError, OutOfRange, SchemaError
+from .errors import HeadOrderError, SchemaError
 from .exponent import (
     ExponentOrder,
-    _radical_general,
     equal_up_to_diag,
     equal_up_to_diag_and_rotation,
     glued_chain,
-    idealizer_chain,
     is_hereditary,
     merge_unreduced,
+    radical,
     scaled_hereditary,
 )
 
@@ -109,17 +108,15 @@ def cmd_radical(args):
         value = expand(value)
     if not isinstance(value, ExponentOrder):
         raise SchemaError("$", "radical expects an exponent or circulant document")
-    N = _radical_general(value)
+    N = radical(value)
     return {"radical": [list(r) for r in N.N]}, 0
 
 
 def _chain_of(value, max_steps):
     if isinstance(value, CirculantState):
-        return [
-            (order, f) for order, f in glued_chain(expand(value), value.f, max_steps)
-        ]
+        return glued_chain(expand(value), value.f, max_steps)
     if isinstance(value, ExponentOrder):
-        return [(order, 0) for order in idealizer_chain(value, max_steps)]
+        return glued_chain(value, 0, max_steps)
     raise SchemaError("$", "chain expects an exponent, circulant or amalgam document")
 
 
@@ -237,14 +234,15 @@ def _verify_cell(n: int, a: int, oracle: bool):
             oracle_idealizer,
             oracle_radical,
             read_exponents,
+            truncation_for,
         )
 
         order = start
-        pred = idealizer(order, _radical_general(order))
+        pred = idealizer(order, radical(order))
         t = [pred.M[i][0] for i in range(n)]
         oshift = diag_conjugate(order, t)
         mx = max(2, oshift.max_entry())
-        K = 2 * mx + 4
+        K = truncation_for(mx)
         model = model_from_exponent(oshift, 3, K)
         J = oracle_radical(model)
         got = read_exponents(
@@ -349,13 +347,7 @@ def main(argv=None) -> int:
     }
     try:
         report, code = handlers[args.command](args)
-    except (SchemaError, OutOfRange) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
-        return 2
-    except HeadOrderError as exc:
+    except (HeadOrderError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2
     if args.format == "json":

@@ -20,14 +20,6 @@ class TriangleViolation(HeadOrderError):
         self.indices = (i, j, k)
 
 
-class NotReduced(HeadOrderError):
-    def __init__(self, i, j):
-        super().__init__(
-            f"order not reduced: m[{i}][{j}] + m[{j}][{i}] = 0 for {i} != {j}"
-        )
-        self.indices = (i, j)
-
-
 class StepBudgetExceeded(HeadOrderError):
     def __init__(self, max_steps):
         super().__init__(f"no idealizer fixed point within {max_steps} steps")

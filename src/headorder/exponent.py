@@ -10,12 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (
-    DiagonalNonzero,
-    NotReduced,
-    StepBudgetExceeded,
-    TriangleViolation,
-)
+from .errors import DiagonalNonzero, StepBudgetExceeded, TriangleViolation
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -110,50 +105,14 @@ def scaled_hereditary(dims, a: int, ram: int = 1) -> ExponentOrder:
     return ExponentOrder(dims, M, ram)
 
 
-def validate_ideal(order: ExponentOrder, N) -> ExponentIdeal:
-    """Check that N is the exponent matrix of a two-sided order ideal."""
-    N = _freeze(N)
-    M = order.M
-    n = order.n
-    if len(N) != n or any(len(row) != n for row in N):
-        raise ValueError("ideal matrix shape mismatch")
-    for i in range(n):
-        for j in range(n):
-            if N[i][j] < M[i][j]:
-                raise ValueError(f"N[{i}][{j}] < M[{i}][{j}]: not contained")
-            for k in range(n):
-                if M[i][k] + N[k][j] < N[i][j] or N[i][k] + M[k][j] < N[i][j]:
-                    raise ValueError(f"not an ideal at ({i},{j},{k})")
-    return ExponentIdeal(N)
+def _unreduced_classes(M: Matrix) -> list[int]:
+    """Class root of each index, joining i and j when m[i][j] + m[j][i] = 0.
 
-
-def radical(order: ExponentOrder) -> ExponentIdeal:
-    """Jacobson radical: diagonal exponents raised to 1, rest unchanged.
-
-    Requires the order to be reduced; unreduced pairs index isomorphic block
-    factors and must be merged first (see merge_unreduced).
+    Such indices carry isomorphic block factors; the triangle inequality
+    forces their rows and columns to be diagonal shifts of one another.
+    Every root is the smallest index of its class.
     """
-    n = order.n
-    M = order.M
-    for i in range(n):
-        for j in range(i + 1, n):
-            if M[i][j] + M[j][i] == 0:
-                raise NotReduced(i, j)
-    N = tuple(
-        tuple(1 if i == j else M[i][j] for j in range(n)) for i in range(n)
-    )
-    return ExponentIdeal(N)
-
-
-def _radical_general(order: ExponentOrder) -> ExponentIdeal:
-    """Radical without the reducedness requirement.
-
-    Indices with m[i][j] + m[j][i] = 0 belong to one matrix-ring factor of
-    the semisimple quotient, so the radical raises exponents by one on the
-    whole class block, not just on the diagonal.
-    """
-    n = order.n
-    M = order.M
+    n = len(M)
     parent = list(range(n))
 
     def find(i):
@@ -168,13 +127,30 @@ def _radical_general(order: ExponentOrder) -> ExponentIdeal:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)
+    return [find(i) for i in range(n)]
+
+
+def radical(order: ExponentOrder) -> ExponentIdeal:
+    """Jacobson radical of the order.
+
+    Indices with m[i][j] + m[j][i] = 0 belong to one matrix-ring factor of
+    the semisimple quotient, so the radical raises exponents by one on the
+    whole class block; on a reduced order that is just the diagonal.
+    """
+    M = order.M
+    root = _unreduced_classes(M)
+    n = order.n
     N = tuple(
-        tuple(
-            M[i][j] + (1 if find(i) == find(j) else 0) for j in range(n)
-        )
+        tuple(M[i][j] + (1 if root[i] == root[j] else 0) for j in range(n))
         for i in range(n)
     )
     return ExponentIdeal(N)
+
+
+# Old name of the general radical.  perfbench/ calls it in its oracle set-up
+# and lists it in its tracer; the benchmark code is held fixed so that its
+# recorded baselines stay comparable.
+_radical_general = radical
 
 
 def idealizer(order: ExponentOrder, ideal: ExponentIdeal) -> ExponentOrder:
@@ -213,6 +189,10 @@ def glued_idealizer(order: ExponentOrder, ideal: ExponentIdeal, depths) -> Expon
     if len(depths) != order.n:
         raise ValueError("depths must have length n")
     bare = idealizer(order, ideal)
+    if not any(depths):
+        # the bound -N[j][i] is vacuous: bare has m[i][j] >= N[i][i] - N[j][i]
+        # and N[i][i] >= 0 for an ideal of the order
+        return bare
     n = order.n
     N = ideal.N
     G = []
@@ -227,6 +207,32 @@ def glued_idealizer(order: ExponentOrder, ideal: ExponentIdeal, depths) -> Expon
     return ExponentOrder(order.dims, tuple(G), order.ram)
 
 
+def fixed_point_chain(step, start, max_steps: int):
+    """[start, step(start), ...] up to the first state that step leaves equal.
+
+    Raises StepBudgetExceeded if no fixed point is reached within max_steps
+    applications of step.
+    """
+    chain = [start]
+    current = start
+    for _ in range(max_steps):
+        nxt = step(current)
+        if nxt == current:
+            return chain
+        chain.append(nxt)
+        current = nxt
+    raise StepBudgetExceeded(max_steps)
+
+
+def default_step_budget(order: ExponentOrder) -> int:
+    return 10 * (order.n + max(order.max_entry(), 1))
+
+
+def _glued_step(state):
+    order, f = state
+    return glued_idealizer(order, radical(order), [f] * order.n), max(f - 1, 0)
+
+
 def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
     """Chain of Id(J(.)) steps for a uniformly amalgamated component.
 
@@ -236,39 +242,17 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
     """
     if max_steps is None:
         max_steps = default_step_budget(order) + depth
-    chain = [(order, depth)]
-    current, f = order, depth
-    for _ in range(max_steps):
-        nxt = glued_idealizer(current, _radical_general(current), [f] * current.n)
-        nf = max(f - 1, 0)
-        if nxt.M == current.M and nf == f:
-            return chain
-        chain.append((nxt, nf))
-        current, f = nxt, nf
-    raise StepBudgetExceeded(max_steps)
-
-
-def default_step_budget(order: ExponentOrder) -> int:
-    return 10 * (order.n + max(order.max_entry(), 1))
+    return fixed_point_chain(_glued_step, (order, depth), max_steps)
 
 
 def idealizer_chain(order: ExponentOrder, max_steps: int | None = None):
     """Iterate Id(J(.)) until the first fixed point, returning every state.
 
     The returned list starts with the given order and ends with the head
-    order (the first Lambda with Id(J(Lambda)) = Lambda).
+    order (the first Lambda with Id(J(Lambda)) = Lambda).  This is the
+    depth-0 glued chain, whose steps are plain idealizers.
     """
-    if max_steps is None:
-        max_steps = default_step_budget(order)
-    chain = [order]
-    current = order
-    for _ in range(max_steps):
-        nxt = idealizer(current, _radical_general(current))
-        if nxt.M == current.M:
-            return chain
-        chain.append(nxt)
-        current = nxt
-    raise StepBudgetExceeded(max_steps)
+    return [o for o, _ in glued_chain(order, 0, max_steps)]
 
 
 def diag_conjugate(order: ExponentOrder, t) -> ExponentOrder:
@@ -332,30 +316,15 @@ def merge_unreduced(order: ExponentOrder) -> ExponentOrder:
     """Merge index pairs with m[i][j] + m[j][i] = 0 (isomorphic block factors).
 
     Merged indices add their dimensions; the result is reduced.  Members of a
-    class may differ from the representative by a diagonal shift, which is
-    applied before merging.  Idempotent on reduced input.
+    class differ from their root by a diagonal shift, so the root's row
+    represents them all.  Idempotent on reduced input.
     """
     n = order.n
     M = order.M
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            # the triangle inequality forces the j rows/columns to be a
-            # diagonal shift of the i ones, so the root's row represents all
-            if M[i][j] + M[j][i] == 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    roots = [i for i in range(n) if find(i) == i]
+    root = _unreduced_classes(M)
+    roots = [i for i in range(n) if root[i] == i]
     new_dims = [
-        sum(order.dims[i] for i in range(n) if find(i) == r) for r in roots
+        sum(order.dims[i] for i in range(n) if root[i] == r) for r in roots
     ]
     k = len(roots)
     G = tuple(

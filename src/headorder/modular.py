@@ -25,25 +25,19 @@ def _unit_inv(u: int, p: int, K: int) -> int:
     return pow(u, -1, p**K)
 
 
-def howell(rows, p: int, K: int):
-    """Howell normal form of the row span of ``rows`` over Z/p^K.
+def _echelon(work, pivot_cols: int, p: int, K: int):
+    """Howell pivoting over the first ``pivot_cols`` columns of reduced rows.
 
-    Returns a list of rows with strictly increasing pivot columns; the pivot
-    entry in column j is p^v for some v < K and all other rows have their
-    column-j entry reduced mod p^v.
+    Returns (pivots, rest): pivots lists (column, valuation, row) with the
+    pivot entry normalized to p^valuation, and every row of rest vanishes
+    on the pivoted columns.
     """
     m = p**K
-    work = [[x % m for x in r] for r in rows]
-    work = [r for r in work if any(r)]
-    if not work:
-        return []
-    ncols = len(work[0])
-    result = []
-    for j in range(ncols):
+    pivots = []
+    for j in range(pivot_cols):
         cand = [r for r in work if r[j]]
         rest = [r for r in work if not r[j]]
         if not cand:
-            work = rest
             continue
         pivot = min(cand, key=lambda r: val(r[j], p, K))
         cand.remove(pivot)
@@ -59,8 +53,24 @@ def howell(rows, p: int, K: int):
             ann = [(p ** (K - v) * x) % m for x in pivot]
             if any(ann):
                 rest.append(ann)
-        result.append((j, v, pivot))
+        pivots.append((j, v, pivot))
         work = rest
+    return pivots, work
+
+
+def howell(rows, p: int, K: int):
+    """Howell normal form of the row span of ``rows`` over Z/p^K.
+
+    Returns a list of rows with strictly increasing pivot columns; the pivot
+    entry in column j is p^v for some v < K and all other rows have their
+    column-j entry reduced mod p^v.
+    """
+    m = p**K
+    work = [[x % m for x in r] for r in rows]
+    work = [r for r in work if any(r)]
+    if not work:
+        return []
+    result, _ = _echelon(work, len(work[0]), p, K)
     # reduce entries above each pivot below the pivot's modulus
     for idx, (j, v, pivot) in enumerate(result):
         pv = p**v
@@ -102,10 +112,6 @@ def in_span(vec, basis, p: int, K: int) -> bool:
     return not any(rem)
 
 
-def span_equal(rows_a, rows_b, p: int, K: int) -> bool:
-    return howell(rows_a, p, K) == howell(rows_b, p, K)
-
-
 def right_kernel(rows, p: int, K: int):
     """Howell basis of {x : A x = 0 mod p^K} for the matrix with given rows.
 
@@ -123,30 +129,8 @@ def right_kernel(rows, p: int, K: int):
         + [1 if t == j else 0 for t in range(ncols)]
         for j in range(ncols)
     ]
-    work = aug
-    for j in range(nrows):
-        cand = [r for r in work if r[j]]
-        rest = [r for r in work if not r[j]]
-        if not cand:
-            work = rest
-            continue
-        pivot = min(cand, key=lambda r: val(r[j], p, K))
-        cand.remove(pivot)
-        v = val(pivot[j], p, K)
-        inv = _unit_inv(pivot[j] // p**v, p, K)
-        pivot = [(x * inv) % m for x in pivot]
-        for r in cand:
-            q = r[j] // p**v
-            red = [(a - q * b) % m for a, b in zip(r, pivot)]
-            if any(red):
-                rest.append(red)
-        if v > 0:
-            ann = [(p ** (K - v) * x) % m for x in pivot]
-            if any(ann):
-                rest.append(ann)
-        work = rest
-    kernel = [r[nrows:] for r in work if not any(r[:nrows])]
-    return howell(kernel, p, K)
+    _, rest = _echelon(aug, nrows, p, K)
+    return howell([r[nrows:] for r in rest], p, K)
 
 
 def annihilator(rows, p: int, K: int):
@@ -158,21 +142,18 @@ def annihilator(rows, p: int, K: int):
 # prime-field routines
 
 
-def nullspace_modp(rows, p: int):
-    """Basis of the right nullspace of a matrix over F_p."""
-    if not rows:
-        return []
+def _rref_modp(rows, p: int):
+    """Gauss-Jordan over F_p of a nonempty matrix: (matrix, pivot columns).
+
+    Row r of the returned matrix has its leading 1 in column pivot_cols[r];
+    the rows past the pivots are zero.
+    """
     nrows = len(rows)
-    ncols = len(rows[0])
     mat = [[x % p for x in r] for r in rows]
-    pivots = {}
+    pivot_cols = []
     r = 0
-    for j in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if mat[i][j]:
-                sel = i
-                break
+    for j in range(len(rows[0])):
+        sel = next((i for i in range(r, nrows) if mat[i][j]), None)
         if sel is None:
             continue
         mat[r], mat[sel] = mat[sel], mat[r]
@@ -182,16 +163,25 @@ def nullspace_modp(rows, p: int):
             if i != r and mat[i][j]:
                 f = mat[i][j]
                 mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots[j] = r
+        pivot_cols.append(j)
         r += 1
+    return mat, pivot_cols
+
+
+def nullspace_modp(rows, p: int):
+    """Basis of the right nullspace of a matrix over F_p."""
+    if not rows:
+        return []
+    mat, pivot_cols = _rref_modp(rows, p)
+    ncols = len(rows[0])
     basis = []
     for j in range(ncols):
-        if j in pivots:
+        if j in pivot_cols:
             continue
         vec = [0] * ncols
         vec[j] = 1
-        for pj, pr in pivots.items():
-            vec[pj] = (-mat[pr][j]) % p
+        for r, pj in enumerate(pivot_cols):
+            vec[pj] = (-mat[r][j]) % p
         basis.append(vec)
     return basis
 
@@ -200,29 +190,8 @@ def rref_modp(rows, p: int):
     """Reduced row echelon form over F_p, zero rows dropped."""
     if not rows:
         return []
-    nrows = len(rows)
-    ncols = len(rows[0])
-    mat = [[x % p for x in r] for r in rows]
-    r = 0
-    for j in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if mat[i][j]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = pow(mat[r][j], -1, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][j]:
-                f = mat[i][j]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == nrows:
-            break
-    return [row for row in mat[:r]]
+    mat, pivot_cols = _rref_modp(rows, p)
+    return mat[: len(pivot_cols)]
 
 
 def charpoly_modp(mat, p: int):

@@ -11,7 +11,6 @@ closed-form predictions.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .amalgam import WHOLE, AmalgamBlock
@@ -29,12 +28,7 @@ from .modular import (
     val,
 )
 
-DEFAULT_RANK_CAP = 256
-
-
-def rank_cap() -> int:
-    env = os.environ.get("IDEALIZER_ORACLE_RANK_CAP")
-    return int(env) if env else DEFAULT_RANK_CAP
+RANK_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -105,8 +99,8 @@ def build_model(ambient: Ambient, gens, labels=None) -> FiniteAlgebraModel:
     """
     p, K = ambient.p, ambient.K
     basis = howell(gens, p, K)
-    if len(basis) > rank_cap():
-        raise OracleCapExceeded(f"rank {len(basis)} exceeds cap {rank_cap()}")
+    if len(basis) > RANK_CAP:
+        raise OracleCapExceeded(f"rank {len(basis)} exceeds cap {RANK_CAP}")
     if not in_span(ambient.unit(), basis, p, K):
         raise ValueError("generators do not span a unital ring (no unit)")
     mult = []
@@ -122,17 +116,6 @@ def build_model(ambient: Ambient, gens, labels=None) -> FiniteAlgebraModel:
     if labels is None:
         labels = tuple(f"b{i}" for i in range(len(basis)))
     return FiniteAlgebraModel(ambient, tuple(tuple(b) for b in basis), tuple(mult), tuple(labels))
-
-
-def check_associativity(model: FiniteAlgebraModel) -> bool:
-    amb = model.ambient
-    for x in model.basis:
-        for y in model.basis:
-            xy = amb.mul(x, y)
-            for z in model.basis:
-                if amb.mul(xy, z) != amb.mul(x, amb.mul(y, z)):
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +279,43 @@ def _radical_power(M, t):
     return cur
 
 
+def _gluing_trees(gluings, node, what):
+    """Spanning trees of the graph whose edges are the given gluings.
+
+    ``node`` maps a gluing side to its graph node.  Returns, per connected
+    class in order of its smallest node, (members, branches): members in
+    breadth-first order from that node, and per tree edge its depth and
+    the members of the subtree it hangs off its parent.  Raises ValueError
+    unless every class is a tree.
+    """
+    adj = {}
+    for g in gluings:
+        u, w = node(g.left), node(g.right)
+        adj.setdefault(u, []).append((w, g.depth))
+        adj.setdefault(w, []).append((u, g.depth))
+    seen = set()
+    trees = []
+    for root in sorted(adj):
+        if root in seen:
+            continue
+        seen.add(root)
+        members = [root]
+        edges = []
+        for u in members:
+            for w, t in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    members.append(w)
+                    edges.append((u, w, t))
+        if sum(len(adj[u]) for u in members) != 2 * len(edges):
+            raise ValueError(f"{what} gluings must form a forest")
+        sub = {w: [w] for w in members}
+        for u, w, _ in reversed(edges):
+            sub[u].extend(sub[w])
+        trees.append((members, [(t, sub[w]) for _, w, t in edges]))
+    return trees
+
+
 def model_from_amalgam(block: AmalgamBlock, p: int, K: int) -> FiniteAlgebraModel:
     """Model of an amalgam: one matrix-ring summand per component.
 
@@ -334,56 +354,17 @@ def model_from_amalgam(block: AmalgamBlock, p: int, K: int) -> FiniteAlgebraMode
     if diag_touched & matrix_touched:
         raise ValueError("oracle models cannot mix gluing flavors on one component")
 
+    # Each glued class contributes its generators at depth 0 over all its
+    # members plus, per tree edge, the depth-t congruence on the subtree.
     gens = []
-
-    # matrix gluing forest over whole components
-    adj = {}
-    for g in matrix_edges:
-        adj.setdefault(g.left[0], []).append((g.right[0], g.depth))
-        adj.setdefault(g.right[0], []).append((g.left[0], g.depth))
-    seen = set()
-    groups = []  # (members, tree edges as (parent, child, depth))
-    for c in sorted(adj):
-        if c in seen:
-            continue
-        members = [c]
-        seen.add(c)
-        edges = []
-        queue = [c]
-        for u in queue:
-            for w, t in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    members.append(w)
-                    queue.append(w)
-                    edges.append((u, w, t))
-        if len(edges) != len(members) - 1:
-            raise ValueError("matrix gluings must form a forest")
-        groups.append((members, edges))
-    for members, edges in groups:
+    matrix_trees = _gluing_trees(matrix_edges, lambda side: side[0], "matrix")
+    for members, branches in matrix_trees:
         base = comps[members[0]]
         n = base.n
         for other in members[1:]:
             if comps[other].M != base.M or comps[other].n != n:
                 raise ValueError("matrix-glued components must share an exponent matrix")
-        for i in range(n):
-            for j in range(n):
-                vec = [0] * amb.dim
-                for c in members:
-                    vec[amb.pos(c, i, j)] = p ** base.M[i][j]
-                gens.append(vec)
-        children = {}
-        for u, w, t in edges:
-            children.setdefault(u, []).append(w)
-
-        def subtree(w):
-            out = [w]
-            for x in children.get(w, []):
-                out.extend(subtree(x))
-            return out
-
-        for _, w, t in edges:
-            sub = subtree(w)
+        for t, sub in [(0, members)] + branches:
             Jt = _radical_power(base.M, t)
             for i in range(n):
                 for j in range(n):
@@ -393,12 +374,9 @@ def model_from_amalgam(block: AmalgamBlock, p: int, K: int) -> FiniteAlgebraMode
                     gens.append(vec)
 
     # off-diagonal positions and unglued diagonal positions of the rest
-    diag_adj = {}
-    for g in diag_edges:
-        diag_adj.setdefault(g.left, []).append((g.right, g.depth))
-        diag_adj.setdefault(g.right, []).append((g.left, g.depth))
-    glued_diag = set(diag_adj)
-    matrix_members = {c for members, _ in groups for c in members}
+    diag_trees = _gluing_trees(diag_edges, lambda side: side, "diagonal")
+    glued_diag = {node for members, _ in diag_trees for node in members}
+    matrix_members = {c for members, _ in matrix_trees for c in members}
     for c, comp in enumerate(comps):
         if c in matrix_members:
             continue
@@ -410,41 +388,10 @@ def model_from_amalgam(block: AmalgamBlock, p: int, K: int) -> FiniteAlgebraMode
                 vec[amb.pos(c, i, j)] = p ** comp.M[i][j]
                 gens.append(vec)
 
-    # diagonal gluing forest over diagonal blocks
-    seen = set()
-    for node in sorted(diag_adj):
-        if node in seen:
-            continue
-        members = [node]
-        seen.add(node)
-        edges = []
-        queue = [node]
-        for u in queue:
-            for w, t in diag_adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    members.append(w)
-                    queue.append(w)
-                    edges.append((u, w, t))
-        if len(edges) != len(members) - 1:
-            raise ValueError("diagonal gluings must form a forest")
-        vec = [0] * amb.dim
-        for c, q in members:
-            vec[amb.pos(c, q, q)] = 1
-        gens.append(vec)
-        children = {}
-        for u, w, t in edges:
-            children.setdefault(u, []).append(w)
-
-        def subtree(w):
-            out = [w]
-            for x in children.get(w, []):
-                out.extend(subtree(x))
-            return out
-
-        for _, w, t in edges:
+    for members, branches in diag_trees:
+        for t, sub in [(0, members)] + branches:
             vec = [0] * amb.dim
-            for c, q in subtree(w):
+            for c, q in sub:
                 vec[amb.pos(c, q, q)] = p**t
             gens.append(vec)
 

@@ -39,7 +39,6 @@ from headorder.circulant import (
 )
 from headorder.exponent import (
     ExponentOrder,
-    _radical_general,
     diag_conjugate,
     equal_up_to_diag,
     equal_up_to_diag_and_rotation,
@@ -47,6 +46,7 @@ from headorder.exponent import (
     idealizer,
     is_hereditary,
     merge_unreduced,
+    radical,
     scaled_hereditary,
     standard_hereditary,
 )
@@ -183,7 +183,7 @@ def _all_orders(n, maxent):
 
 def _certify_order(order, p):
     n = order.n
-    N = _radical_general(order)
+    N = radical(order)
     pred = idealizer(order, N)
     t = [pred.M[i][0] for i in range(n)]
     oshift = diag_conjugate(order, t)

@@ -13,7 +13,6 @@ from headorder.circulant import (
     head_order_f,
     head_order_w,
     initial_reduction,
-    is_maximal,
     main2_type,
     midway_state,
     simple_module_match,
@@ -65,7 +64,6 @@ def test_initial_reduction():
     assert step == 6 and st.v == (0, 1, 1) and st.f == 1
     st, step = initial_reduction(4, 4)
     assert step == 4 and st.v == (0, 0, 0, 0) and st.f == 0
-    assert is_maximal(st)
 
 
 def test_anfang_range_checks():

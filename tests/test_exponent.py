@@ -2,14 +2,13 @@
 
 import pytest
 
-from headorder.errors import (
-    DiagonalNonzero,
-    NotReduced,
-    StepBudgetExceeded,
-    TriangleViolation,
+from headorder.amalgam import (
+    GluingConstraint,
+    amalgam_chain,
+    validate_amalgam,
 )
+from headorder.errors import DiagonalNonzero, StepBudgetExceeded, TriangleViolation
 from headorder.exponent import (
-    _radical_general,
     diag_conjugate,
     equal_up_to_diag,
     equal_up_to_diag_and_rotation,
@@ -22,11 +21,23 @@ from headorder.exponent import (
     radical,
     scaled_hereditary,
     standard_hereditary,
-    validate_ideal,
     validate_order,
 )
 
 H3 = [[0, 1, 1], [0, 0, 1], [0, 0, 0]]
+
+
+def validate_ideal(order, N):
+    """Assert that N is the exponent matrix of a two-sided ideal of order."""
+    M = order.M
+    n = order.n
+    assert len(N) == n and all(len(row) == n for row in N)
+    for i in range(n):
+        for j in range(n):
+            assert N[i][j] >= M[i][j], f"N[{i}][{j}] < M[{i}][{j}]: not contained"
+            for k in range(n):
+                assert M[i][k] + N[k][j] >= N[i][j], f"not a left ideal at ({i},{j},{k})"
+                assert N[i][k] + M[k][j] >= N[i][j], f"not a right ideal at ({i},{j},{k})"
 
 
 def test_validate_order_accepts_hereditary():
@@ -62,28 +73,33 @@ def test_radical_raises_diagonal():
     validate_ideal(order, J.N)
 
 
-def test_radical_requires_reduced():
-    order = validate_order([[0, 0], [0, 0]], (1, 1))
-    with pytest.raises(NotReduced):
-        radical(order)
-
-
 def test_radical_general_merges_classes():
     # indices 0 and 1 carry the same block factor: the radical steps the
     # whole 2x2 corner, not just the diagonal
     order = validate_order([[0, 0, 1], [0, 0, 1], [0, 0, 0]], (1, 1, 1))
-    J = _radical_general(order)
+    J = radical(order)
     assert J.N == ((1, 1, 1), (1, 1, 1), (0, 0, 1))
+    validate_ideal(order, J.N)
 
 
 def test_radical_general_equals_radical_on_reduced():
-    order = validate_order(H3, (1, 1, 1))
-    assert _radical_general(order).N == radical(order).N
+    # on reduced orders the radical only raises the diagonal
+    orders = [
+        validate_order(H3, (1, 1, 1)),
+        scaled_hereditary((1, 1, 1, 1), 3),
+        validate_order([[0, 1, 2], [0, 0, 1], [-1, 0, 0]], (1, 1, 1)),
+    ]
+    for order in orders:
+        assert order.is_reduced()
+        n = order.n
+        assert radical(order).N == tuple(
+            tuple(order.M[i][j] + (i == j) for j in range(n)) for i in range(n)
+        )
 
 
 def test_idealizer_of_maximal_is_itself():
     order = validate_order([[0, 0], [0, 0]], (1, 1))
-    assert idealizer(order, _radical_general(order)).M == order.M
+    assert idealizer(order, radical(order)).M == order.M
 
 
 def test_idealizer_of_hereditary_is_itself():
@@ -132,7 +148,7 @@ def test_idealizer_chain_terminates_hereditary():
     order = scaled_hereditary((1, 1, 1), 5)
     chain = idealizer_chain(order)
     head = chain[-1]
-    assert idealizer(head, _radical_general(head)).M == head.M
+    assert idealizer(head, radical(head)).M == head.M
     assert is_hereditary(merge_unreduced(head)) is not None
 
 
@@ -155,10 +171,27 @@ def test_glued_chain_depth_counts_down():
     assert depths[-1] == 0
 
 
-def test_step_budget_exceeded():
-    order = scaled_hereditary((1, 1, 1), 9)
-    with pytest.raises(StepBudgetExceeded):
-        idealizer_chain(order, max_steps=1)
+def _glued_pair():
+    comp = scaled_hereditary((1, 1, 1), 9)
+    return validate_amalgam(
+        (comp, comp), (GluingConstraint((0, 0), (1, 0), 3),)
+    )
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda s: idealizer_chain(scaled_hereditary((1, 1, 1), 9), max_steps=s),
+        lambda s: glued_chain(scaled_hereditary((1, 1, 1), 9), 9, max_steps=s),
+        lambda s: amalgam_chain(_glued_pair(), max_steps=s),
+    ],
+    ids=["idealizer_chain", "glued_chain", "amalgam_chain"],
+)
+def test_step_budget_exceeded(run):
+    with pytest.raises(StepBudgetExceeded) as info:
+        run(1)
+    assert info.value.max_steps == 1
+    assert len(run(None)) > 2
 
 
 def test_diag_conjugate_roundtrip():

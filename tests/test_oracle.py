@@ -8,10 +8,11 @@ from headorder.amalgam import (
     validate_amalgam,
 )
 from headorder.errors import OracleCapExceeded, TruncationTooSmall
+from headorder import oracle
 from headorder.exponent import (
-    _radical_general,
     diag_conjugate,
     idealizer,
+    radical,
     scaled_hereditary,
     standard_hereditary,
     validate_order,
@@ -20,7 +21,6 @@ from headorder.modular import howell, in_span, rref_modp
 from headorder.oracle import (
     Ambient,
     build_model,
-    check_associativity,
     model_from_amalgam,
     model_from_exponent,
     oracle_idealizer,
@@ -109,6 +109,17 @@ def test_radical_modp_modular_group_algebra():
     assert radical_dim([I(3), g, g2], 2) == 0
 
 
+def check_associativity(model):
+    amb = model.ambient
+    for x in model.basis:
+        for y in model.basis:
+            xy = amb.mul(x, y)
+            for z in model.basis:
+                if amb.mul(xy, z) != amb.mul(x, amb.mul(y, z)):
+                    return False
+    return True
+
+
 def test_build_model_and_associativity():
     order = standard_hereditary((1, 1))
     model = model_from_exponent(order, 2, 6)
@@ -126,7 +137,7 @@ def test_build_model_requires_closure():
 
 
 def test_rank_cap_env(monkeypatch):
-    monkeypatch.setenv("IDEALIZER_ORACLE_RANK_CAP", "3")
+    monkeypatch.setattr(oracle, "RANK_CAP", 3)
     order = standard_hereditary((1, 1))
     with pytest.raises(OracleCapExceeded):
         model_from_exponent(order, 2, 6)
@@ -160,7 +171,7 @@ def test_oracle_idealizer_scaled_h3():
     # certify Id(J(2 H_3)) including the negative corner entry, after the
     # diagonal shift that keeps the model inside the ambient
     order = scaled_hereditary((1, 1, 1), 2)
-    pred = idealizer(order, _radical_general(order))
+    pred = idealizer(order, radical(order))
     t = [pred.M[i][0] for i in range(3)]
     oshift = diag_conjugate(order, t)
     pshift = diag_conjugate(pred, t)
@@ -212,6 +223,21 @@ def test_amalgam_model_rejects_mixed_kind():
         (GluingConstraint((0, 0), (1, 0), 2, ("diagonal", "matrix")),),
     )
     with pytest.raises(ValueError):
+        model_from_amalgam(B, 2, 10)
+
+
+def test_amalgam_model_rejects_gluing_cycle():
+    # a spanning tree of a cycle would drop one of its congruences
+    one = validate_order([[0]], (1,))
+    B = validate_amalgam(
+        (one, one, one),
+        (
+            GluingConstraint((0, 0), (1, 0), 1),
+            GluingConstraint((1, 0), (2, 0), 1),
+            GluingConstraint((0, 0), (2, 0), 2),
+        ),
+    )
+    with pytest.raises(ValueError, match="forest"):
         model_from_amalgam(B, 2, 10)
 
 
