@@ -122,7 +122,10 @@ def derive_permutations(tree: PlanarBrauerTree):
     vertex's cycle, then one cycle per non-exceptional vertex in vertex
     order.
     """
-    validate_tree(tree)
+    return _derive_permutations(validate_tree(tree))
+
+
+def _derive_permutations(tree: PlanarBrauerTree):
     dist = _distances(tree)
     delta = {}
     rho = {}
@@ -155,7 +158,10 @@ def build_block(tree: PlanarBrauerTree) -> AmalgamBlock:
     a; on the exceptional side the congruence runs through the last (most
     ramified) stack component and carries no entrywise bound there.
     """
-    validate_tree(tree)
+    return _build_block(validate_tree(tree))
+
+
+def _build_block(tree: PlanarBrauerTree) -> AmalgamBlock:
     p, a, e = tree.p, tree.a, tree.e
     exc_cycle = tree.rotations[tree.exceptional]
     exc_dims = tuple(tree.dims[i] for i in exc_cycle)
@@ -206,9 +212,10 @@ def hasse_invariant(r: int, m: int):
 def head_order_report(tree: PlanarBrauerTree) -> dict:
     """Per-component head data: hereditary types, arithmetic predictions,
     simple-module fibers and the measured chain length."""
-    delta, rho, orbits = derive_permutations(tree)
+    validate_tree(tree)
+    delta, rho, orbits = _derive_permutations(tree)
     dist = _distances(tree)
-    block = build_block(tree)
+    block = _build_block(tree)
     chain = amalgam_chain(block)
     terminal = chain[-1]
     a = tree.a

@@ -180,7 +180,15 @@ def _params_from_input(args):
     if not (isinstance(n, int) and isinstance(a, int) and n >= 2 and a >= 1):
         raise SchemaError("$", "need integers n >= 2 and a >= 1")
     dims = doc.get("dims")
-    return n, a, tuple(dims) if dims else None
+    if dims is None:
+        return n, a, None
+    if not (
+        isinstance(dims, list)
+        and len(dims) == n
+        and all(isinstance(d, int) and d >= 1 for d in dims)
+    ):
+        raise SchemaError("$.dims", "expected a list of n positive integers")
+    return n, a, tuple(dims)
 
 
 def cmd_closed_form(args):
@@ -251,6 +259,11 @@ def _verify_cell(n: int, a: int, oracle: bool):
         want = [list(r) for r in diag_conjugate(pred, t).M]
         detail["oracle_first_step_agrees"] = got == want
         ok = ok and got == want
+    elif oracle:
+        detail["oracle"] = {
+            "ran": False,
+            "reason": "the oracle certifies only n <= 3 and a <= 2",
+        }
     return ok, detail
 
 

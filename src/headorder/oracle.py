@@ -130,35 +130,55 @@ def radical_modp(mult, p: int):
     characteristic polynomial of left multiplication in degree n - m; the
     last ideal is the radical.  Returns F_p coordinate vectors over the
     algebra basis.
+
+    The condition matrices come from the structure constants, using
+    L_x L_y = L_{xy}.  At j = 0, c_1 = -Tr and Tr(L_{b_a b_c}) =
+    sum_t mult[a][c][t] Tr(L_{b_t}), so the conditions are the trace form.
+    Above it the matrix is symmetric (charpoly(AB) = charpoly(BA)) and its
+    entry vanishes where xy = 0 (charpoly(0) = x^R), so only the nonzero
+    products of pairs a <= b need a characteristic polynomial.
     """
     R = len(mult)
     if R == 0:
         return []
+    # nonzero entries (k, j, c) of L_{b_t}: b_t b_j has coefficient c on b_k
+    lsparse = [
+        [(k, j, c % p) for j in range(R) for k, c in enumerate(mult[t][j]) if c % p]
+        for t in range(R)
+    ]
 
     def lmat(x):
-        # left multiplication by sum x_i b_i as a matrix acting on columns
-        return [
-            [sum(x[i] * mult[i][j][k] for i in range(R)) % p for j in range(R)]
-            for k in range(R)
-        ]
+        # left multiplication by sum x_t b_t as a matrix acting on columns
+        L = [[0] * R for _ in range(R)]
+        for t, xt in enumerate(x):
+            if xt:
+                for k, col, c in lsparse[t]:
+                    L[k][col] += xt * c
+        return L
 
+    def conditions(ideal, target):
+        # entry [a][b] is c_target(L_{x_b x_a}) for x = ideal
+        supps = [[(i, v) for i, v in enumerate(x) if v] for x in ideal]
+        conds = [[0] * len(ideal) for _ in ideal]
+        for b, xb in enumerate(ideal):
+            Lb = lmat(xb)
+            for a in range(b + 1):
+                xy = [sum(row[i] * v for i, v in supps[a]) % p for row in Lb]
+                if any(xy):
+                    conds[a][b] = conds[b][a] = charpoly_modp(lmat(xy), p)[target]
+        return conds
+
+    traces = [sum(mult[t][k][k] for k in range(R)) for t in range(R)]
     ideal = [[1 if t == i else 0 for t in range(R)] for i in range(R)]
     j = 0
     while p**j <= R and ideal:
-        target = p**j
-        conds = []
-        lmats = [lmat(v) for v in ideal]
-        for Ly in lmats:
-            cols = list(zip(*Ly))
-            row = []
-            for Lx in lmats:
-                prodmat = [
-                    [sum(a * b for a, b in zip(ra, cb)) % p for cb in cols]
-                    for ra in Lx
-                ]
-                cp = charpoly_modp(prodmat, p)
-                row.append(cp[target] % p if target < len(cp) else 0)
-            conds.append(row)
+        if j == 0:
+            conds = [
+                [-sum(c * tr for c, tr in zip(mult[b][a], traces)) % p for b in range(R)]
+                for a in range(R)
+            ]
+        else:
+            conds = conditions(ideal, p**j)
         sol = nullspace_modp(conds, p)
         new_ideal = []
         for coeffs in sol:

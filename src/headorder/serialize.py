@@ -24,6 +24,12 @@ def _need(doc, key, path):
     return doc[key]
 
 
+def _int(x, path):
+    if not isinstance(x, int):
+        raise SchemaError(path, "expected an integer")
+    return x
+
+
 def _int_list(x, path):
     if not isinstance(x, list) or not all(isinstance(v, int) for v in x):
         raise SchemaError(path, "expected a list of integers")
@@ -100,20 +106,21 @@ def from_document(doc, path="$"):
     if kind == "exponent":
         dims = _int_list(_need(doc, "dims", path), f"{path}.dims")
         matrix = _int_matrix(_need(doc, "matrix", path), f"{path}.matrix")
+        ram = _int(doc.get("ram", 1), f"{path}.ram")
         try:
-            return validate_order(matrix, dims, ram=doc.get("ram", 1))
+            return validate_order(matrix, dims, ram=ram)
         except (ValueError, HeadOrderError) as exc:
             raise SchemaError(path, str(exc)) from exc
     if kind == "circulant":
         dims = _int_list(_need(doc, "dims", path), f"{path}.dims")
         v = _int_list(_need(doc, "v", path), f"{path}.v")
-        n = _need(doc, "n", path)
+        n = _int(_need(doc, "n", path), f"{path}.n")
         if n != len(v):
             raise SchemaError(f"{path}.n", "n must equal len(v)")
+        depth = _int(doc.get("depth", 0), f"{path}.depth")
+        ram = _int(doc.get("ram", 1), f"{path}.ram")
         try:
-            return CirculantState(
-                tuple(dims), tuple(v), f=doc.get("depth", 0), ram=doc.get("ram", 1)
-            )
+            return CirculantState(tuple(dims), tuple(v), f=depth, ram=ram)
         except (ValueError, HeadOrderError) as exc:
             raise SchemaError(path, str(exc)) from exc
     if kind == "amalgam":
@@ -129,10 +136,15 @@ def from_document(doc, path="$"):
             kinds = g.get("kinds", ["diagonal", "diagonal"])
             gluings.append(
                 GluingConstraint(
-                    tuple(left), tuple(right), _need(g, "depth", gpath), tuple(kinds)
+                    tuple(left),
+                    tuple(right),
+                    _int(_need(g, "depth", gpath), f"{gpath}.depth"),
+                    tuple(kinds),
                 )
             )
-        params = tuple(doc["params"]) if "params" in doc else None
+        params = (
+            tuple(_int_list(doc["params"], f"{path}.params")) if "params" in doc else None
+        )
         try:
             return validate_amalgam(comps, gluings, params)
         except (ValueError, HeadOrderError) as exc:
@@ -142,17 +154,17 @@ def from_document(doc, path="$"):
         if "e" in doc and doc["e"] != len(edges):
             raise SchemaError(f"{path}.e", "e must equal the number of edges")
         tree = PlanarBrauerTree(
-            exceptional=_need(doc, "exceptional", path),
+            exceptional=_int(_need(doc, "exceptional", path), f"{path}.exceptional"),
             edges=tuple(tuple(e) for e in edges),
             dims=tuple(_int_list(_need(doc, "dims", path), f"{path}.dims")),
             rotations=tuple(
                 tuple(r)
                 for r in _int_matrix(_need(doc, "rotations", path), f"{path}.rotations")
             ),
-            p=_need(doc, "p", path),
-            a=_need(doc, "a", path),
-            m=doc.get("m", 1),
-            galois_r=doc.get("r", 1),
+            p=_int(_need(doc, "p", path), f"{path}.p"),
+            a=_int(_need(doc, "a", path), f"{path}.a"),
+            m=_int(doc.get("m", 1), f"{path}.m"),
+            galois_r=_int(doc.get("r", 1), f"{path}.r"),
         )
         try:
             return validate_tree(tree)

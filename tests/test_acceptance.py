@@ -217,7 +217,9 @@ def _conj_chain(chain):
     return out
 
 
-def _certify_amalgam(B, p):
+def _amalgam_models(B, p):
+    """Models of every state of B's chain, conjugated to nonnegative
+    exponents, and the noise floor for comparing their spans."""
     chain = _conj_chain(amalgam_chain(B))
     mx = max(
         max((x for row in c.M for x in row), default=0)
@@ -228,8 +230,12 @@ def _certify_amalgam(B, p):
     mxd = max((g.depth for st in chain for g in st.gluings), default=0)
     K = 2 * (mx + mxd) + 4
     noise = K - (mx + mxd + 2)
-    models = [model_from_amalgam(st, p, K) for st in chain]
-    for k in range(len(chain) - 1):
+    return [model_from_amalgam(st, p, K) for st in chain], noise
+
+
+def _certify_amalgam(B, p):
+    models, noise = _amalgam_models(B, p)
+    for k in range(len(models) - 1):
         J = oracle_radical(models[k])
         Id = oracle_idealizer(models[k], J)
         if not spans_agree(Id, models[k + 1].basis, models[k].ambient, noise):

@@ -155,6 +155,24 @@ def test_report_matches_chain_terminal():
     assert report["chain_length"] == len(chain) - 1
 
 
+def test_report_validates_tree_once(monkeypatch):
+    import headorder.brauer as brauer
+
+    calls = []
+    checked = brauer.validate_tree
+    monkeypatch.setattr(
+        brauer, "validate_tree", lambda t: calls.append(t) or checked(t)
+    )
+    head_order_report(path3(7, 1, exceptional=1))
+    assert len(calls) == 1
+    # the public entry points still validate on their own
+    t = star(2, 3, 1)
+    bad = PlanarBrauerTree(t.exceptional, t.edges, t.dims, ((1, 1),) + t.rotations[1:], 3, 1)
+    for fn in (derive_permutations, build_block, head_order_report):
+        with pytest.raises(BadRotation):
+            fn(bad)
+
+
 def test_report_hasse_field():
     t = star(2, 3, 1)
     desc = PlanarBrauerTree(

@@ -104,6 +104,27 @@ def test_verify_with_oracle(capsys, monkeypatch):
     assert report["oracle_first_step_agrees"] is True
 
 
+def test_verify_reports_oracle_outside_its_range(capsys, monkeypatch):
+    code, out, _ = run(
+        capsys,
+        ["--command", "verify", "--input", "-", "--oracle", "on"],
+        stdin='{"n": 4, "a": 7}',
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["oracle"]["ran"] is False
+    assert "n <= 3" in report["oracle"]["reason"]
+    _, out_off, _ = run(
+        capsys,
+        ["--command", "verify", "--input", "-"],
+        stdin='{"n": 4, "a": 7}',
+        monkeypatch=monkeypatch,
+    )
+    report.pop("oracle")
+    assert json.loads(out_off) == report
+
+
 def test_sweep_grid(capsys):
     code, out, _ = run(
         capsys, ["--command", "sweep", "--grid", "n=2..4,a=1..5"]
@@ -152,6 +173,52 @@ def test_input_error_exit_2(capsys, monkeypatch):
     )
     assert code == 2
     assert "error" in err
+
+
+TREE_DOC = {
+    "schema_version": 1,
+    "type": "tree",
+    "exceptional": 0,
+    "edges": [[0, 1]],
+    "dims": [1],
+    "rotations": [[0], [0]],
+    "p": 3,
+    "a": 1,
+}
+CIRCULANT_DOC = {
+    "schema_version": 1,
+    "type": "circulant",
+    "n": 3,
+    "dims": [1, 1, 1],
+    "v": [0, 2, 2],
+    "depth": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("check", {**TREE_DOC, "p": "3"}, "$.p"),
+        ("tree", {**TREE_DOC, "a": "1"}, "$.a"),
+        ("chain", {**CIRCULANT_DOC, "depth": "x"}, "$.depth"),
+        ("closed-form", {"n": 3, "a": 2, "dims": [1, 1]}, "$.dims"),
+        ("closed-form", {"n": 3, "a": 4, "dims": [1, 1]}, "$.dims"),
+        ("closed-form", {"n": 3, "a": 4, "dims": [1, 0, 1]}, "$.dims"),
+        ("verify", {"n": 3, "a": 4, "dims": "111"}, "$.dims"),
+    ],
+    ids=["tree-p", "tree-a", "circulant-depth", "dims-short", "dims-short-accepted",
+         "dims-zero", "dims-string"],
+)
+def test_malformed_field_exit_2(capsys, monkeypatch, command, doc, field):
+    code, out, err = run(
+        capsys,
+        ["--command", command, "--input", "-"],
+        stdin=json.dumps(doc),
+        monkeypatch=monkeypatch,
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"].startswith(f"{field}:")
 
 
 def test_missing_file_exit_2(capsys):

@@ -141,6 +141,24 @@ def test_charpoly_modp_trace_det_random():
         assert cp[n] == ((-1) ** n * det) % p
 
 
+def test_charpoly_modp_of_product_commutes():
+    # charpoly(AB) = charpoly(BA), also for singular A and B; the oracle's
+    # radical computes only one triangle of its symmetric condition matrix
+    def matmul(X, Y):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] for row in X]
+
+    rng = random.Random(13)
+    for p in (2, 3, 5):
+        for _ in range(30):
+            n = rng.randrange(1, 7)
+            A, B = (
+                [[rng.randrange(p) if rng.random() < 0.4 else 0 for _ in range(n)]
+                 for _ in range(n)]
+                for _ in range(2)
+            )
+            assert charpoly_modp(matmul(A, B), p) == charpoly_modp(matmul(B, A), p)
+
+
 def _det_modp(A, p):
     n = len(A)
     M = [row[:] for row in A]

@@ -1,5 +1,7 @@
 """Finite-algebra brute force against the exponent formulas."""
 
+from operator import mul
+
 import pytest
 
 from headorder.amalgam import (
@@ -17,7 +19,7 @@ from headorder.exponent import (
     standard_hereditary,
     validate_order,
 )
-from headorder.modular import howell, in_span, rref_modp
+from headorder.modular import charpoly_modp, howell, in_span, nullspace_modp, rref_modp
 from headorder.oracle import (
     Ambient,
     build_model,
@@ -30,6 +32,7 @@ from headorder.oracle import (
     spans_agree,
     truncation_for,
 )
+from test_acceptance import _all_orders, _amalgam_cases, _amalgam_models
 
 
 def struct_constants(mats, p):
@@ -107,6 +110,67 @@ def test_radical_modp_modular_group_algebra():
     assert radical_dim([I(3), g, g2], p) == 2
     # F_2[C_3] is semisimple (3 odd)
     assert radical_dim([I(3), g, g2], 2) == 0
+
+
+def dense_radical_modp(mult, p):
+    """Reference for radical_modp: the same ideal iteration, with one dense
+    L_x L_y product and one characteristic polynomial per ordered pair."""
+    R = len(mult)
+    if R == 0:
+        return []
+
+    # by_col[k][j][i] = mult[i][j][k]
+    by_col = [[[mult[i][j][k] for i in range(R)] for j in range(R)] for k in range(R)]
+
+    def lmat(x):
+        return [[sum(map(mul, x, c)) % p for c in row] for row in by_col]
+
+    ideal = [[1 if t == i else 0 for t in range(R)] for i in range(R)]
+    j = 0
+    while p**j <= R and ideal:
+        lmats = [lmat(v) for v in ideal]
+        conds = []
+        for Ly in lmats:
+            cols = list(zip(*Ly))
+            conds.append([
+                charpoly_modp(
+                    [[sum(map(mul, ra, cb)) for cb in cols] for ra in Lx], p
+                )[p**j]
+                for Lx in lmats
+            ])
+        ideal = rref_modp(
+            [
+                [sum(c * v[k] for c, v in zip(coeffs, ideal)) % p for k in range(R)]
+                for coeffs in nullspace_modp(conds, p)
+            ],
+            p,
+        )
+        j += 1
+    return ideal
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_radical_modp_matches_dense_reference(p):
+    # every order with n <= 3 and entries in [0, 2], every state of the
+    # criterion-4 amalgam chains, and the hand-built algebras above; in
+    # the group algebra products rarely vanish
+    mults = [
+        model_from_exponent(order, p, truncation_for(2)).mult
+        for n in (1, 2, 3)
+        for order in _all_orders(n, 2)
+    ]
+    for B in _amalgam_cases():
+        mults.extend(m.mult for m in _amalgam_models(B, p)[0])
+    g = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    g2 = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    for mats in (
+        [I(2), E(2, 0, 1)],
+        [E(2, 0, 0), E(2, 1, 1), E(2, 0, 1)],
+        [I(3), g, g2],
+    ):
+        mults.append(struct_constants(mats, p))
+    for mult in mults:
+        assert radical_modp(mult, p) == dense_radical_modp(mult, p)
 
 
 def check_associativity(model):
