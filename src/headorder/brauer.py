@@ -16,7 +16,13 @@ from math import gcd
 from .amalgam import WHOLE, AmalgamBlock, GluingConstraint, validate_amalgam
 from .circulant import main2_type, simple_module_match
 from .errors import BadRotation, NotATree, NotCoprime
-from .exponent import is_hereditary, merge_unreduced, scaled_hereditary, standard_hereditary
+from .exponent import (
+    DisjointSets,
+    is_hereditary,
+    merge_unreduced,
+    scaled_hereditary,
+    standard_hereditary,
+)
 from .amalgam import amalgam_chain
 
 
@@ -60,23 +66,14 @@ def validate_tree(tree: PlanarBrauerTree) -> PlanarBrauerTree:
     if not 0 <= tree.exceptional < nv:
         raise ValueError("exceptional vertex out of range")
     incident = [set() for _ in range(nv)]
-    parent = list(range(nv))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    components = DisjointSets(nv)
     for i, (u, v) in enumerate(tree.edges):
         if not (0 <= u < nv and 0 <= v < nv) or u == v:
             raise NotATree(f"edge {i} = ({u},{v}) is not a proper edge")
         incident[u].add(i)
         incident[v].add(i)
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        if not components.union(u, v):
             raise NotATree(f"edge {i} closes a cycle")
-        parent[ru] = rv
     for w in range(nv):
         if set(tree.rotations[w]) != incident[w] or len(tree.rotations[w]) != len(
             incident[w]

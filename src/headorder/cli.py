@@ -282,6 +282,8 @@ def _parse_grid(spec):
         alo, ahi = (int(x) for x in parts["a"].split(".."))
     except (KeyError, ValueError) as exc:
         raise SchemaError("--grid", "expected n=<lo..hi>,a=<lo..hi>") from exc
+    if nlo < 2 or alo < 1:
+        raise SchemaError("--grid", "need n >= 2 and a >= 1")
     return nlo, nhi, alo, ahi
 
 

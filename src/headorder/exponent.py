@@ -9,6 +9,8 @@ vector is carried along but never influences the exponent computations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, neg, sub
 
 from .errors import DiagonalNonzero, StepBudgetExceeded, TriangleViolation
 
@@ -105,6 +107,31 @@ def scaled_hereditary(dims, a: int, ram: int = 1) -> ExponentOrder:
     return ExponentOrder(dims, M, ram)
 
 
+class DisjointSets:
+    """Union-find over the indices 0..n-1.
+
+    Every root is the smallest index of its class.
+    """
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(self, i: int, j: int) -> bool:
+        """Join the classes of i and j; False if they were one class already."""
+        ri, rj = self.find(i), self.find(j)
+        if ri == rj:
+            return False
+        self.parent[max(ri, rj)] = min(ri, rj)
+        return True
+
+
 def _unreduced_classes(M: Matrix) -> list[int]:
     """Class root of each index, joining i and j when m[i][j] + m[j][i] = 0.
 
@@ -113,21 +140,13 @@ def _unreduced_classes(M: Matrix) -> list[int]:
     Every root is the smallest index of its class.
     """
     n = len(M)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if M[i][j] + M[j][i] == 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    return [find(i) for i in range(n)]
+    sets = DisjointSets(n)
+    for i, (row, col) in enumerate(zip(M, zip(*M))):
+        if 0 in map(add, row[i + 1 :], col[i + 1 :]):
+            for j in range(i + 1, n):
+                if row[j] + col[j] == 0:
+                    sets.union(i, j)
+    return [sets.find(i) for i in range(n)]
 
 
 def radical(order: ExponentOrder) -> ExponentIdeal:
@@ -137,14 +156,17 @@ def radical(order: ExponentOrder) -> ExponentIdeal:
     the semisimple quotient, so the radical raises exponents by one on the
     whole class block; on a reduced order that is just the diagonal.
     """
-    M = order.M
-    root = _unreduced_classes(M)
-    n = order.n
-    N = tuple(
-        tuple(M[i][j] + (1 if root[i] == root[j] else 0) for j in range(n))
-        for i in range(n)
-    )
-    return ExponentIdeal(N)
+    root = _unreduced_classes(order.M)
+    members = {}
+    for j, r in enumerate(root):
+        members.setdefault(r, []).append(j)
+    N = []
+    for row, r in zip(order.M, root):
+        row = list(row)
+        for j in members[r]:
+            row[j] += 1
+        N.append(tuple(row))
+    return ExponentIdeal(tuple(N))
 
 
 # Old name of the general radical.  perfbench/ calls it in its oracle set-up
@@ -153,27 +175,81 @@ def radical(order: ExponentOrder) -> ExponentIdeal:
 _radical_general = radical
 
 
+def _rotation_shift(N: Matrix) -> tuple[int, ...] | None:
+    """s with N[i+1][j+1] = N[i][j] - s[i] + s[j] for all i, j mod n, or None.
+
+    That is, N is invariant under the index rotation i -> i+1 up to
+    conjugation by diag(pi^s).  The relation fixes s up to a constant; with
+    s[0] = 0 its row i = 0 reads s[j] = N[1][j+1] - N[0][j] (equivalently
+    s[i] = N[i][0] - N[i+1][1]), and that candidate is checked on every row.
+    """
+    n = len(N)
+    nxt = N[1 % n]
+    s = tuple(map(sub, nxt[1:] + nxt[:1], N[0]))
+    for row, nxt, si in zip(N, N[1:] + N[:1], s):
+        # N[i+1][j+1] - N[i][j] - s[j] must be -s[i] for every j
+        if tuple(map(sub, map(sub, nxt[1:] + nxt[:1], row), s)).count(-si) != n:
+            return None
+    return s
+
+
+def _idealizer_matrix(N: Matrix, depths: list[int]) -> Matrix:
+    """Exponent matrix of the glued idealizer of N (see glued_idealizer).
+
+    G[i][j] = max_k (A_i[k] - A_j[k]), A_i being N[i] followed by minus
+    column i of N, raised off the diagonal to max(d_i, d_j) - N[j][i].  When
+    N is rotation-symmetric (_rotation_shift) and every depth is equal, so
+    is G with the same shift s: row 0 is computed and every further row is
+    the previous one rotated and shifted.
+    """
+    n = len(N)
+    if n <= 1:
+        return ((0,),) * n  # at most one block: G is the zero diagonal
+    cols = list(zip(*N))
+    A = [row + tuple(map(neg, col)) for row, col in zip(N, cols)]
+    s = _rotation_shift(N) if depths.count(depths[0]) == n else None
+    glued = any(depths)
+    G = []
+    for i in range(n if s is None else 1):
+        Ai = A[i]
+        row = [max(map(sub, Ai, Aj)) for Aj in A]
+        if glued:
+            # max(d_i, d_j) - N[j][i] is the larger of d_i - N[j][i] and
+            # d_j - N[j][i]; column i of N holds N[j][i]
+            col = cols[i]
+            row = list(
+                map(max, row, map(sub, repeat(depths[i]), col), map(sub, depths, col))
+            )
+            row[i] = 0
+        G.append(tuple(row))
+    if s is not None:
+        row = G[0]
+        s_prev = s[-1:] + s[:-1]
+        for si in s[:-1]:
+            # G[i+1][j] = G[i][j-1] - s[i] + s[j-1]
+            row = tuple(map(sub, map(add, row[-1:] + row[:-1], s_prev), repeat(si)))
+            G.append(row)
+    return tuple(G)
+
+
 def idealizer(order: ExponentOrder, ideal: ExponentIdeal) -> ExponentOrder:
     """Two-sided idealizer of an ideal, as an entrywise max-plus formula.
 
     The left condition (x N inside N) forces m[i][j] >= N[i][k] - N[j][k] for
     all k, the right condition forces m[i][j] >= N[k][j] - N[k][i]; the
     idealizer is cut out by both.  The result always contains the order.
+    With A_i the row N[i] followed by minus column i of N, both maxima are
+    the one max-plus product G[i][j] = max_k (A_i[k] - A_j[k]): O(n^3).
+
+    Equivariance: when N[i+1][j+1] = N[i][j] - s[i] + s[j] for all i, j
+    (indices mod n), as on every state of the Lambda(v) chains, reindexing
+    k -> k+1 in either maximum gives G[i+1][j+1] = G[i][j] - s[i] + s[j]
+    with the same s.  That condition is checked exactly on N, so row 0
+    determines G and the rest is filled in O(n^2) by exact integer shifts;
+    on any other N every row is computed.
     """
-    N = ideal.N
-    n = order.n
-    rng = range(n)
-    G = []
-    for i in rng:
-        row = []
-        Ni = N[i]
-        for j in rng:
-            Nj = N[j]
-            left = max(Ni[k] - Nj[k] for k in rng)
-            right = max(N[k][j] - N[k][i] for k in rng)
-            row.append(max(left, right))
-        G.append(tuple(row))
-    return ExponentOrder(order.dims, tuple(G), order.ram)
+    G = _idealizer_matrix(ideal.N, [0] * order.n)
+    return ExponentOrder(order.dims, G, order.ram)
 
 
 def glued_idealizer(order: ExponentOrder, ideal: ExponentIdeal, depths) -> ExponentOrder:
@@ -183,28 +259,16 @@ def glued_idealizer(order: ExponentOrder, ideal: ExponentIdeal, depths) -> Expon
     partner outside this component.  Multiplication into a glued diagonal
     block must land at valuation >= depths[q] off the diagonal, which adds
     the lower bound m[i][j] >= max(depths[i], depths[j]) - N[j][i] to the
-    plain idealizer conditions.
+    plain idealizer conditions.  With every depth 0 the bound is vacuous:
+    the idealizer has m[i][j] >= N[i][i] - N[j][i] and N[i][i] >= 0 for an
+    ideal of the order.  With equal depths the bound is rotation-equivariant
+    like the rest, so the O(n^2) row fill of idealizer applies here too.
     """
     depths = [int(x) for x in depths]
     if len(depths) != order.n:
         raise ValueError("depths must have length n")
-    bare = idealizer(order, ideal)
-    if not any(depths):
-        # the bound -N[j][i] is vacuous: bare has m[i][j] >= N[i][i] - N[j][i]
-        # and N[i][i] >= 0 for an ideal of the order
-        return bare
-    n = order.n
-    N = ideal.N
-    G = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = bare.M[i][j]
-            if i != j:
-                val = max(val, max(depths[i], depths[j]) - N[j][i])
-            row.append(val)
-        G.append(tuple(row))
-    return ExponentOrder(order.dims, tuple(G), order.ram)
+    G = _idealizer_matrix(ideal.N, depths)
+    return ExponentOrder(order.dims, G, order.ram)
 
 
 def fixed_point_chain(step, start, max_steps: int):

@@ -42,6 +42,24 @@ def _int_matrix(x, path):
     return [_int_list(row, f"{path}[{i}]") for i, row in enumerate(x)]
 
 
+def _list(x, path):
+    if not isinstance(x, list):
+        raise SchemaError(path, "expected a list")
+    return x
+
+
+def _int_pair(x, path):
+    if len(_int_list(x, path)) != 2:
+        raise SchemaError(path, "expected a pair of integers")
+    return tuple(x)
+
+
+def _str_pair(x, path):
+    if not (isinstance(x, list) and len(x) == 2 and all(isinstance(v, str) for v in x)):
+        raise SchemaError(path, "expected a pair of strings")
+    return tuple(x)
+
+
 def to_document(value) -> dict:
     if isinstance(value, ExponentOrder):
         return {
@@ -124,22 +142,24 @@ def from_document(doc, path="$"):
         except (ValueError, HeadOrderError) as exc:
             raise SchemaError(path, str(exc)) from exc
     if kind == "amalgam":
-        comps = [
-            from_document(c, f"{path}.components[{i}]")
-            for i, c in enumerate(_need(doc, "components", path))
-        ]
+        comps = []
+        for i, c in enumerate(_list(_need(doc, "components", path), f"{path}.components")):
+            cpath = f"{path}.components[{i}]"
+            comp = from_document(c, cpath)
+            if not isinstance(comp, ExponentOrder):
+                raise SchemaError(cpath, "expected an exponent document")
+            comps.append(comp)
         gluings = []
-        for i, g in enumerate(_need(doc, "gluings", path)):
+        for i, g in enumerate(_list(_need(doc, "gluings", path), f"{path}.gluings")):
             gpath = f"{path}.gluings[{i}]"
-            left = _int_list(_need(g, "left", gpath), f"{gpath}.left")
-            right = _int_list(_need(g, "right", gpath), f"{gpath}.right")
-            kinds = g.get("kinds", ["diagonal", "diagonal"])
+            if not isinstance(g, dict):
+                raise SchemaError(gpath, "expected an object")
             gluings.append(
                 GluingConstraint(
-                    tuple(left),
-                    tuple(right),
+                    _int_pair(_need(g, "left", gpath), f"{gpath}.left"),
+                    _int_pair(_need(g, "right", gpath), f"{gpath}.right"),
                     _int(_need(g, "depth", gpath), f"{gpath}.depth"),
-                    tuple(kinds),
+                    _str_pair(g.get("kinds", ["diagonal", "diagonal"]), f"{gpath}.kinds"),
                 )
             )
         params = (

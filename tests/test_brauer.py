@@ -52,6 +52,18 @@ def test_validate_rejects_cycle():
     )
     with pytest.raises(NotATree):
         validate_tree(t)
+    # four vertices and three edges, but the edges close a cycle and leave
+    # vertex 3 isolated
+    t = PlanarBrauerTree(
+        exceptional=0,
+        edges=((0, 1), (1, 2), (2, 0)),
+        dims=(1, 1, 1),
+        rotations=((0, 2), (0, 1), (1, 2), ()),
+        p=7,
+        a=1,
+    )
+    with pytest.raises(NotATree, match="edge 2 closes a cycle"):
+        validate_tree(t)
 
 
 def test_validate_rejects_bad_rotation():

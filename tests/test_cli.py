@@ -1,8 +1,14 @@
 """Command line behavior: commands, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headorder.cli import main
 from headorder.serialize import dumps
@@ -193,6 +199,20 @@ CIRCULANT_DOC = {
     "v": [0, 2, 2],
     "depth": 2,
 }
+COMPONENT_DOC = {
+    "schema_version": 1,
+    "type": "exponent",
+    "dims": [1, 1],
+    "matrix": [[0, 2], [0, 0]],
+}
+GLUING = {"left": [0, 0], "right": [1, 0], "depth": 2, "kinds": ["diagonal", "diagonal"]}
+AMALGAM_DOC = {
+    "schema_version": 1,
+    "type": "amalgam",
+    "components": [COMPONENT_DOC, COMPONENT_DOC],
+    "gluings": [GLUING],
+    "params": [3, 1, 2],
+}
 
 
 @pytest.mark.parametrize(
@@ -205,9 +225,21 @@ CIRCULANT_DOC = {
         ("closed-form", {"n": 3, "a": 4, "dims": [1, 1]}, "$.dims"),
         ("closed-form", {"n": 3, "a": 4, "dims": [1, 0, 1]}, "$.dims"),
         ("verify", {"n": 3, "a": 4, "dims": "111"}, "$.dims"),
+        ("check", {**AMALGAM_DOC, "components": 5}, "$.components"),
+        ("check", {**AMALGAM_DOC, "components": [CIRCULANT_DOC]}, "$.components[0]"),
+        ("chain", {**AMALGAM_DOC, "gluings": GLUING}, "$.gluings"),
+        ("check", {**AMALGAM_DOC, "gluings": [3]}, "$.gluings[0]"),
+        ("head", {**AMALGAM_DOC, "gluings": [{**GLUING, "left": [0, 0, 1]}]},
+         "$.gluings[0].left"),
+        ("chain", {**AMALGAM_DOC, "gluings": [{**GLUING, "right": [1]}]},
+         "$.gluings[0].right"),
+        ("check", {**AMALGAM_DOC, "gluings": [{**GLUING, "kinds": 5}]},
+         "$.gluings[0].kinds"),
     ],
     ids=["tree-p", "tree-a", "circulant-depth", "dims-short", "dims-short-accepted",
-         "dims-zero", "dims-string"],
+         "dims-zero", "dims-string", "amalgam-components", "amalgam-component-type",
+         "amalgam-gluings", "amalgam-gluing", "gluing-left", "gluing-right",
+         "gluing-kinds"],
 )
 def test_malformed_field_exit_2(capsys, monkeypatch, command, doc, field):
     code, out, err = run(
@@ -251,3 +283,115 @@ def test_max_steps_flag(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the CLI boundary with mutated documents
+
+EXPONENT_DOC = {
+    "schema_version": 1,
+    "type": "exponent",
+    "dims": [1, 1, 1],
+    "matrix": [[0, 3, 3], [0, 0, 3], [0, 0, 0]],
+    "ram": 1,
+}
+FUZZ_BASES = {
+    "exponent": (EXPONENT_DOC, ("check", "radical", "chain", "head")),
+    "circulant": (CIRCULANT_DOC, ("check", "radical", "chain", "head")),
+    "tree": (TREE_DOC, ("check", "tree")),
+    "amalgam": (AMALGAM_DOC, ("check", "chain", "head")),
+    "params": ({"n": 3, "a": 4, "dims": [1, 1, 1]}, ("closed-form", "verify")),
+}
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.floats(-2, 6),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 6), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 6), max_size=2),
+)
+
+
+def _nodes(doc):
+    """(path, value) of every node below the root of a JSON value."""
+    found, stack = [], [((), doc)]
+    while stack:
+        at, value = stack.pop()
+        if isinstance(value, dict):
+            children = sorted(value.items())
+        elif isinstance(value, list):
+            children = enumerate(value)
+        else:
+            children = ()
+        for key, child in children:
+            found.append((at + (key,), child))
+            stack.append((at + (key,), child))
+    return found
+
+
+def _mutate(data, doc):
+    """Replace, delete, shorten or lengthen a node of doc, 1-3 times.
+
+    The first mutation hits a list or object, where shape errors live.
+    """
+    doc = json.loads(json.dumps(doc))  # a copy that shares no nodes
+    for k in range(data.draw(st.integers(1, 3))):
+        nodes = [(p, v) for p, v in _nodes(doc) if k or isinstance(v, (dict, list))]
+        if not nodes:
+            break
+        path, node = data.draw(st.sampled_from(nodes))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        op = data.draw(st.sampled_from(("replace", "delete", "shorten", "lengthen")))
+        if op == "delete":
+            del parent[key]
+        elif op == "shorten" and isinstance(node, list) and node:
+            node.pop()
+        elif op == "lengthen" and isinstance(node, list):
+            node.append(copy.deepcopy(node[-1]) if node else data.draw(JUNK))
+        else:
+            parent[key] = data.draw(JUNK)
+    return doc
+
+
+def _run_cli(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_fuzz_mutated_documents(data):
+    base, commands = FUZZ_BASES[data.draw(st.sampled_from(sorted(FUZZ_BASES)))]
+    command = data.draw(st.sampled_from(commands))
+    doc = _mutate(data, base)
+    code, out, err = _run_cli(["--command", command, "--input", "-"], json.dumps(doc))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert command == "verify"
+    if code == 2:
+        assert out == "" and "error" in json.loads(err)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(n=st.tuples(st.integers(-1, 4), st.integers(-1, 4)),
+       a=st.tuples(st.integers(-1, 4), st.integers(-1, 4)))
+def test_fuzz_sweep_grid(n, a):
+    code, out, err = _run_cli(
+        ["--command", "sweep", "--grid", f"n={n[0]}..{n[1]},a={a[0]}..{a[1]}"], ""
+    )
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and json.loads(err)["error"].startswith("--grid:")

@@ -1,5 +1,7 @@
 """Exponent-matrix orders: validation, radical, idealizer, chains."""
 
+import random
+
 import pytest
 
 from headorder.amalgam import (
@@ -8,7 +10,10 @@ from headorder.amalgam import (
     validate_amalgam,
 )
 from headorder.errors import DiagonalNonzero, StepBudgetExceeded, TriangleViolation
+from headorder import exponent
 from headorder.exponent import (
+    ExponentIdeal,
+    ExponentOrder,
     diag_conjugate,
     equal_up_to_diag,
     equal_up_to_diag_and_rotation,
@@ -121,6 +126,141 @@ def test_idealizer_contains_order():
     assert all(
         got.M[i][j] <= order.M[i][j] for i in range(4) for j in range(4)
     )
+
+
+def maxplus_idealizer(order, ideal):
+    """Reference for idealizer: both maxima for every entry, O(n^3)."""
+    N = ideal.N
+    n = order.n
+    rng = range(n)
+    G = []
+    for i in rng:
+        row = []
+        Ni = N[i]
+        for j in rng:
+            Nj = N[j]
+            left = max(Ni[k] - Nj[k] for k in rng)
+            right = max(N[k][j] - N[k][i] for k in rng)
+            row.append(max(left, right))
+        G.append(tuple(row))
+    return ExponentOrder(order.dims, tuple(G), order.ram)
+
+
+def maxplus_glued_idealizer(order, ideal, depths):
+    """Reference for glued_idealizer: the depth bound on every entry."""
+    bare = maxplus_idealizer(order, ideal)
+    n = order.n
+    N = ideal.N
+    G = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            val = bare.M[i][j]
+            if i != j:
+                val = max(val, max(depths[i], depths[j]) - N[j][i])
+            row.append(val)
+        G.append(tuple(row))
+    return ExponentOrder(order.dims, tuple(G), order.ram)
+
+
+def _random_order(rng, n):
+    """Min-plus closure of random exponents in [0, 3], some pairs forced to
+    m[i][j] = m[j][i] = 0 (unreduced), then a random diagonal conjugation
+    (negative entries)."""
+    M = [[0 if i == j else rng.randint(0, 3) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, n // 2)):
+        i, j = rng.sample(range(n), 2)
+        M[i][j] = M[j][i] = 0
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                M[i][j] = min(M[i][j], M[i][k] + M[k][j])
+    order = validate_order(M, (1,) * n)
+    return diag_conjugate(order, [rng.randint(-3, 3) for _ in range(n)])
+
+
+def _random_rotation_symmetric(rng, n):
+    """An integer matrix with N[i+1][j+1] = N[i][j] - s[i] + s[j]: a random
+    circulant conjugated by diag(t), which gives s[i] = t[i+1] - t[i]."""
+    c = [rng.randint(-2, 4) for _ in range(n)]
+    t = [rng.randint(-3, 3) for _ in range(n)]
+    return tuple(
+        tuple(c[(j - i) % n] - t[i] + t[j] for j in range(n)) for i in range(n)
+    )
+
+
+def _star_amalgam():
+    # the three-component star of test_amalgam: the outer components carry
+    # depths (2, 0), the centre (2, 2)
+    c = scaled_hereditary((1, 1), 2)
+    gl = (
+        GluingConstraint((0, 0), (1, 0), 2),
+        GluingConstraint((0, 1), (2, 0), 2),
+    )
+    return validate_amalgam((c, c, c), gl)
+
+
+def test_idealizer_matches_maxplus_reference(monkeypatch):
+    shifts = []
+
+    def spy(N):
+        s = rotation_shift(N)
+        shifts.append(s)
+        return s
+
+    rotation_shift = exponent._rotation_shift
+    monkeypatch.setattr(exponent, "_rotation_shift", spy)
+
+    def check(order, ideal, depths=None):
+        assert idealizer(order, ideal) == maxplus_idealizer(order, ideal)
+        if depths is not None:
+            got = glued_idealizer(order, ideal, depths)
+            assert got == maxplus_glued_idealizer(order, ideal, depths)
+
+    # every state of the Lambda(v) chains takes the row path
+    states = 0
+    for n in range(2, 12):
+        for a in range(1, 40):
+            for order, f in glued_chain(scaled_hereditary((1,) * n, a), a):
+                shifts.clear()
+                check(order, radical(order), [f] * n)
+                assert shifts and all(s is not None for s in shifts)
+                states += 1
+    assert states == 8714
+
+    # random orders, with negative and unreduced entries, take the general
+    # path; random rotation-symmetric matrices the row path
+    rng = random.Random(20)
+    for n in range(1, 9):
+        for _ in range(25):
+            order = _random_order(rng, n)
+            depths = [rng.randint(0, 3) for _ in range(n)]
+            check(order, radical(order), depths)
+            N = _random_rotation_symmetric(rng, n)
+            shifts.clear()
+            check(ExponentOrder((1,) * n, N), ExponentIdeal(N), [2] * n)
+            assert n == 1 or (shifts and all(s is not None for s in shifts))
+
+    # n = 1 and n = 2
+    for M in ([[0]], [[0, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 2], [-1, 0]]):
+        order = validate_order(M, (1,) * len(M))
+        check(order, radical(order), [1] * len(M))
+
+    # the components of an amalgam with non-uniform depths
+    for state in amalgam_chain(_star_amalgam()):
+        for c, comp in enumerate(state.components):
+            depths = [0] * comp.n
+            for g in state.gluings:
+                for (gc, q), kind in zip((g.left, g.right), g.kinds):
+                    if gc == c and kind == "diagonal":
+                        depths[q] = max(depths[q], g.depth)
+            check(comp, radical(comp), depths)
+
+    # an asymmetric order takes the general path
+    order = validate_order([[0, 1, 2], [0, 0, 1], [0, 0, 0]], (1, 1, 1))
+    shifts.clear()
+    check(order, radical(order))
+    assert shifts == [None]
 
 
 def test_glued_idealizer_depth_zero_is_bare():
