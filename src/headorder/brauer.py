@@ -83,12 +83,10 @@ def validate_tree(tree: PlanarBrauerTree) -> PlanarBrauerTree:
             )
     if tree.a < 1 or tree.p < 2:
         raise ValueError("need a >= 1 and p >= 2")
-    for s in range(1, tree.a + 1):
-        ram = tree.p**s - tree.p ** (s - 1)
-        if ram % e != 0:
-            raise ValueError(
-                f"e = {e} does not divide p^{s} - p^{s-1} = {ram}"
-            )
+    # e divides p^s - p^(s-1) = p^(s-1) (p - 1) for every s >= 1 iff it
+    # divides the s = 1 term p - 1
+    if (tree.p - 1) % e != 0:
+        raise ValueError(f"e = {e} does not divide p^1 - p^0 = {tree.p - 1}")
     if gcd(tree.galois_r, tree.m) != 1:
         raise NotCoprime("galois_r must be prime to m")
     return tree

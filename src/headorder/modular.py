@@ -86,29 +86,35 @@ def howell(rows, p: int, K: int):
     return [pivot for (_, _, pivot) in result]
 
 
-def reduce_against(vec, basis, p: int, K: int):
-    """Reduce vec against a Howell basis; returns (remainder, coefficients).
+def reduce_against(vecs, basis, p: int, K: int):
+    """Reduce each vector against a Howell basis.
 
-    The remainder is zero exactly when vec lies in the span.
+    Returns one (remainder, coefficients) pair per vector; the remainder is
+    zero exactly when the vector lies in the span.  The pivot column, the
+    pivot's power of p and the nonzero entries of each basis row are found
+    once for all the vectors.
     """
     m = p**K
-    vec = [x % m for x in vec]
-    coeffs = []
+    rows = []
     for row in basis:
         j = next(i for i, x in enumerate(row) if x)
-        v = val(row[j], p, K)
-        if vec[j] % p**v == 0:
-            q = vec[j] // p**v
-        else:
-            q = 0
-        if q:
-            vec = [(a - q * b) % m for a, b in zip(vec, row)]
-        coeffs.append(q)
-    return vec, coeffs
+        rows.append((j, p ** val(row[j], p, K), [(k, x) for k, x in enumerate(row) if x]))
+    out = []
+    for vec in vecs:
+        vec = [x % m for x in vec]
+        coeffs = []
+        for j, pv, support in rows:
+            q = vec[j] // pv if vec[j] % pv == 0 else 0
+            if q:
+                for k, x in support:
+                    vec[k] = (vec[k] - q * x) % m
+            coeffs.append(q)
+        out.append((vec, coeffs))
+    return out
 
 
 def in_span(vec, basis, p: int, K: int) -> bool:
-    rem, _ = reduce_against(vec, basis, p, K)
+    [(rem, _)] = reduce_against([vec], basis, p, K)
     return not any(rem)
 
 

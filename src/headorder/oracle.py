@@ -12,15 +12,15 @@ closed-form predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .amalgam import WHOLE, AmalgamBlock
 from .errors import OracleCapExceeded, TruncationTooSmall
-from .exponent import ExponentOrder
+from .exponent import ExponentOrder, diag_conjugate, idealizer, radical
 from .modular import (
     annihilator,
     charpoly_modp,
     howell,
-    in_span,
     nullspace_modp,
     reduce_against,
     right_kernel,
@@ -61,16 +61,35 @@ class Ambient:
         return one
 
     def mul(self, x, y):
+        """The product x * y; a zero entry x[i][k] or zero block costs no work."""
         m = self.modulus
         out = [0] * self.dim
+        off = 0
+        for d in self.sizes:
+            start, off = off, off + d * d
+            if not (any(x[start:off]) and any(y[start:off])):
+                continue
+            for i in range(start, off, d):
+                acc = None
+                for k, a in enumerate(x[i : i + d]):
+                    if a:
+                        r = start + k * d
+                        if acc is None:
+                            acc = [a * b for b in y[r : r + d]]
+                        else:
+                            acc = [u + a * b for u, b in zip(acc, y[r : r + d])]
+                if acc is not None:
+                    out[i : i + d] = [u % m for u in acc]
+        return out
+
+    def blocks(self, x):
+        """Per summand, the d x d block of x as (rows, columns), or None if zero."""
+        out = []
         for s, d in enumerate(self.sizes):
             off = self.offset(s)
-            for i in range(d):
-                for j in range(d):
-                    acc = 0
-                    for k in range(d):
-                        acc += x[off + i * d + k] * y[off + k * d + j]
-                    out[off + i * d + j] = acc % m
+            flat = x[off : off + d * d]
+            rows = [flat[i : i + d] for i in range(0, d * d, d)]
+            out.append((rows, list(zip(*rows))) if any(flat) else None)
         return out
 
 
@@ -99,20 +118,22 @@ def build_model(ambient: Ambient, gens, labels=None) -> FiniteAlgebraModel:
     """
     p, K = ambient.p, ambient.K
     basis = howell(gens, p, K)
-    if len(basis) > RANK_CAP:
-        raise OracleCapExceeded(f"rank {len(basis)} exceeds cap {RANK_CAP}")
-    if not in_span(ambient.unit(), basis, p, K):
+    R = len(basis)
+    if R > RANK_CAP:
+        raise OracleCapExceeded(f"rank {R} exceeds cap {RANK_CAP}")
+    prods = [ambient.mul(bi, bj) for bi in basis for bj in basis]
+    nonzero = [t for t, prod in enumerate(prods) if any(prod)]
+    (unit_rem, _), *reduced = reduce_against(
+        [ambient.unit()] + [prods[t] for t in nonzero], basis, p, K
+    )
+    if any(unit_rem):
         raise ValueError("generators do not span a unital ring (no unit)")
-    mult = []
-    for bi in basis:
-        row = []
-        for bj in basis:
-            prod = ambient.mul(bi, bj)
-            rem, coeffs = reduce_against(prod, basis, p, K)
-            if any(rem):
-                raise ValueError("generators do not span a closed ring")
-            row.append(tuple(coeffs))
-        mult.append(tuple(row))
+    table = [(0,) * R] * (R * R)
+    for t, (rem, coeffs) in zip(nonzero, reduced):
+        if any(rem):
+            raise ValueError("generators do not span a closed ring")
+        table[t] = tuple(coeffs)
+    mult = [tuple(table[i : i + R]) for i in range(0, R * R, R)]
     if labels is None:
         labels = tuple(f"b{i}" for i in range(len(basis)))
     return FiniteAlgebraModel(ambient, tuple(tuple(b) for b in basis), tuple(mult), tuple(labels))
@@ -223,32 +244,38 @@ def oracle_idealizer(model: FiniteAlgebraModel, jbasis, within=None):
     ``within`` optionally restricts the solution to a sublattice (rows
     spanning it), needed when the rational algebra spanned by the model is
     smaller than the ambient; by default the whole ambient is searched.
+
+    x J <= J holds iff c . (x g) = 0 for every g in J and every c in the
+    annihilator of J, and likewise for g x.  Both are linear in x: for the
+    unit x = E_ab of a summand with blocks G of g and C of c, c . (E_ab g)
+    = (C G^T)[a][b] and c . (g E_ab) = (G^T C)[a][b], so each condition
+    row is read off the blocks where g and c are both nonzero.
     """
     amb = model.ambient
     p, K = amb.p, amb.K
     m = amb.modulus
-    ann = annihilator(jbasis, p, K)
     dim = amb.dim
-    unit_vecs = []
-    for t in range(dim):
-        e = [0] * dim
-        e[t] = 1
-        unit_vecs.append(e)
-    conds = []
+    offsets = [amb.offset(s) for s in range(len(amb.sizes))]
+    ann = [amb.blocks(c) for c in annihilator(jbasis, p, K)]
+    conds = {}
     if within is not None:
-        for c in annihilator(within, p, K):
-            conds.append([c[t] % m for t in range(dim)])
+        conds = dict.fromkeys(map(tuple, annihilator(within, p, K)))
     for g in jbasis:
-        left = [amb.mul(e, g) for e in unit_vecs]   # column t: e_t * g
-        right = [amb.mul(g, e) for e in unit_vecs]
-        for c in ann:
-            conds.append(
-                [sum(left[t][k] * c[k] for k in range(dim)) % m for t in range(dim)]
-            )
-            conds.append(
-                [sum(right[t][k] * c[k] for k in range(dim)) % m for t in range(dim)]
-            )
-    return right_kernel(conds, p, K)
+        gblocks = amb.blocks(g)
+        for cblocks in ann:
+            left = [0] * dim
+            right = [0] * dim
+            for off, gb, cb in zip(offsets, gblocks, cblocks):
+                if gb and cb:
+                    (G, Gt), (C, Ct) = gb, cb
+                    end = off + len(G) ** 2
+                    left[off:end] = [sum(map(mul, Ca, Gb)) % m for Ca in C for Gb in G]
+                    right[off:end] = [sum(map(mul, Ga, Cb)) % m for Ga in Gt for Cb in Ct]
+            for row in (left, right):
+                if any(row):
+                    conds[tuple(row)] = None
+    # with no condition left (J = p * ambient) every x idealizes J
+    return right_kernel(list(conds) or [[0] * dim], p, K)
 
 
 # ---------------------------------------------------------------------------
@@ -455,3 +482,34 @@ def spans_agree(rows_a, rows_b, ambient: Ambient, noise_floor: int) -> bool:
     ha = howell(list(rows_a) + pad, p, K)
     hb = howell(list(rows_b) + pad, p, K)
     return ha == hb
+
+
+def certify_order(order: ExponentOrder, p: int) -> bool:
+    """Certify one idealizer step of an order with unit block dimensions.
+
+    The order is conjugated by the first column of its predicted Id(J),
+    which keeps both inside the ambient; the truncation is
+    truncation_for(mx) for mx the larger of 2 and its largest entry, and
+    the noise floor K - mx - 2.  True iff the oracle's J and Id(J) read
+    back as the exponent formulas' radical and idealizer and Id(J) spans
+    the model of the predicted idealizer.
+    """
+    n = order.n
+    N = radical(order)
+    pred = idealizer(order, N)
+    t = [pred.M[i][0] for i in range(n)]
+    oshift = diag_conjugate(order, t)
+    pshift = diag_conjugate(pred, t)
+    mx = max(2, oshift.max_entry())
+    K = truncation_for(mx)
+    noise = K - mx - 2
+    model = model_from_exponent(oshift, p, K)
+    J = oracle_radical(model)
+    want_J = [[N.N[i][j] - t[i] + t[j] for j in range(n)] for i in range(n)]
+    if read_exponents(J, model.ambient, noise)[0] != want_J:
+        return False
+    Id = oracle_idealizer(model, J)
+    if read_exponents(Id, model.ambient, noise)[0] != [list(r) for r in pshift.M]:
+        return False
+    predmodel = model_from_exponent(pshift, p, K)
+    return spans_agree(Id, predmodel.basis, model.ambient, noise)

@@ -43,19 +43,16 @@ from headorder.exponent import (
     equal_up_to_diag,
     equal_up_to_diag_and_rotation,
     glued_chain,
-    idealizer,
     is_hereditary,
     merge_unreduced,
-    radical,
     scaled_hereditary,
     standard_hereditary,
 )
 from headorder.oracle import (
+    certify_order,
     model_from_amalgam,
-    model_from_exponent,
     oracle_idealizer,
     oracle_radical,
-    read_exponents,
     spans_agree,
 )
 
@@ -181,30 +178,6 @@ def _all_orders(n, maxent):
             yield ExponentOrder((1,) * n, tuple(tuple(r) for r in M))
 
 
-def _certify_order(order, p):
-    n = order.n
-    N = radical(order)
-    pred = idealizer(order, N)
-    t = [pred.M[i][0] for i in range(n)]
-    oshift = diag_conjugate(order, t)
-    pshift = diag_conjugate(pred, t)
-    Nshift = [
-        [N.N[i][j] - t[i] + t[j] for j in range(n)] for i in range(n)
-    ]
-    mx = max(2, oshift.max_entry())
-    K = 2 * mx + 4
-    noise = K - mx - 2
-    model = model_from_exponent(oshift, p, K)
-    J = oracle_radical(model)
-    if read_exponents(J, model.ambient, noise)[0] != Nshift:
-        return False
-    Id = oracle_idealizer(model, J)
-    if read_exponents(Id, model.ambient, noise)[0] != [list(r) for r in pshift.M]:
-        return False
-    predmodel = model_from_exponent(pshift, p, K)
-    return spans_agree(Id, predmodel.basis, model.ambient, noise)
-
-
 def _conj_chain(chain):
     term = chain[-1]
     shifts = [[c.M[i][0] for i in range(c.n)] for c in term.components]
@@ -297,7 +270,7 @@ def test_c4_oracle_certification():
         for order in _all_orders(n, 2):
             count += 1
             for p in (2, 3):
-                if not _certify_order(order, p):
+                if not certify_order(order, p):
                     ok = False
                     break
             if not ok:

@@ -1,5 +1,7 @@
 """Planar trees, their permutations and the blocks they generate."""
 
+import time
+
 import pytest
 
 from headorder.amalgam import WHOLE, amalgam_chain
@@ -83,6 +85,16 @@ def test_validate_rejects_bad_rotation():
 def test_validate_rejects_nondividing_e():
     with pytest.raises(ValueError):
         validate_tree(star(3, 5, 1))  # 3 does not divide 5 - 1 = 4
+
+
+def test_validate_large_a_is_constant_time():
+    # e | p^s - p^(s-1) for all s <= a is decided at s = 1, whatever a is
+    t0 = time.perf_counter()
+    assert validate_tree(star(2, 3, 10**6)).a == 10**6
+    with pytest.raises(ValueError) as exc:
+        validate_tree(star(3, 5, 10**6))
+    assert time.perf_counter() - t0 < 1.0
+    assert str(exc.value) == "e = 3 does not divide p^1 - p^0 = 4"
 
 
 def test_validate_rejects_noncoprime_descent():

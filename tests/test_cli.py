@@ -4,12 +4,15 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import headorder
 from headorder.cli import main
 from headorder.serialize import dumps
 from headorder.exponent import scaled_hereditary, standard_hereditary
@@ -256,6 +259,50 @@ def test_malformed_field_exit_2(capsys, monkeypatch, command, doc, field):
 def test_missing_file_exit_2(capsys):
     code, _, _ = run(capsys, ["--command", "check", "--input", "/nope.json"])
     assert code == 2
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_quietly(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, scaled_hereditary((1,) * 20, 60))
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        code = main(["--command", "chain", "--input", path])
+        # stdout now discards what the interpreter flushes at exit
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_end_to_end(tmp_path):
+    # headorder --command chain ... | head -2 on a 238 KB report
+    path = write_doc(tmp_path, scaled_hereditary((1,) * 20, 60))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(headorder.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "headorder.cli", "--command", "chain", "--input", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_deterministic_output(tmp_path, capsys):

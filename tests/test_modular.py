@@ -46,14 +46,17 @@ def test_howell_sees_annihilator_rows():
 def test_reduce_against_membership():
     p, K = 3, 3
     basis = howell([[1, 5, 0], [0, 9, 3]], p, K)
-    vec = [2, 10, 3]
-    rem, coeffs = reduce_against(vec, basis, p, K)
-    # rebuilding from the coefficients recovers vec mod the remainder
+    vecs = [[2, 10, 3], [1, 5, 0], [0, 0, 1], [0, 0, 0]]
     m = p**K
-    rebuilt = [0, 0, 0]
-    for c, row in zip(coeffs, basis):
-        rebuilt = [(a + c * b) % m for a, b in zip(rebuilt, row)]
-    assert [(a + r) % m for a, r in zip(rebuilt, rem)] == [x % m for x in vec]
+    reduced = reduce_against(vecs, basis, p, K)
+    assert len(reduced) == len(vecs)
+    for vec, (rem, coeffs) in zip(vecs, reduced):
+        # rebuilding from the coefficients recovers vec mod the remainder
+        rebuilt = [0, 0, 0]
+        for c, row in zip(coeffs, basis):
+            rebuilt = [(a + c * b) % m for a, b in zip(rebuilt, row)]
+        assert [(a + r) % m for a, r in zip(rebuilt, rem)] == [x % m for x in vec]
+    assert not any(reduced[1][0]) and any(reduced[2][0])
 
 
 def test_right_kernel_random():

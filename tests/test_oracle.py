@@ -19,7 +19,16 @@ from headorder.exponent import (
     standard_hereditary,
     validate_order,
 )
-from headorder.modular import charpoly_modp, howell, in_span, nullspace_modp, rref_modp
+from headorder.modular import (
+    annihilator,
+    charpoly_modp,
+    howell,
+    in_span,
+    nullspace_modp,
+    right_kernel,
+    rref_modp,
+    val,
+)
 from headorder.oracle import (
     Ambient,
     build_model,
@@ -315,13 +324,11 @@ def _companion(coeffs, m):
     return M
 
 
-def test_ramified_stack_regression():
-    """The group ring of a cyclic group of order 9 over the 3-adics.
+def _cyclic9_group_ring():
+    """Z_3[C_9] inside Z_3 x M_2(Z_3) x M_6(Z_3), truncated at K = 10.
 
-    Its idealizer chain takes 3 steps to reach the maximal order, one more
-    than the independent per-gluing depth counters predict for the matching
-    tree block (a = 2 stack): the stack congruence and the edge congruence
-    are entangled through all three components.  Pin both numbers.
+    Returns the ambient, generators of the group ring, the Howell basis of
+    the maximal order and the identity e0 of the first summand.
     """
     p, K = 3, 10
     amb = Ambient((1, 2, 6), p, K)
@@ -358,28 +365,48 @@ def test_ramified_stack_regression():
         return v
 
     gens0 = [embed(1, matpow(C3, k), matpow(C9, k)) for k in range(9)]
-    model = build_model(amb, gens0)
-    assert model.rank == 9
-
     maxgens = [embed(1, zero(2), zero(6))]
     maxgens += [embed(0, matpow(C3, k), zero(6)) for k in range(2)]
     maxgens += [embed(0, zero(2), matpow(C9, k)) for k in range(6)]
     maximal = howell(maxgens, p, K)
+    return amb, gens0, maximal, embed(1, zero(2), zero(6))
 
-    noise = K - 3
-    moves = 0
+
+def _cyclic9_chain():
+    """The oracle idealizer chain of Z_3[C_9] within the maximal order:
+    every model with its radical and idealizer, up to the fixed point."""
+    amb, gens0, maximal, _ = _cyclic9_group_ring()
+    noise = amb.K - 3
+    model = build_model(amb, gens0)
+    steps = []
     for _ in range(8):
         J = oracle_radical(model)
         Id = oracle_idealizer(model, J, within=maximal)
+        steps.append((model, J, Id))
         if spans_agree(Id, model.basis, amb, noise):
             break
         model = build_model(amb, [list(r) for r in Id])
-        moves += 1
+    return steps, maximal
+
+
+def test_ramified_stack_regression():
+    """The group ring of a cyclic group of order 9 over the 3-adics.
+
+    Its idealizer chain takes 3 steps to reach the maximal order, one more
+    than the independent per-gluing depth counters predict for the matching
+    tree block (a = 2 stack): the stack congruence and the edge congruence
+    are entangled through all three components.  Pin both numbers.
+    """
+    amb, _, _, e0 = _cyclic9_group_ring()
+    p, K = amb.p, amb.K
+    steps, maximal = _cyclic9_chain()
+    assert steps[0][0].rank == 9
+    moves = len(steps) - 1
     assert moves == 3
-    assert spans_agree(model.basis, maximal, amb, noise)
+    model = steps[-1][0]
+    assert spans_agree(model.basis, maximal, amb, K - 3)
     # the identity of the untouched rational component splits off last:
     # 9 e_0 is in the group ring, 3 e_0 appears one step in, e_0 at the end
-    e0 = embed(1, zero(2), zero(6))
     assert in_span(e0, model.basis, p, K)
 
     # the tree-block bookkeeping for the same data stops after 2 steps
@@ -394,3 +421,119 @@ def test_ramified_stack_regression():
         a=2,
     )
     assert head_order_report(tree)["chain_length"] == 2
+
+
+def dense_mul(amb, x, y):
+    """Reference for Ambient.mul: the triple loop over every entry."""
+    m = amb.modulus
+    out = [0] * amb.dim
+    for s, d in enumerate(amb.sizes):
+        off = amb.offset(s)
+        for i in range(d):
+            for j in range(d):
+                acc = 0
+                for k in range(d):
+                    acc += x[off + i * d + k] * y[off + k * d + j]
+                out[off + i * d + j] = acc % m
+    return out
+
+
+def dense_reduce_against(vec, basis, p, K):
+    """Reference for reduce_against: one vector, pivots found per call."""
+    m = p**K
+    vec = [x % m for x in vec]
+    coeffs = []
+    for row in basis:
+        j = next(i for i, x in enumerate(row) if x)
+        v = val(row[j], p, K)
+        if vec[j] % p**v == 0:
+            q = vec[j] // p**v
+        else:
+            q = 0
+        if q:
+            vec = [(a - q * b) % m for a, b in zip(vec, row)]
+        coeffs.append(q)
+    return vec, coeffs
+
+
+def dense_mult_table(amb, basis):
+    """Reference structure constants: a dense product and a reduction per pair."""
+    p, K = amb.p, amb.K
+    mult = []
+    for bi in basis:
+        row = []
+        for bj in basis:
+            rem, coeffs = dense_reduce_against(dense_mul(amb, bi, bj), basis, p, K)
+            assert not any(rem)
+            row.append(tuple(coeffs))
+        mult.append(tuple(row))
+    return tuple(mult)
+
+
+def dense_oracle_idealizer(model, jbasis, within=None):
+    """Reference for oracle_idealizer: products with every unit vector."""
+    amb = model.ambient
+    p, K = amb.p, amb.K
+    m = amb.modulus
+    ann = annihilator(jbasis, p, K)
+    dim = amb.dim
+    unit_vecs = []
+    for t in range(dim):
+        e = [0] * dim
+        e[t] = 1
+        unit_vecs.append(e)
+    conds = []
+    if within is not None:
+        for c in annihilator(within, p, K):
+            conds.append([c[t] % m for t in range(dim)])
+    for g in jbasis:
+        left = [dense_mul(amb, e, g) for e in unit_vecs]   # column t: e_t * g
+        right = [dense_mul(amb, g, e) for e in unit_vecs]
+        for c in ann:
+            conds.append(
+                [sum(left[t][k] * c[k] for k in range(dim)) % m for t in range(dim)]
+            )
+            conds.append(
+                [sum(right[t][k] * c[k] for k in range(dim)) % m for t in range(dim)]
+            )
+    return right_kernel(conds, p, K)
+
+
+def _reference_models(p):
+    """Every n <= 3 order with entries in [0, 2] and every state of the
+    criterion-4 amalgam chains, modeled at p."""
+    for n in (1, 2, 3):
+        for order in _all_orders(n, 2):
+            yield model_from_exponent(order, p, truncation_for(2))
+    for B in _amalgam_cases():
+        yield from _amalgam_models(B, p)[0]
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_oracle_idealizer_matches_dense_reference(p):
+    for model in _reference_models(p):
+        J = oracle_radical(model)
+        assert oracle_idealizer(model, J) == dense_oracle_idealizer(model, J)
+    if p == 3:
+        steps, maximal = _cyclic9_chain()
+        for model, J, Id in steps:
+            assert Id == dense_oracle_idealizer(model, J, within=maximal)
+
+
+def test_oracle_idealizer_without_conditions():
+    # n = 1: J = p Z_p and its annihilator is p^(K-1), so every condition
+    # vanishes and the idealizer is the whole ambient
+    model = model_from_exponent(validate_order([[0]], (1,)), 2, 6)
+    J = oracle_radical(model)
+    assert J == [[2]]
+    assert oracle_idealizer(model, J) == [[1]]
+    assert dense_oracle_idealizer(model, J) == [[1]]
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_build_model_matches_dense_reference(p):
+    for model in _reference_models(p):
+        assert model.mult == dense_mult_table(model.ambient, model.basis)
+    if p == 3:
+        for model, _, _ in _cyclic9_chain()[0]:
+            assert model.mult == dense_mult_table(model.ambient, model.basis)
