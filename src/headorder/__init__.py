@@ -26,6 +26,8 @@ from .brauer import (
 from .circulant import (
     CirculantState,
     anfang_state,
+    certify_cell,
+    chain_checkpoints,
     defm1_state,
     expand,
     head_order_f,

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import NotACycle, OutOfRange
-from .exponent import ExponentOrder, HereditaryType
+from .exponent import (
+    ExponentOrder,
+    HereditaryType,
+    Matrix,
+    equal_up_to_diag,
+    equal_up_to_diag_and_rotation,
+)
 
 __all__ = [
     "CirculantState",
@@ -23,6 +29,9 @@ __all__ = [
     "midway_state",
     "head_order_w",
     "head_order_f",
+    "Checkpoint",
+    "chain_checkpoints",
+    "certify_cell",
     "main2_type",
     "simple_module_match",
 ]
@@ -65,10 +74,6 @@ def expand(state: CirculantState) -> ExponentOrder:
     return ExponentOrder(state.dims, M, state.ram)
 
 
-def _ones(n):
-    return (1,) * n
-
-
 def _split(n: int, b: int):
     """n = l0*b + x0 with 0 < x0 <= b."""
     l0, x0 = divmod(n, b)
@@ -77,7 +82,7 @@ def _split(n: int, b: int):
     return l0, x0
 
 
-def initial_reduction(n: int, a: int, dims=None):
+def initial_reduction(n: int, a: int):
     """State after the first z*n steps: a = z*n + b reduced to (0_b, b^{n-1}).
 
     Returns (state, step_index).  For b = 0 the state is the maximal order
@@ -85,14 +90,13 @@ def initial_reduction(n: int, a: int, dims=None):
     """
     if n < 1 or a < 1:
         raise ValueError("need n >= 1 and a >= 1")
-    dims = _ones(n) if dims is None else tuple(dims)
     z, b = divmod(a, n)
     step = z * n
     v = (0,) + (b,) * (n - 1)
-    return CirculantState(dims, v, f=b), step
+    return CirculantState((1,) * n, v, f=b), step
 
 
-def anfang_state(n: int, b: int, m: int, dims=None) -> CirculantState:
+def anfang_state(n: int, b: int, m: int) -> CirculantState:
     """Closed form of the chain state m+1 steps after (0_b, b^{n-1}).
 
     Valid for 0 < b < n and 0 <= m < n - l0 where n = l0*b + x0 with
@@ -100,13 +104,12 @@ def anfang_state(n: int, b: int, m: int, dims=None) -> CirculantState:
     """
     if not 0 < b < n:
         raise OutOfRange(f"need 0 < b < n, got b={b}, n={n}")
-    dims = _ones(n) if dims is None else tuple(dims)
     l0, _ = _split(n, b)
     if not 0 <= m < n - l0:
         raise OutOfRange(f"m={m} outside [0, {n - l0})")
     f = max(0, b - m - 1)
     if b == 1:
-        return CirculantState(dims, (0,) + (1,) * (n - 1), f=f)
+        return CirculantState((1,) * n, (0,) + (1,) * (n - 1), f=f)
     l, y = divmod(m, b - 1)
     v = [0]
     for j in range(1, n):
@@ -116,10 +119,10 @@ def anfang_state(n: int, b: int, m: int, dims=None) -> CirculantState:
             v.append(b - y + (j - 1 - (b - y - 1) * l) // (l + 1))
         else:
             v.append(b)
-    return CirculantState(dims, tuple(v), f=f)
+    return CirculantState((1,) * n, tuple(v), f=f)
 
 
-def defm1_state(n: int, b: int, dims=None):
+def defm1_state(n: int, b: int):
     """The state v^(1) reached n - l0 steps after (0_b, b^{n-1}), with its step.
 
     v^(1) = (0, 1^{l0}, ..., (b-y-1)^{l0}, (b-y)^{l0+1}, ..., (b-1)^{l0+1},
@@ -128,7 +131,6 @@ def defm1_state(n: int, b: int, dims=None):
     """
     if not 0 < b < n:
         raise OutOfRange(f"need 0 < b < n, got b={b}, n={n}")
-    dims = _ones(n) if dims is None else tuple(dims)
     l0, x0 = _split(n, b)
     y = x0 - 1
     v = [0]
@@ -138,10 +140,10 @@ def defm1_state(n: int, b: int, dims=None):
         v.extend([u] * (l0 + 1))
     v.extend([b] * l0)
     assert len(v) == n
-    return CirculantState(dims, tuple(v), f=0), n - l0
+    return CirculantState((1,) * n, tuple(v), f=0), n - l0
 
 
-def midway_state(n: int, b: int, dims=None):
+def midway_state(n: int, b: int):
     """The displayed state m2 steps past v^(1), for 0 < x0 < b.
 
     For x0 >= b/2, m2 = b - x0 - 1 and multiplicities below z = 2b - 2x0 - 1
@@ -150,7 +152,6 @@ def midway_state(n: int, b: int, dims=None):
     """
     if not 0 < b < n:
         raise OutOfRange(f"need 0 < b < n, got b={b}, n={n}")
-    dims = _ones(n) if dims is None else tuple(dims)
     l0, x0 = _split(n, b)
     if not 0 < x0 < b:
         raise OutOfRange("midway form requires 0 < x0 < b")
@@ -176,7 +177,7 @@ def midway_state(n: int, b: int, dims=None):
             v.extend([u] * mult)
         v.extend([b] * l0)
     assert len(v) == n, (n, b, len(v))
-    return CirculantState(dims, tuple(v), f=0), m2
+    return CirculantState((1,) * n, tuple(v), f=0), m2
 
 
 def head_order_w(n: int, b: int, dims=None) -> CirculantState:
@@ -189,7 +190,7 @@ def head_order_w(n: int, b: int, dims=None) -> CirculantState:
         raise OutOfRange(f"need 0 < b < n, got b={b}, n={n}")
     if n % b == 0:
         raise OutOfRange("b divides n: the defm1 state is already hereditary")
-    dims = _ones(n) if dims is None else tuple(dims)
+    dims = (1,) * n if dims is None else tuple(dims)
     l0, x0 = _split(n, b)
     a_of = lambda j: (x0 * j) // b
     v = [0]
@@ -209,7 +210,7 @@ def head_order_f(n: int, a: int, dims=None) -> ExponentOrder:
     b = a % n
     if not 0 < b < n:
         raise OutOfRange(f"a mod n = {b}: no head formula (maximal order)")
-    dims = _ones(n) if dims is None else tuple(dims)
+    dims = (1,) * n if dims is None else tuple(dims)
     l, x = divmod(n, b)
 
     def f(j):
@@ -217,6 +218,72 @@ def head_order_f(n: int, a: int, dims=None) -> ExponentOrder:
 
     M = tuple(tuple(f(j - i) for j in range(n)) for i in range(n))
     return ExponentOrder(dims, M)
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """One closed-form state of the (n, a) chain.
+
+    ``step`` indexes the chain from (0, a^{n-1}) at depth a, the start at
+    step 0.  The head has no step: it is compared up to diagonal conjugation
+    and rotation.  Every other checkpoint is compared up to diagonal
+    conjugation, and on its depth too unless ``depth`` is None.
+    """
+
+    tag: str
+    step: int | None
+    matrix: Matrix
+    depth: int | None
+
+    def matches(self, order: ExponentOrder, depth: int) -> bool:
+        if self.step is None:
+            return equal_up_to_diag_and_rotation(order.M, self.matrix)
+        return equal_up_to_diag(order.M, self.matrix) and self.depth in (None, depth)
+
+
+def chain_checkpoints(n: int, a: int) -> tuple[Checkpoint, ...]:
+    """The checkpoints of the (n, a) chain, in the order they are matched.
+
+    With a = z*n + b: the reduced start (0, b^{n-1}) at step z*n (the maximal
+    order, the only checkpoint, when b = 0), the early forms m = 0 .. n - l0 - 1
+    at z*n + m + 1, the first plateau v^(1) at z*n + n - l0, the midway form
+    m2 steps later when 0 < x0 < b, and the head w when b does not divide n.
+    The last checkpoint is always the chain's terminal state.
+    """
+    red, start = initial_reduction(n, a)
+    b = red.f
+    if b == 0:
+        return (Checkpoint("maximal", start, expand(red).M, 0),)
+    out = [Checkpoint("reduced-start", start, expand(red).M, b)]
+    l0, x0 = _split(n, b)
+    for m in range(n - l0):
+        st = anfang_state(n, b, m)
+        out.append(Checkpoint(f"early-form(m={m})", start + m + 1, expand(st).M, st.f))
+    st1, rel = defm1_state(n, b)
+    out.append(Checkpoint("first-plateau", start + rel, expand(st1).M, None))
+    if 0 < x0 < b:
+        st2, m2 = midway_state(n, b)
+        out.append(Checkpoint(f"midway(m2={m2})", start + rel + m2, expand(st2).M, None))
+    if n % b:
+        out.append(Checkpoint("head", None, expand(head_order_w(n, b)).M, None))
+    return tuple(out)
+
+
+def certify_cell(n: int, a: int, chain) -> bool:
+    """True if the chain of (order, depth) pairs from (0, a^{n-1}) at depth a
+    passes every checkpoint at its step and ends at the head.
+
+    The terminal state must match, up to diagonal conjugation and rotation,
+    head_order_f (b = a mod n > 0) and the last checkpoint: the head w when
+    b does not divide n, the first plateau when it does, and the maximal
+    order when b = 0 (the same as merging to one maximal block).
+    """
+    checkpoints = chain_checkpoints(n, a)
+    heads = [checkpoints[-1].matrix] + ([head_order_f(n, a).M] if a % n else [])
+    return all(equal_up_to_diag_and_rotation(chain[-1][0].M, M) for M in heads) and all(
+        cp.step is None or (cp.step < len(chain) and cp.matches(*chain[cp.step]))
+        for cp in checkpoints
+    )
 
 
 def _perm_order(sigma: dict) -> int:

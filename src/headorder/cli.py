@@ -20,21 +20,16 @@ from .amalgam import AmalgamBlock, amalgam_chain
 from .brauer import PlanarBrauerTree, head_order_report
 from .circulant import (
     CirculantState,
-    anfang_state,
-    defm1_state,
+    certify_cell,
+    chain_checkpoints,
     expand,
     head_order_f,
     head_order_w,
-    initial_reduction,
-    midway_state,
     simple_module_match,
 )
-from .circulant import _split
 from .errors import HeadOrderError, SchemaError
 from .exponent import (
     ExponentOrder,
-    equal_up_to_diag,
-    equal_up_to_diag_and_rotation,
     glued_chain,
     is_hereditary,
     merge_unreduced,
@@ -54,43 +49,11 @@ def _read_input(arg):
         return fh.read()
 
 
-def _order_doc(order: ExponentOrder) -> dict:
-    return serialize.to_document(order)
-
-
 def _hereditary_doc(order: ExponentOrder):
     ht = is_hereditary(merge_unreduced(order))
     if ht is None:
         return None
     return {"blocks": ht.blocks, "grouped_dims": list(ht.grouped_dims)}
-
-
-def _closed_form_tag(order: ExponentOrder, depth: int, n: int, a: int):
-    """Which closed-form checkpoint of the (n, a) chain this state matches."""
-    z, b = divmod(a, n)
-    red, _ = initial_reduction(n, a, order.dims)
-    if equal_up_to_diag(order.M, expand(red).M) and depth == red.f:
-        tag = "reduced-start" if b else "maximal"
-        return tag
-    if b == 0:
-        return None
-    l0, x0 = _split(n, b)
-    for m in range(n - l0):
-        st = anfang_state(n, b, m, order.dims)
-        if equal_up_to_diag(order.M, expand(st).M) and depth == st.f:
-            return f"early-form(m={m})"
-    st1, _ = defm1_state(n, b, order.dims)
-    if equal_up_to_diag(order.M, expand(st1).M):
-        return "first-plateau"
-    if 0 < x0 < b:
-        st2, m2 = midway_state(n, b, order.dims)
-        if equal_up_to_diag(order.M, expand(st2).M):
-            return f"midway(m2={m2})"
-    if n % b != 0:
-        w = head_order_w(n, b, order.dims)
-        if equal_up_to_diag_and_rotation(order.M, expand(w).M):
-            return "head"
-    return None
 
 
 def cmd_check(args):
@@ -137,19 +100,18 @@ def cmd_chain(args):
             )
         return {"steps": steps, "length": len(chain) - 1}, 0
     chain = _chain_of(value, args.max_steps)
-    na = None
+    checkpoints = ()
     if isinstance(value, CirculantState):
-        v = value.v
-        a = v[-1]
-        if value.f == a and all(x in (0, a) for x in v) and a > 0:
-            na = (value.n, a)
+        a = value.v[-1]
+        if value.f == a and all(x in (0, a) for x in value.v) and a > 0:
+            checkpoints = chain_checkpoints(value.n, a)
     steps = []
     for k, (order, depth) in enumerate(chain):
         entry = {"step": k, "matrix": [list(r) for r in order.M], "depth": depth}
-        if na is not None:
-            tag = _closed_form_tag(order, depth, *na)
-            if tag:
-                entry["matches"] = tag
+        # the first checkpoint the state matches by content, whatever its step
+        tag = next((cp.tag for cp in checkpoints if cp.matches(order, depth)), None)
+        if tag:
+            entry["matches"] = tag
         steps.append(entry)
     steps[-1]["hereditary"] = _hereditary_doc(chain[-1][0])
     return {"steps": steps, "length": len(chain) - 1}, 0
@@ -220,22 +182,14 @@ def cmd_tree(args):
 def _verify_cell(n: int, a: int, oracle: bool):
     start = scaled_hereditary((1,) * n, a)
     chain = glued_chain(start, a)
-    term = chain[-1][0]
-    b = a % n
-    ok = True
+    ok = certify_cell(n, a, chain)
     detail = {}
+    b = a % n
     if b:
-        hf = head_order_f(n, a)
-        ok = equal_up_to_diag_and_rotation(term.M, hf.M)
-        detail["head_f"] = [list(r) for r in hf.M]
+        detail["head_f"] = [list(r) for r in head_order_f(n, a).M]
         if n % b:
-            w = head_order_w(n, b)
-            ok = ok and equal_up_to_diag_and_rotation(term.M, expand(w).M)
-            detail["head_v"] = list(w.v)
-    else:
-        merged = merge_unreduced(term)
-        ok = merged.n == 1 and merged.M == ((0,),)
-    detail["iterative_head"] = [list(r) for r in term.M]
+            detail["head_v"] = list(head_order_w(n, b).v)
+    detail["iterative_head"] = [list(r) for r in chain[-1][0].M]
     detail["steps"] = len(chain) - 1
     if oracle and n <= 3 and a <= 2:
         from .oracle import certify_order

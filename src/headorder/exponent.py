@@ -48,12 +48,6 @@ class ExponentOrder:
             for j in range(i + 1, n)
         )
 
-    def with_dims(self, dims) -> "ExponentOrder":
-        dims = tuple(int(d) for d in dims)
-        if len(dims) != self.n:
-            raise ValueError("dims length mismatch")
-        return ExponentOrder(dims, self.M, self.ram)
-
 
 @dataclass(frozen=True)
 class ExponentIdeal:
@@ -413,11 +407,11 @@ def equal_up_to_diag_and_rotation(A: Matrix, B: Matrix) -> bool:
     n = len(A)
     if len(B) != n:
         return False
-    for r in range(n):
-        Ar = tuple(
-            tuple(A[(i + r) % n][(j + r) % n] for j in range(n))
-            for i in range(n)
-        )
-        if equal_up_to_diag(Ar, B):
+    idx = range(n)
+    for r in idx:
+        # A relabeled by i -> i + r, compared entry by entry as it is read
+        rot = [(i + r) % n for i in idx]
+        s = [A[ri][r] - B[i][0] for i, ri in enumerate(rot)]
+        if all(A[rot[i]][rot[j]] - B[i][j] == s[i] - s[j] for i in idx for j in idx):
             return True
     return False

@@ -282,32 +282,13 @@ def oracle_idealizer(model: FiniteAlgebraModel, jbasis, within=None):
 # models of exponent orders and amalgams (unit block dimensions)
 
 
-def _check_dims_one(order: ExponentOrder):
-    if any(d != 1 for d in order.dims):
-        raise ValueError("oracle models require unit block dimensions")
-
-
 def truncation_for(max_exponent: int, max_depth: int = 0) -> int:
     return 2 * (max_exponent + max_depth) + 4
 
 
 def model_from_exponent(order: ExponentOrder, p: int, K: int) -> FiniteAlgebraModel:
     """Model of the order inside M_n(Z/p^K): p^{m_ij} in position (i, j)."""
-    _check_dims_one(order)
-    n = order.n
-    mx = order.max_entry()
-    if any(x < 0 for row in order.M for x in row):
-        raise ValueError("shift exponents to be nonnegative before modeling")
-    if K <= mx + 1:
-        raise TruncationTooSmall(f"K = {K} <= max exponent + 1 = {mx + 1}")
-    amb = Ambient((n,), p, K)
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            vec = [0] * amb.dim
-            vec[amb.pos(0, i, j)] = p ** order.M[i][j]
-            gens.append(vec)
-    return build_model(amb, gens)
+    return model_from_amalgam(AmalgamBlock((order,), ()), p, K)
 
 
 def _radical_power(M, t):
@@ -373,7 +354,8 @@ def model_from_amalgam(block: AmalgamBlock, p: int, K: int) -> FiniteAlgebraMode
     """
     comps = block.components
     for comp in comps:
-        _check_dims_one(comp)
+        if any(d != 1 for d in comp.dims):
+            raise ValueError("oracle models require unit block dimensions")
         if any(x < 0 for row in comp.M for x in row):
             raise ValueError("shift exponents to be nonnegative before modeling")
     mx = max(c.max_entry() for c in comps)

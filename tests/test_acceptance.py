@@ -27,21 +27,14 @@ from headorder.brauer import (
 )
 from headorder.circulant import (
     _split,
-    anfang_state,
-    defm1_state,
-    expand,
-    head_order_f,
+    certify_cell,
+    chain_checkpoints,
     head_order_w,
-    initial_reduction,
     main2_type,
-    midway_state,
-    simple_module_match,
 )
 from headorder.exponent import (
     ExponentOrder,
     diag_conjugate,
-    equal_up_to_diag,
-    equal_up_to_diag_and_rotation,
     glued_chain,
     is_hereditary,
     merge_unreduced,
@@ -76,24 +69,7 @@ def report(name, ok, extra=""):
 
 def test_c1_closed_form_head_order():
     t0 = time.time()
-    ok = True
-    for n, a in GRID:
-        term = chain_for(n, a)[-1][0]
-        b = a % n
-        if b == 0:
-            merged = merge_unreduced(term)
-            ok = ok and merged.n == 1 and merged.M == ((0,),)
-            continue
-        F = head_order_f(n, a)
-        ok = ok and equal_up_to_diag_and_rotation(term.M, F.M)
-        if n % b == 0:
-            st1, _ = defm1_state(n, b)
-            ok = ok and equal_up_to_diag_and_rotation(term.M, expand(st1).M)
-        else:
-            w = head_order_w(n, b)
-            ok = ok and equal_up_to_diag_and_rotation(term.M, expand(w).M)
-        if not ok:
-            break
+    ok = all(certify_cell(n, a, chain_for(n, a)) for n, a in GRID)
     elapsed = time.time() - t0
     report(
         "criterion 1, closed-form head order on the full grid",
@@ -102,30 +78,32 @@ def test_c1_closed_form_head_order():
     )
 
 
+def _paper_schedule(n, a):
+    """(tag, step, depth) of every checkpoint the paper places on the chain."""
+    z, b = divmod(a, n)
+    if b == 0:
+        return [("maximal", a, 0)]
+    l0 = (n - 1) // b
+    x0 = n - l0 * b
+    out = [("reduced-start", z * n, b)]
+    for m in range(n - l0):
+        out.append((f"early-form(m={m})", z * n + m + 1, max(0, b - m - 1)))
+    out.append(("first-plateau", z * n + n - l0, None))
+    if 0 < x0 < b:
+        m2 = b - x0 - 1 if 2 * x0 >= b else x0 - 1
+        out.append((f"midway(m2={m2})", z * n + n - l0 + m2, None))
+    if n % b:
+        out.append(("head", None, None))
+    return out
+
+
 def test_c2_checkpoint_formulas():
-    ok = True
-    for n, a in GRID:
-        chain = chain_for(n, a)
-        z, b = divmod(a, n)
-        red, step0 = initial_reduction(n, a)
-        order, f = chain[step0]
-        ok = ok and equal_up_to_diag(order.M, expand(red).M) and f == red.f
-        if b == 0:
-            continue
-        l0, x0 = _split(n, b)
-        for m in range(n - l0):
-            st = anfang_state(n, b, m)
-            order, f = chain[step0 + m + 1]
-            ok = ok and equal_up_to_diag(order.M, expand(st).M) and f == st.f
-        st1, rel = defm1_state(n, b)
-        order, _ = chain[step0 + rel]
-        ok = ok and equal_up_to_diag(order.M, expand(st1).M)
-        if 0 < x0 < b:
-            st2, m2 = midway_state(n, b)
-            order, _ = chain[step0 + rel + m2]
-            ok = ok and equal_up_to_diag(order.M, expand(st2).M)
-        if not ok:
-            break
+    ok = all(
+        [(cp.tag, cp.step, cp.depth) for cp in chain_checkpoints(n, a)]
+        == _paper_schedule(n, a)
+        and certify_cell(n, a, chain_for(n, a))
+        for n, a in GRID
+    )
     report("criterion 2, chain checkpoint formulas on the full grid", ok)
 
 
@@ -148,9 +126,8 @@ def test_c3_arithmetic_type():
         while len(cyc) < n:
             cyc.append(sigma[cyc[-1]])
         term = chain_for(n, a)[-1][0]
-        got = is_hereditary(
-            merge_unreduced(term.with_dims(tuple(dims[x] for x in cyc)))
-        )
+        relabeled = ExponentOrder(tuple(dims[x] for x in cyc), term.M, term.ram)
+        got = is_hereditary(merge_unreduced(relabeled))
         want = main2_type(n, a, dims, sigma, start=cyc[0])
         ok = (
             ok

@@ -8,7 +8,7 @@ from headorder.circulant import (
     CirculantState,
     _split,
     anfang_state,
-    defm1_state,
+    certify_cell,
     expand,
     head_order_f,
     head_order_w,
@@ -19,7 +19,6 @@ from headorder.circulant import (
 )
 from headorder.errors import NotACycle, OutOfRange
 from headorder.exponent import (
-    equal_up_to_diag,
     equal_up_to_diag_and_rotation,
     glued_chain,
     is_hereditary,
@@ -74,22 +73,21 @@ def test_anfang_range_checks():
 
 
 def test_chain_hits_closed_forms_small():
-    # walk the iterative chain for (n, a) = (5, 3) and compare states
-    n, a = 5, 3
-    chain = glued_chain(scaled_hereditary((1,) * n, a), a)
-    z, b = divmod(a, n)
-    red, step0 = initial_reduction(n, a)
-    order, f = chain[step0]
-    assert equal_up_to_diag(order.M, expand(red).M) and f == red.f
-    l0, x0 = _split(n, b)
-    for m in range(n - l0):
-        st = anfang_state(n, b, m)
-        order, f = chain[step0 + m + 1]
-        assert equal_up_to_diag(order.M, expand(st).M)
-        assert f == st.f
-    st1, rel = defm1_state(n, b)
-    order, _ = chain[step0 + rel]
-    assert equal_up_to_diag(order.M, expand(st1).M)
+    # certify_cell accepts the chain and refuses it with one thing wrong: cut
+    # before the head, or at the reduced start or an early form a depth off
+    # by one or the state swapped for its successor.  (8, 6) runs one step
+    # past its midway form, so only the head check sees the cut.
+    for n, a in [(5, 3), (7, 10), (8, 6), (6, 2), (4, 8)]:
+        chain = glued_chain(scaled_hereditary((1,) * n, a), a)
+        assert certify_cell(n, a, chain)
+        assert not certify_cell(n, a, chain[:-1])
+        z, b = divmod(a, n)
+        last_early = z * n + (n - (n - 1) // b if b else 0)
+        for k in range(z * n, last_early + 1):
+            order, depth = chain[k]
+            assert not certify_cell(n, a, chain[:k] + [(order, depth + 1)] + chain[k + 1 :])
+            if k + 1 < len(chain):
+                assert not certify_cell(n, a, chain[:k] + [chain[k + 1]] + chain[k + 1 :])
 
 
 def test_midway_requires_proper_x0():

@@ -54,16 +54,24 @@ def test_radical_command(tmp_path, capsys):
 
 
 def test_chain_trace_tags(tmp_path, capsys):
-    st = CirculantState((1, 1, 1), (0, 4, 4), f=4)
-    path = write_doc(tmp_path, st)
-    code, out, _ = run(capsys, ["--command", "chain", "--input", path])
-    assert code == 0
-    report = json.loads(out)
-    tags = {s["step"]: s.get("matches") for s in report["steps"]}
-    # the reduced checkpoint sits exactly at step z*n = 3
-    assert tags[3] == "reduced-start"
-    assert report["steps"][-1]["hereditary"] is not None
-    assert all("depth" in s and "matrix" in s for s in report["steps"])
+    early = [f"early-form(m={m})" for m in range(5)]
+    cases = [
+        # the reduced checkpoint sits exactly at step z*n = 3
+        ((0, 4, 4), 4, [None] * 3 + ["reduced-start", "early-form(m=0)"]),
+        # (7, 10): the last early form is also the first plateau, the
+        # midway form and the head, and the first match names it
+        ((0,) + (10,) * 6, 10, [None] * 7 + ["reduced-start"] + early),
+        # a non-standard start is tagged by content, not by step index
+        ((0, 0, 1), 1, [None, "early-form(m=0)"]),
+    ]
+    for v, f, want in cases:
+        path = write_doc(tmp_path, CirculantState((1,) * len(v), v, f=f))
+        code, out, _ = run(capsys, ["--command", "chain", "--input", path])
+        assert code == 0
+        report = json.loads(out)
+        assert [s.get("matches") for s in report["steps"]] == want
+        assert report["steps"][-1]["hereditary"] is not None
+        assert all("depth" in s and "matrix" in s for s in report["steps"])
 
 
 def test_head_command(tmp_path, capsys):

@@ -380,10 +380,18 @@ def test_equal_up_to_diag():
 
 
 def test_equal_up_to_diag_and_rotation():
-    # a cyclic relabeling of H_3 is not diag-equal but is rotation-equal
-    A = standard_hereditary((1, 1, 1)).M
-    n = 3
-    rot = tuple(
-        tuple(A[(i + 1) % n][(j + 1) % n] for j in range(n)) for i in range(n)
-    )
-    assert equal_up_to_diag_and_rotation(A, rot)
+    # every cyclic relabeling of a 4-index order whose rotations are not
+    # diag-equal to it, conjugated; a transposition is no rotation
+    A = ((0, 1, 0, 1), (0, 0, 0, 1), (1, 2, 0, 1), (0, 1, 0, 0))
+    n = 4
+    for r in range(1, n):
+        rot = tuple(
+            tuple(A[(i + r) % n][(j + r) % n] for j in range(n)) for i in range(n)
+        )
+        rot = diag_conjugate(ExponentOrder((1,) * n, rot), [3, 0, 2, 1]).M
+        assert not equal_up_to_diag(A, rot)
+        assert equal_up_to_diag_and_rotation(A, rot)
+        assert equal_up_to_diag_and_rotation(rot, A)
+    P = (1, 0, 2, 3)
+    swap = tuple(tuple(A[P[i]][P[j]] for j in range(n)) for i in range(n))
+    assert not equal_up_to_diag_and_rotation(A, swap)
