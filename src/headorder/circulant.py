@@ -286,22 +286,18 @@ def certify_cell(n: int, a: int, chain) -> bool:
     )
 
 
-def _perm_order(sigma: dict) -> int:
-    seen = set()
-    order = 1
-    for start in sigma:
-        if start in seen:
-            continue
-        length = 0
-        x = start
-        while True:
-            seen.add(x)
-            x = sigma[x]
-            length += 1
-            if x == start:
-                break
-        order = order * length // gcd(order, length)
-    return order
+def _is_cycle(sigma: dict, n: int) -> bool:
+    """True if sigma is one cycle through exactly its n labels.
+
+    The orbit of one label is walked until it leaves the labels or repeats;
+    sigma is an n-cycle iff that orbit has n labels and closes at its start.
+    """
+    start = x = next(iter(sigma), None)
+    orbit = set()
+    while x in sigma and x not in orbit:
+        orbit.add(x)
+        x = sigma[x]
+    return n > 0 and len(sigma) == len(orbit) == n and x == start
 
 
 def main2_type(n: int, a: int, dims: dict, sigma: dict, start=None) -> HereditaryType:
@@ -312,7 +308,7 @@ def main2_type(n: int, a: int, dims: dict, sigma: dict, start=None) -> Hereditar
     gamma = sigma^c starting at ``start`` (any label; the type is well
     defined up to cyclic rotation).
     """
-    if len(sigma) != n or _perm_order(sigma) != n:
+    if not _is_cycle(sigma, n):
         raise NotACycle(f"sigma must be an n-cycle on {n} labels")
     d = gcd(n, a)
     t = n // d

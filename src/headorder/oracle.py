@@ -221,11 +221,7 @@ def oracle_radical(model: FiniteAlgebraModel):
     """
     amb = model.ambient
     p, K = amb.p, amb.K
-    intmult = [
-        [list(model.mult[i][j]) for j in range(model.rank)]
-        for i in range(model.rank)
-    ]
-    radp = radical_modp(intmult, p)
+    radp = radical_modp(model.mult, p)
     gens = []
     for coeffs in radp:
         vec = [
@@ -291,66 +287,28 @@ def model_from_exponent(order: ExponentOrder, p: int, K: int) -> FiniteAlgebraMo
     return model_from_amalgam(AmalgamBlock((order,), ()), p, K)
 
 
-def _radical_power(M, t):
-    """Exponent matrix of J^t for the order with matrix M (via min-plus)."""
-    n = len(M)
-    J1 = [[M[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    cur = [[0 if i == j else M[i][j] for j in range(n)] for i in range(n)]
+def _radical_power(order: ExponentOrder, t: int):
+    """Exponent matrix of J^t, the t-th power of the order's radical (min-plus)."""
+    N = radical(order).N
+    n = order.n
+    cur = order.M
     for _ in range(t):
         cur = [
-            [
-                min(cur[i][k] + J1[k][j] for k in range(n))
-                for j in range(n)
-            ]
+            [min(cur[i][k] + N[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)
         ]
     return cur
 
 
-def _gluing_trees(gluings, node, what):
-    """Spanning trees of the graph whose edges are the given gluings.
-
-    ``node`` maps a gluing side to its graph node.  Returns, per connected
-    class in order of its smallest node, (members, branches): members in
-    breadth-first order from that node, and per tree edge its depth and
-    the members of the subtree it hangs off its parent.  Raises ValueError
-    unless every class is a tree.
-    """
-    adj = {}
-    for g in gluings:
-        u, w = node(g.left), node(g.right)
-        adj.setdefault(u, []).append((w, g.depth))
-        adj.setdefault(w, []).append((u, g.depth))
-    seen = set()
-    trees = []
-    for root in sorted(adj):
-        if root in seen:
-            continue
-        seen.add(root)
-        members = [root]
-        edges = []
-        for u in members:
-            for w, t in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    members.append(w)
-                    edges.append((u, w, t))
-        if sum(len(adj[u]) for u in members) != 2 * len(edges):
-            raise ValueError(f"{what} gluings must form a forest")
-        sub = {w: [w] for w in members}
-        for u, w, _ in reversed(edges):
-            sub[u].extend(sub[w])
-        trees.append((members, [(t, sub[w]) for _, w, t in edges]))
-    return trees
-
-
 def model_from_amalgam(block: AmalgamBlock, p: int, K: int) -> FiniteAlgebraModel:
     """Model of an amalgam: one matrix-ring summand per component.
 
-    Diagonal gluings must form a forest on the glued diagonal blocks and
-    matrix gluings a forest on whole components, with no component subject
-    to both flavors.  That covers every amalgam this package constructs and
-    keeps the generator bookkeeping to spanning trees.
+    The model is the kernel of one condition row per constraint:
+    p^(K-m) e_pos ("valuation >= m") per component entry of exponent m > 0,
+    and p^(K-v) (e_left - e_right) ("agree modulo p^v") on the glued
+    diagonal entries of a depth-v diagonal gluing and on each entry (i, j)
+    of a depth-t whole-matrix gluing, with v = J^t[i][j].  Any gluing graph
+    is modeled, cycles and both flavors on one component included.
     """
     comps = block.components
     for comp in comps:
@@ -363,68 +321,36 @@ def model_from_amalgam(block: AmalgamBlock, p: int, K: int) -> FiniteAlgebraMode
     if K <= mx + mxd + 1:
         raise TruncationTooSmall(f"K = {K} too small for entries {mx}, depths {mxd}")
     amb = Ambient(tuple(c.n for c in comps), p, K)
+    rows = []
 
-    diag_edges = []
-    matrix_edges = []
-    diag_touched = set()
-    matrix_touched = set()
+    def condition(v, *terms):
+        row = [0] * amb.dim
+        for pos, sign in terms:
+            row[pos] = sign * p ** (K - v)
+        rows.append(row)
+
+    for c, comp in enumerate(comps):
+        for i, mrow in enumerate(comp.M):
+            for j, m in enumerate(mrow):
+                if m > 0:
+                    condition(m, (amb.pos(c, i, j), 1))
     for g in block.gluings:
+        (lc, lq), (rc, rq) = g.left, g.right
         kinds = set(g.kinds)
         if kinds == {"diagonal"}:
-            diag_edges.append(g)
-            diag_touched.add(g.left[0])
-            diag_touched.add(g.right[0])
-        elif kinds == {"matrix"} and g.left[1] == WHOLE and g.right[1] == WHOLE:
-            matrix_edges.append(g)
-            matrix_touched.add(g.left[0])
-            matrix_touched.add(g.right[0])
+            condition(g.depth, (amb.pos(lc, lq, lq), 1), (amb.pos(rc, rq, rq), -1))
+        elif kinds == {"matrix"} and lq == WHOLE and rq == WHOLE:
+            base = comps[lc]
+            if comps[rc].M != base.M or comps[rc].n != base.n:
+                raise ValueError("matrix-glued components must share an exponent matrix")
+            for i, jrow in enumerate(_radical_power(base, g.depth)):
+                for j, v in enumerate(jrow):
+                    if v > 0:
+                        condition(v, (amb.pos(lc, i, j), 1), (amb.pos(rc, i, j), -1))
         else:
             raise ValueError("oracle models need pure diagonal or whole-matrix gluings")
-    if diag_touched & matrix_touched:
-        raise ValueError("oracle models cannot mix gluing flavors on one component")
-
-    # Each glued class contributes its generators at depth 0 over all its
-    # members plus, per tree edge, the depth-t congruence on the subtree.
-    gens = []
-    matrix_trees = _gluing_trees(matrix_edges, lambda side: side[0], "matrix")
-    for members, branches in matrix_trees:
-        base = comps[members[0]]
-        n = base.n
-        for other in members[1:]:
-            if comps[other].M != base.M or comps[other].n != n:
-                raise ValueError("matrix-glued components must share an exponent matrix")
-        for t, sub in [(0, members)] + branches:
-            Jt = _radical_power(base.M, t)
-            for i in range(n):
-                for j in range(n):
-                    vec = [0] * amb.dim
-                    for c in sub:
-                        vec[amb.pos(c, i, j)] = p ** Jt[i][j]
-                    gens.append(vec)
-
-    # off-diagonal positions and unglued diagonal positions of the rest
-    diag_trees = _gluing_trees(diag_edges, lambda side: side, "diagonal")
-    glued_diag = {node for members, _ in diag_trees for node in members}
-    matrix_members = {c for members, _ in matrix_trees for c in members}
-    for c, comp in enumerate(comps):
-        if c in matrix_members:
-            continue
-        for i in range(comp.n):
-            for j in range(comp.n):
-                if i == j and (c, i) in glued_diag:
-                    continue
-                vec = [0] * amb.dim
-                vec[amb.pos(c, i, j)] = p ** comp.M[i][j]
-                gens.append(vec)
-
-    for members, branches in diag_trees:
-        for t, sub in [(0, members)] + branches:
-            vec = [0] * amb.dim
-            for c, q in sub:
-                vec[amb.pos(c, q, q)] = p**t
-            gens.append(vec)
-
-    return build_model(amb, gens)
+    # with no condition (all entries 0, no gluings) the model is the ambient
+    return build_model(amb, right_kernel(rows or [[0] * amb.dim], p, K))
 
 
 # ---------------------------------------------------------------------------

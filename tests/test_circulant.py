@@ -138,6 +138,13 @@ def test_head_order_f_rejects_multiples():
 def test_main2_type_needs_cycle():
     with pytest.raises(NotACycle):
         main2_type(3, 1, {0: 1, 1: 1, 2: 1}, {0: 1, 1: 0, 2: 2})
+    # (0 1)(2 3 4)(5) has order 6 on 6 labels but is not a 6-cycle
+    dims6 = {i: 1 for i in range(6)}
+    with pytest.raises(NotACycle):
+        main2_type(6, 1, dims6, {0: 1, 1: 0, 2: 3, 3: 4, 4: 2, 5: 5})
+    # a value that is not a label
+    with pytest.raises(NotACycle):
+        main2_type(3, 1, {0: 1, 1: 1, 2: 1}, {0: 1, 1: 2, 2: 7})
 
 
 def test_main2_type_block_count():

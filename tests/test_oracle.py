@@ -5,7 +5,10 @@ from operator import mul
 import pytest
 
 from headorder.amalgam import (
+    WHOLE,
+    AmalgamBlock,
     GluingConstraint,
+    amalgam_chain,
     amalgam_idealizer_step,
     validate_amalgam,
 )
@@ -41,7 +44,7 @@ from headorder.oracle import (
     spans_agree,
     truncation_for,
 )
-from test_acceptance import _all_orders, _amalgam_cases, _amalgam_models
+from test_acceptance import _all_orders, _amalgam_cases, _amalgam_models, _conj_chain
 
 
 def struct_constants(mats, p):
@@ -299,8 +302,9 @@ def test_amalgam_model_rejects_mixed_kind():
         model_from_amalgam(B, 2, 10)
 
 
-def test_amalgam_model_rejects_gluing_cycle():
-    # a spanning tree of a cycle would drop one of its congruences
+def test_amalgam_model_gluing_cycle():
+    # x0 = x1 = x2 mod p with x0 = x2 mod p^2: every congruence of the
+    # cycle holds, which a spanning tree of it would not keep
     one = validate_order([[0]], (1,))
     B = validate_amalgam(
         (one, one, one),
@@ -310,8 +314,188 @@ def test_amalgam_model_rejects_gluing_cycle():
             GluingConstraint((0, 0), (2, 0), 2),
         ),
     )
-    with pytest.raises(ValueError, match="forest"):
-        model_from_amalgam(B, 2, 10)
+    for p in (2, 3):
+        model = model_from_amalgam(B, p, 10)
+        assert model.rank == 3
+        for vec in ([1, 1, 1], [0, p, 0], [p * p, 0, 0]):
+            assert in_span(vec, model.basis, p, 10)
+        for vec in ([p, 0, 0], [p, p, 0]):
+            assert not in_span(vec, model.basis, p, 10)
+
+
+@pytest.mark.parametrize("depth", (1, 2))
+def test_amalgam_model_mixed_flavors_one_step(depth):
+    # a whole-matrix gluing and a diagonal gluing on the same component
+    h2 = standard_hereditary((1, 1))
+    one = validate_order([[0]], (1,))
+    B = validate_amalgam(
+        (h2, h2, one),
+        (
+            GluingConstraint((0, WHOLE), (1, WHOLE), depth, ("matrix", "matrix")),
+            GluingConstraint((1, 0), (2, 0), 1),
+        ),
+    )
+    K = truncation_for(1, depth)
+    noise = K - (1 + depth + 2)
+    nxt = amalgam_idealizer_step(B)
+    for p in (2, 3):
+        model = model_from_amalgam(B, p, K)
+        J = oracle_radical(model)
+        Id = oracle_idealizer(model, J)
+        assert spans_agree(Id, model_from_amalgam(nxt, p, K).basis, model.ambient, noise)
+
+
+def reference_radical_power(M, t):
+    """Exponent matrix of J^t for the order with matrix M (via min-plus)."""
+    n = len(M)
+    J1 = [[M[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    cur = [[0 if i == j else M[i][j] for j in range(n)] for i in range(n)]
+    for _ in range(t):
+        cur = [
+            [
+                min(cur[i][k] + J1[k][j] for k in range(n))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    return cur
+
+
+def reference_gluing_trees(gluings, node, what):
+    """Spanning trees of the graph whose edges are the given gluings.
+
+    ``node`` maps a gluing side to its graph node.  Returns, per connected
+    class in order of its smallest node, (members, branches): members in
+    breadth-first order from that node, and per tree edge its depth and
+    the members of the subtree it hangs off its parent.  Raises ValueError
+    unless every class is a tree.
+    """
+    adj = {}
+    for g in gluings:
+        u, w = node(g.left), node(g.right)
+        adj.setdefault(u, []).append((w, g.depth))
+        adj.setdefault(w, []).append((u, g.depth))
+    seen = set()
+    trees = []
+    for root in sorted(adj):
+        if root in seen:
+            continue
+        seen.add(root)
+        members = [root]
+        edges = []
+        for u in members:
+            for w, t in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    members.append(w)
+                    edges.append((u, w, t))
+        if sum(len(adj[u]) for u in members) != 2 * len(edges):
+            raise ValueError(f"{what} gluings must form a forest")
+        sub = {w: [w] for w in members}
+        for u, w, _ in reversed(edges):
+            sub[u].extend(sub[w])
+        trees.append((members, [(t, sub[w]) for _, w, t in edges]))
+    return trees
+
+
+def reference_model_from_amalgam(block, p, K):
+    """Reference for model_from_amalgam: the model spanned by generators.
+
+    Diagonal gluings must form a forest on the glued diagonal blocks and
+    matrix gluings a forest on whole components, with no component subject
+    to both flavors.  Each glued class contributes its generators at depth
+    0 over all its members plus, per spanning-tree edge, the depth-t
+    congruence on the subtree.
+    """
+    comps = block.components
+    for comp in comps:
+        if any(d != 1 for d in comp.dims):
+            raise ValueError("oracle models require unit block dimensions")
+        if any(x < 0 for row in comp.M for x in row):
+            raise ValueError("shift exponents to be nonnegative before modeling")
+    mx = max(c.max_entry() for c in comps)
+    mxd = max((g.depth for g in block.gluings), default=0)
+    if K <= mx + mxd + 1:
+        raise TruncationTooSmall(f"K = {K} too small for entries {mx}, depths {mxd}")
+    amb = Ambient(tuple(c.n for c in comps), p, K)
+
+    diag_edges = []
+    matrix_edges = []
+    diag_touched = set()
+    matrix_touched = set()
+    for g in block.gluings:
+        kinds = set(g.kinds)
+        if kinds == {"diagonal"}:
+            diag_edges.append(g)
+            diag_touched.add(g.left[0])
+            diag_touched.add(g.right[0])
+        elif kinds == {"matrix"} and g.left[1] == WHOLE and g.right[1] == WHOLE:
+            matrix_edges.append(g)
+            matrix_touched.add(g.left[0])
+            matrix_touched.add(g.right[0])
+        else:
+            raise ValueError("oracle models need pure diagonal or whole-matrix gluings")
+    if diag_touched & matrix_touched:
+        raise ValueError("oracle models cannot mix gluing flavors on one component")
+
+    gens = []
+    matrix_trees = reference_gluing_trees(matrix_edges, lambda side: side[0], "matrix")
+    for members, branches in matrix_trees:
+        base = comps[members[0]]
+        n = base.n
+        for other in members[1:]:
+            if comps[other].M != base.M or comps[other].n != n:
+                raise ValueError("matrix-glued components must share an exponent matrix")
+        for t, sub in [(0, members)] + branches:
+            Jt = reference_radical_power(base.M, t)
+            for i in range(n):
+                for j in range(n):
+                    vec = [0] * amb.dim
+                    for c in sub:
+                        vec[amb.pos(c, i, j)] = p ** Jt[i][j]
+                    gens.append(vec)
+
+    # off-diagonal positions and unglued diagonal positions of the rest
+    diag_trees = reference_gluing_trees(diag_edges, lambda side: side, "diagonal")
+    glued_diag = {node for members, _ in diag_trees for node in members}
+    matrix_members = {c for members, _ in matrix_trees for c in members}
+    for c, comp in enumerate(comps):
+        if c in matrix_members:
+            continue
+        for i in range(comp.n):
+            for j in range(comp.n):
+                if i == j and (c, i) in glued_diag:
+                    continue
+                vec = [0] * amb.dim
+                vec[amb.pos(c, i, j)] = p ** comp.M[i][j]
+                gens.append(vec)
+
+    for members, branches in diag_trees:
+        for t, sub in [(0, members)] + branches:
+            vec = [0] * amb.dim
+            for c, q in sub:
+                vec[amb.pos(c, q, q)] = p**t
+            gens.append(vec)
+
+    return build_model(amb, gens)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_model_from_amalgam_matches_generator_reference(p):
+    # every n <= 3 order with entries in [0, 2] and every conjugated state
+    # of the criterion-4 amalgam chains, at the truncations criterion 4 uses
+    blocks = [
+        (AmalgamBlock((order,), ()), truncation_for(2))
+        for n in (1, 2, 3)
+        for order in _all_orders(n, 2)
+    ]
+    for B in _amalgam_cases():
+        K = _amalgam_models(B, p)[0][0].ambient.K
+        blocks.extend((st, K) for st in _conj_chain(amalgam_chain(B)))
+    for B, K in blocks:
+        got = model_from_amalgam(B, p, K)
+        want = reference_model_from_amalgam(B, p, K)
+        assert (got.basis, got.mult) == (want.basis, want.mult)
 
 
 def _companion(coeffs, m):
