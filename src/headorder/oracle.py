@@ -12,6 +12,7 @@ closed-form predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 from .amalgam import WHOLE, AmalgamBlock
@@ -39,7 +40,7 @@ class Ambient:
     p: int
     K: int
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return sum(d * d for d in self.sizes)
 
@@ -116,8 +117,12 @@ def build_model(ambient: Ambient, gens, labels=None) -> FiniteAlgebraModel:
 
     Raises if the span is not multiplicatively closed or misses the unit.
     """
+    return _close_basis(ambient, howell(gens, ambient.p, ambient.K), labels)
+
+
+def _close_basis(ambient: Ambient, basis, labels=None) -> FiniteAlgebraModel:
+    """build_model for generators that already are a Howell basis."""
     p, K = ambient.p, ambient.K
-    basis = howell(gens, p, K)
     R = len(basis)
     if R > RANK_CAP:
         raise OracleCapExceeded(f"rank {R} exceeds cap {RANK_CAP}")
@@ -157,60 +162,70 @@ def radical_modp(mult, p: int):
     sum_t mult[a][c][t] Tr(L_{b_t}), so the conditions are the trace form.
     Above it the matrix is symmetric (charpoly(AB) = charpoly(BA)) and its
     entry vanishes where xy = 0 (charpoly(0) = x^R), so only the nonzero
-    products of pairs a <= b need a characteristic polynomial.
+    products of pairs a <= b need a characteristic polynomial.  Products
+    and traces are read off the nonzero constants only.
     """
     R = len(mult)
     if R == 0:
         return []
-    # nonzero entries (k, j, c) of L_{b_t}: b_t b_j has coefficient c on b_k
-    lsparse = [
-        [(k, j, c % p) for j in range(R) for k, c in enumerate(mult[t][j]) if c % p]
-        for t in range(R)
-    ]
+    # nz[s][t] lists the nonzero (k, c): b_s b_t has coefficient c on b_k
+    nz = [[[(k, c % p) for k, c in enumerate(col) if c % p] for col in row] for row in mult]
+
+    def product(xs, ys):
+        # x y for x, y given by their supports [(index, coefficient), ...]
+        out = [0] * R
+        for s, u in xs:
+            row = nz[s]
+            for t, v in ys:
+                uv = u * v
+                for k, c in row[t]:
+                    out[k] += uv * c
+        return [v % p for v in out]
 
     def lmat(x):
         # left multiplication by sum x_t b_t as a matrix acting on columns
         L = [[0] * R for _ in range(R)]
         for t, xt in enumerate(x):
             if xt:
-                for k, col, c in lsparse[t]:
-                    L[k][col] += xt * c
+                for col, entries in enumerate(nz[t]):
+                    for k, c in entries:
+                        L[k][col] += xt * c
         return L
 
     def conditions(ideal, target):
         # entry [a][b] is c_target(L_{x_b x_a}) for x = ideal
         supps = [[(i, v) for i, v in enumerate(x) if v] for x in ideal]
         conds = [[0] * len(ideal) for _ in ideal]
-        for b, xb in enumerate(ideal):
-            Lb = lmat(xb)
+        for b, sb in enumerate(supps):
             for a in range(b + 1):
-                xy = [sum(row[i] * v for i, v in supps[a]) % p for row in Lb]
+                xy = product(sb, supps[a])
                 if any(xy):
                     conds[a][b] = conds[b][a] = charpoly_modp(lmat(xy), p)[target]
         return conds
 
-    traces = [sum(mult[t][k][k] for k in range(R)) for t in range(R)]
+    traces = [sum(c for i, col in enumerate(row) for k, c in col if k == i) for row in nz]
     ideal = [[1 if t == i else 0 for t in range(R)] for i in range(R)]
     j = 0
     while p**j <= R and ideal:
         if j == 0:
             conds = [
-                [-sum(c * tr for c, tr in zip(mult[b][a], traces)) % p for b in range(R)]
+                [-sum(c * traces[k] for k, c in nz[b][a]) % p for b in range(R)]
                 for a in range(R)
             ]
         else:
             conds = conditions(ideal, p**j)
-        sol = nullspace_modp(conds, p)
-        new_ideal = []
-        for coeffs in sol:
-            vec = [
-                sum(c * ideal[t][k] for t, c in enumerate(coeffs)) % p
-                for k in range(R)
-            ]
-            new_ideal.append(vec)
-        ideal = rref_modp(new_ideal, p)
+        ideal = rref_modp([_combine(coeffs, ideal, p) for coeffs in nullspace_modp(conds, p)], p)
         j += 1
     return ideal
+
+
+def _combine(coeffs, rows, m: int):
+    """sum_t coeffs[t] * rows[t] mod m, adding only the rows with c_t != 0."""
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = [u + c * x for u, x in zip(out, row)]
+    return [u % m for u in out]
 
 
 def oracle_radical(model: FiniteAlgebraModel):
@@ -221,16 +236,8 @@ def oracle_radical(model: FiniteAlgebraModel):
     """
     amb = model.ambient
     p, K = amb.p, amb.K
-    radp = radical_modp(model.mult, p)
-    gens = []
-    for coeffs in radp:
-        vec = [
-            sum(c * model.basis[t][k] for t, c in enumerate(coeffs))
-            for k in range(amb.dim)
-        ]
-        gens.append(vec)
-    for b in model.basis:
-        gens.append([p * x for x in b])
+    gens = [_combine(coeffs, model.basis, amb.modulus) for coeffs in radical_modp(model.mult, p)]
+    gens.extend([p * x for x in b] for b in model.basis)
     return howell(gens, p, K)
 
 
@@ -350,7 +357,7 @@ def model_from_amalgam(block: AmalgamBlock, p: int, K: int) -> FiniteAlgebraMode
         else:
             raise ValueError("oracle models need pure diagonal or whole-matrix gluings")
     # with no condition (all entries 0, no gluings) the model is the ambient
-    return build_model(amb, right_kernel(rows or [[0] * amb.dim], p, K))
+    return _close_basis(amb, right_kernel(rows or [[0] * amb.dim], p, K))
 
 
 # ---------------------------------------------------------------------------

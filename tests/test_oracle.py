@@ -1,5 +1,6 @@
 """Finite-algebra brute force against the exponent formulas."""
 
+import random
 from operator import mul
 
 import pytest
@@ -183,6 +184,46 @@ def test_radical_modp_matches_dense_reference(p):
         mults.append(struct_constants(mats, p))
     for mult in mults:
         assert radical_modp(mult, p) == dense_radical_modp(mult, p)
+
+
+def _blockdiag(*blocks):
+    n = sum(len(B) for B in blocks)
+    M = [[0] * n for _ in range(n)]
+    off = 0
+    for B in blocks:
+        for i, row in enumerate(B):
+            M[off + i][off : off + len(B)] = row
+        off += len(B)
+    return M
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_radical_modp_matches_dense_reference_in_mixed_bases(p):
+    # M_p(F_p) x upper triangular 2 x 2 x F_p^3 in random bases: M_p is
+    # invisible to the trace form and dies only at level 1, where the
+    # ideal's rows have long supports and the radical E_01 must survive
+    def Z(n):
+        return [[0] * n for _ in range(n)]
+
+    mats = [_blockdiag(E(p, i, j), Z(2), Z(3)) for i in range(p) for j in range(p)]
+    mats += [_blockdiag(Z(p), E(2, i, j), Z(3)) for i, j in ((0, 0), (1, 1), (0, 1))]
+    mats += [_blockdiag(Z(p), Z(2), E(3, i, i)) for i in range(3)]
+    R, n = len(mats), len(mats[0])
+    rng = random.Random(p)
+    bases = []
+    while len(bases) < 3:
+        T = [[rng.randrange(p) for _ in range(R)] for _ in range(R)]
+        if len(rref_modp(T, p)) == R:
+            bases.append(T)
+    for T in bases:
+        mixed = [
+            [[sum(t * M[i][j] for t, M in zip(row, mats)) % p for j in range(n)] for i in range(n)]
+            for row in T
+        ]
+        mult = struct_constants(mixed, p)
+        rad = radical_modp(mult, p)
+        assert len(rad) == 1
+        assert rad == dense_radical_modp(mult, p)
 
 
 def check_associativity(model):
@@ -607,6 +648,13 @@ def test_ramified_stack_regression():
     assert head_order_report(tree)["chain_length"] == 2
 
 
+def test_radical_modp_matches_dense_reference_on_group_ring():
+    # in Z_3[C_9] nearly every product of two basis elements is nonzero and
+    # has a long support, the opposite extreme from the sparse orders
+    for model, _, _ in _cyclic9_chain()[0]:
+        assert radical_modp(model.mult, 3) == dense_radical_modp(model.mult, 3)
+
+
 def dense_mul(amb, x, y):
     """Reference for Ambient.mul: the triple loop over every entry."""
     m = amb.modulus
@@ -721,3 +769,22 @@ def test_build_model_matches_dense_reference(p):
     if p == 3:
         for model, _, _ in _cyclic9_chain()[0]:
             assert model.mult == dense_mult_table(model.ambient, model.basis)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_kernel_models_need_no_second_howell_pass(p):
+    # model_from_amalgam closes its right_kernel output without running
+    # howell on it again: that output already is its own Howell form
+    for model in _reference_models(p):
+        amb = model.ambient
+        assert [tuple(r) for r in howell(list(model.basis), amb.p, amb.K)] == list(model.basis)
+        rebuilt = build_model(amb, model.basis)
+        assert (rebuilt.basis, rebuilt.mult) == (model.basis, model.mult)
+
+
+def test_ambient_dim_cached_keeps_equality():
+    read = Ambient((1, 2, 6), 3, 10)
+    assert read.dim == 41
+    unread = Ambient((1, 2, 6), 3, 10)
+    assert read == unread and hash(read) == hash(unread)
+    assert read != Ambient((1, 2, 6), 3, 11)
