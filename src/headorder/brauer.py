@@ -117,10 +117,7 @@ def derive_permutations(tree: PlanarBrauerTree):
     vertex's cycle, then one cycle per non-exceptional vertex in vertex
     order.
     """
-    return _derive_permutations(validate_tree(tree))
-
-
-def _derive_permutations(tree: PlanarBrauerTree):
+    validate_tree(tree)
     dist = _distances(tree)
     delta = {}
     rho = {}
@@ -153,10 +150,7 @@ def build_block(tree: PlanarBrauerTree) -> AmalgamBlock:
     a; on the exceptional side the congruence runs through the last (most
     ramified) stack component and carries no entrywise bound there.
     """
-    return _build_block(validate_tree(tree))
-
-
-def _build_block(tree: PlanarBrauerTree) -> AmalgamBlock:
+    validate_tree(tree)
     p, a, e = tree.p, tree.a, tree.e
     exc_cycle = tree.rotations[tree.exceptional]
     exc_dims = tuple(tree.dims[i] for i in exc_cycle)
@@ -198,20 +192,17 @@ def hasse_invariant(r: int, m: int):
         raise ValueError("m must be positive")
     if gcd(r, m) != 1:
         raise NotCoprime(f"gcd({r}, {m}) != 1")
-    t = pow(r, -1, m) if m > 1 else 1
-    if t == 0:
-        t = m
-    return (t, m)
+    return (pow(r, -1, m) if m > 1 else 1, m)
 
 
 def head_order_report(tree: PlanarBrauerTree) -> dict:
     """Per-component head data: hereditary types, arithmetic predictions,
-    simple-module fibers and the measured chain length."""
-    validate_tree(tree)
-    delta, rho, orbits = _derive_permutations(tree)
-    dist = _distances(tree)
-    block = _build_block(tree)
-    chain = amalgam_chain(block)
+    simple-module fibers and the measured chain length.
+
+    sigma at a non-exceptional vertex w is delta or rho restricted to the
+    edges at w, which is the rotation successor at w.
+    """
+    chain = amalgam_chain(build_block(tree))
     terminal = chain[-1]
     a = tree.a
     comps = []
@@ -229,8 +220,7 @@ def head_order_report(tree: PlanarBrauerTree) -> dict:
     for c, w in enumerate(nonexceptional_vertices(tree), start=a):
         cyc = tree.rotations[w]
         n = len(cyc)
-        perm = delta if dist[w] % 2 == 0 else rho
-        sigma = {i: perm[i] for i in cyc}
+        sigma = {i: cyc[(k + 1) % n] for k, i in enumerate(cyc)}
         dims = {i: tree.dims[i] for i in cyc}
         pred = main2_type(n, a, dims, sigma, start=cyc[0])
         comps[c]["predicted_blocks"] = pred.blocks

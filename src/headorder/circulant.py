@@ -323,7 +323,7 @@ def main2_type(n: int, a: int, dims: dict, sigma: dict, start=None) -> Hereditar
         return apply
 
     tau = power(sigma, t)
-    gamma = power(sigma, c if t > 1 else 0)
+    gamma = power(sigma, c)
     if start is None:
         start = min(sigma)
     grouped = []

@@ -137,11 +137,11 @@ def cmd_head(args):
 
 
 def _params_from_input(args):
-    doc = json.loads(_read_input(args.input))
+    doc = serialize.read_json(_read_input(args.input))
     if not isinstance(doc, dict) or "n" not in doc or "a" not in doc:
         raise SchemaError("$", "closed-form expects an object with fields n and a")
     n, a = doc["n"], doc["a"]
-    if not (isinstance(n, int) and isinstance(a, int) and n >= 2 and a >= 1):
+    if not (serialize.is_int(n) and serialize.is_int(a) and n >= 2 and a >= 1):
         raise SchemaError("$", "need integers n >= 2 and a >= 1")
     dims = doc.get("dims")
     if dims is None:
@@ -149,7 +149,7 @@ def _params_from_input(args):
     if not (
         isinstance(dims, list)
         and len(dims) == n
-        and all(isinstance(d, int) and d >= 1 for d in dims)
+        and all(serialize.is_int(d) and d >= 1 for d in dims)
     ):
         raise SchemaError("$.dims", "expected a list of n positive integers")
     return n, a, tuple(dims)
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     }
     try:
         report, code = handlers[args.command](args)
-    except (HeadOrderError, OSError, json.JSONDecodeError) as exc:
+    except (HeadOrderError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2
     if args.format == "json":

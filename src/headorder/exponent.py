@@ -85,18 +85,15 @@ def validate_order(M, dims, ram: int = 1) -> ExponentOrder:
 
 def standard_hereditary(dims, ram: int = 1) -> ExponentOrder:
     """The basic hereditary order: exponent 1 strictly above the diagonal."""
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    if n == 0:
-        raise ValueError("dims must be nonempty")
-    M = tuple(tuple(1 if j > i else 0 for j in range(n)) for i in range(n))
-    return ExponentOrder(dims, M, ram)
+    return scaled_hereditary(dims, 1, ram)
 
 
 def scaled_hereditary(dims, a: int, ram: int = 1) -> ExponentOrder:
     """a * H_n: exponent ``a`` strictly above the diagonal."""
     dims = tuple(int(d) for d in dims)
     n = len(dims)
+    if n == 0:
+        raise ValueError("dims must be nonempty")
     M = tuple(tuple(a if j > i else 0 for j in range(n)) for i in range(n))
     return ExponentOrder(dims, M, ram)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
 
 from .amalgam import WHOLE, AmalgamBlock
 from .errors import OracleCapExceeded, TruncationTooSmall
@@ -83,14 +82,14 @@ class Ambient:
                     out[i : i + d] = [u % m for u in acc]
         return out
 
-    def blocks(self, x):
-        """Per summand, the d x d block of x as (rows, columns), or None if zero."""
+    def transpose(self, x):
+        """x with the block of each summand transposed."""
         out = []
-        for s, d in enumerate(self.sizes):
-            off = self.offset(s)
-            flat = x[off : off + d * d]
-            rows = [flat[i : i + d] for i in range(0, d * d, d)]
-            out.append((rows, list(zip(*rows))) if any(flat) else None)
+        off = 0
+        for d in self.sizes:
+            start, off = off, off + d * d
+            for j in range(start, start + d):
+                out.extend(x[j:off:d])
         return out
 
 
@@ -249,36 +248,25 @@ def oracle_idealizer(model: FiniteAlgebraModel, jbasis, within=None):
     smaller than the ambient; by default the whole ambient is searched.
 
     x J <= J holds iff c . (x g) = 0 for every g in J and every c in the
-    annihilator of J, and likewise for g x.  Both are linear in x: for the
-    unit x = E_ab of a summand with blocks G of g and C of c, c . (E_ab g)
-    = (C G^T)[a][b] and c . (g E_ab) = (G^T C)[a][b], so each condition
-    row is read off the blocks where g and c are both nonzero.
+    annihilator of J, and likewise for g x.  Both are linear in x: with
+    g^T transposing each summand's block, c . (x g) = <c g^T, x> and
+    c . (g x) = <g^T c, x>, so the condition rows are the ambient products
+    c g^T and g^T c.
     """
     amb = model.ambient
     p, K = amb.p, amb.K
-    m = amb.modulus
-    dim = amb.dim
-    offsets = [amb.offset(s) for s in range(len(amb.sizes))]
-    ann = [amb.blocks(c) for c in annihilator(jbasis, p, K)]
+    ann = annihilator(jbasis, p, K)
     conds = {}
     if within is not None:
         conds = dict.fromkeys(map(tuple, annihilator(within, p, K)))
     for g in jbasis:
-        gblocks = amb.blocks(g)
-        for cblocks in ann:
-            left = [0] * dim
-            right = [0] * dim
-            for off, gb, cb in zip(offsets, gblocks, cblocks):
-                if gb and cb:
-                    (G, Gt), (C, Ct) = gb, cb
-                    end = off + len(G) ** 2
-                    left[off:end] = [sum(map(mul, Ca, Gb)) % m for Ca in C for Gb in G]
-                    right[off:end] = [sum(map(mul, Ga, Cb)) % m for Ga in Gt for Cb in Ct]
-            for row in (left, right):
+        gt = amb.transpose(g)
+        for c in ann:
+            for row in (amb.mul(c, gt), amb.mul(gt, c)):
                 if any(row):
                     conds[tuple(row)] = None
     # with no condition left (J = p * ambient) every x idealizes J
-    return right_kernel(list(conds) or [[0] * dim], p, K)
+    return right_kernel(list(conds) or [[0] * amb.dim], p, K)
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,19 @@ def _need(doc, key, path):
     return doc[key]
 
 
+def is_int(x) -> bool:
+    """A JSON integer: an int that is not a bool (bool subclasses int)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _int(x, path):
-    if not isinstance(x, int):
+    if not is_int(x):
         raise SchemaError(path, "expected an integer")
     return x
 
 
 def _int_list(x, path):
-    if not isinstance(x, list) or not all(isinstance(v, int) for v in x):
+    if not isinstance(x, list) or not all(map(is_int, x)):
         raise SchemaError(path, "expected a list of integers")
     return x
 
@@ -118,7 +123,7 @@ def from_document(doc, path="$"):
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object")
     version = _need(doc, "schema_version", path)
-    if version != SCHEMA_VERSION:
+    if not is_int(version) or version != SCHEMA_VERSION:
         raise SchemaError(f"{path}.schema_version", f"unsupported version {version}")
     kind = _need(doc, "type", path)
     if kind == "exponent":
@@ -171,7 +176,7 @@ def from_document(doc, path="$"):
             raise SchemaError(path, str(exc)) from exc
     if kind == "tree":
         edges = _int_matrix(_need(doc, "edges", path), f"{path}.edges")
-        if "e" in doc and doc["e"] != len(edges):
+        if "e" in doc and not (is_int(doc["e"]) and doc["e"] == len(edges)):
             raise SchemaError(f"{path}.e", "e must equal the number of edges")
         tree = PlanarBrauerTree(
             exceptional=_int(_need(doc, "exceptional", path), f"{path}.exceptional"),
@@ -197,9 +202,13 @@ def dumps(value) -> str:
     return json.dumps(to_document(value), sort_keys=True, indent=1)
 
 
-def loads(text: str):
+def read_json(text: str):
+    """The parsed JSON value; invalid JSON raises SchemaError at "$"."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
-    return from_document(doc)
+
+
+def loads(text: str):
+    return from_document(read_json(text))

@@ -21,6 +21,7 @@ from headorder.amalgam import (
 from headorder.brauer import (
     PlanarBrauerTree,
     build_block,
+    derive_permutations,
     hasse_invariant,
     head_order_report,
     validate_tree,
@@ -374,6 +375,19 @@ def test_c6_tree_pipeline():
                             )
                             rep = head_order_report(tree)
                             types = block_head_order(build_block(tree))
+                            # the report's sigma at w, the rotation
+                            # successor, is delta or rho restricted to w
+                            delta, rho, _ = derive_permutations(tree)
+                            for w, cyc in enumerate(rotations):
+                                succ = {
+                                    i: cyc[(k + 1) % len(cyc)]
+                                    for k, i in enumerate(cyc)
+                                }
+                                if w != exceptional and succ not in (
+                                    {i: delta[i] for i in cyc},
+                                    {i: rho[i] for i in cyc},
+                                ):
+                                    ok = False
                             for entry, ht in zip(rep["components"], types):
                                 if (
                                     entry["blocks"] != ht.blocks

@@ -192,6 +192,19 @@ def test_input_error_exit_2(capsys, monkeypatch):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["closed-form", "verify"])
+def test_invalid_json_names_root(capsys, monkeypatch, command):
+    code, out, err = run(
+        capsys,
+        ["--command", command, "--input", "-"],
+        stdin="not json",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"].startswith("$: invalid JSON:")
+
+
 TREE_DOC = {
     "schema_version": 1,
     "type": "tree",
@@ -246,11 +259,21 @@ AMALGAM_DOC = {
          "$.gluings[0].right"),
         ("check", {**AMALGAM_DOC, "gluings": [{**GLUING, "kinds": 5}]},
          "$.gluings[0].kinds"),
+        # JSON booleans are not integers, although bool subclasses int
+        ("chain", {**CIRCULANT_DOC, "depth": True}, "$.depth"),
+        ("tree", {**TREE_DOC, "p": True}, "$.p"),
+        ("tree", {**TREE_DOC, "e": True}, "$.e"),
+        ("check", {**TREE_DOC, "schema_version": True}, "$.schema_version"),
+        ("check", {**COMPONENT_DOC, "dims": [1, True]}, "$.dims"),
+        ("closed-form", {"n": 3, "a": True}, "$"),
+        ("closed-form", {"n": 3, "a": 2, "dims": [1, True, 1]}, "$.dims"),
     ],
     ids=["tree-p", "tree-a", "circulant-depth", "dims-short", "dims-short-accepted",
          "dims-zero", "dims-string", "amalgam-components", "amalgam-component-type",
          "amalgam-gluings", "amalgam-gluing", "gluing-left", "gluing-right",
-         "gluing-kinds"],
+         "gluing-kinds", "circulant-depth-bool", "tree-p-bool", "tree-e-bool",
+         "schema-version-bool", "exponent-dims-bool", "closed-form-a-bool",
+         "closed-form-dims-bool"],
 )
 def test_malformed_field_exit_2(capsys, monkeypatch, command, doc, field):
     code, out, err = run(
