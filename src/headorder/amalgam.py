@@ -152,14 +152,12 @@ def amalgam_chain(B: AmalgamBlock, max_steps: int | None = None):
     return fixed_point_chain(amalgam_idealizer_step, B, max_steps)
 
 
-def block_head_order(B: AmalgamBlock) -> tuple[HereditaryType, ...]:
-    """Hereditary type of each component of the chain's fixed point.
+def terminal_types(terminal: AmalgamBlock) -> tuple[HereditaryType, ...]:
+    """Hereditary type of each component of a chain's fixed point.
 
-    Runs the amalgam chain to its end, merges isomorphic block repeats in
-    each terminal component and reads off the hereditary shape.  The head
-    order of the block is the direct sum of these components.
+    Merges isomorphic block repeats in each component and reads off the
+    hereditary shape.
     """
-    terminal = amalgam_chain(B)[-1]
     types = []
     for comp in terminal.components:
         ht = is_hereditary(merge_unreduced(comp))
@@ -167,3 +165,11 @@ def block_head_order(B: AmalgamBlock) -> tuple[HereditaryType, ...]:
             raise RuntimeError("chain fixed point is not hereditary")
         types.append(ht)
     return tuple(types)
+
+
+def block_head_order(B: AmalgamBlock) -> tuple[HereditaryType, ...]:
+    """Hereditary type of each component of the chain's fixed point.
+
+    The head order of the block is the direct sum of these components.
+    """
+    return terminal_types(amalgam_chain(B)[-1])

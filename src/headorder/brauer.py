@@ -10,20 +10,15 @@ reports head-order data per component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
-from .amalgam import WHOLE, AmalgamBlock, GluingConstraint, validate_amalgam
+from .amalgam import (
+    WHOLE, AmalgamBlock, GluingConstraint, amalgam_chain, terminal_types, validate_amalgam,
+)
 from .circulant import main2_type, simple_module_match
 from .errors import BadRotation, NotATree, NotCoprime
-from .exponent import (
-    DisjointSets,
-    is_hereditary,
-    merge_unreduced,
-    scaled_hereditary,
-    standard_hereditary,
-)
-from .amalgam import amalgam_chain
+from .exponent import DisjointSets, scaled_hereditary, standard_hereditary
 
 
 @dataclass(frozen=True)
@@ -87,6 +82,8 @@ def validate_tree(tree: PlanarBrauerTree) -> PlanarBrauerTree:
     # divides the s = 1 term p - 1
     if (tree.p - 1) % e != 0:
         raise ValueError(f"e = {e} does not divide p^1 - p^0 = {tree.p - 1}")
+    if tree.m < 1:
+        raise ValueError("need m >= 1")
     if gcd(tree.galois_r, tree.m) != 1:
         raise NotCoprime("galois_r must be prime to m")
     return tree
@@ -203,20 +200,16 @@ def head_order_report(tree: PlanarBrauerTree) -> dict:
     edges at w, which is the rotation successor at w.
     """
     chain = amalgam_chain(build_block(tree))
-    terminal = chain[-1]
     a = tree.a
-    comps = []
-    for c, comp in enumerate(terminal.components):
-        ht = is_hereditary(merge_unreduced(comp))
-        if ht is None:
-            raise RuntimeError("chain fixed point is not hereditary")
-        entry = {
+    comps = [
+        {
             "component": c,
             "exceptional": c < a,
             "blocks": ht.blocks,
             "grouped_dims": list(ht.grouped_dims),
         }
-        comps.append(entry)
+        for c, ht in enumerate(terminal_types(chain[-1]))
+    ]
     for c, w in enumerate(nonexceptional_vertices(tree), start=a):
         cyc = tree.rotations[w]
         n = len(cyc)

@@ -54,6 +54,10 @@ class CirculantState:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if len(self.dims) != len(v):
             raise ValueError("dims and v must have equal length")
+        if any(d <= 0 for d in self.dims):
+            raise ValueError("dims must be positive")
+        if self.ram < 1:
+            raise ValueError("need ram >= 1")
         if v[0] != 0:
             raise ValueError("v_0 must be 0")
         if any(v[i] > v[i + 1] for i in range(len(v) - 1)):

@@ -8,7 +8,7 @@ vector is carried along but never influences the exponent computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from operator import add, neg, sub
 
@@ -72,6 +72,8 @@ def validate_order(M, dims, ram: int = 1) -> ExponentOrder:
         raise ValueError("dims must have one entry per block")
     if any(d <= 0 for d in dims):
         raise ValueError("dims must be positive")
+    if ram < 1:
+        raise ValueError("need ram >= 1")
     for i in range(n):
         if M[i][i] != 0:
             raise DiagonalNonzero(i, M[i][i])
@@ -329,7 +331,6 @@ class HereditaryType:
 
     blocks: int
     grouped_dims: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...] = field(default=())
 
 
 def is_hereditary(order: ExponentOrder):
@@ -337,8 +338,7 @@ def is_hereditary(order: ExponentOrder):
 
     Normalizes with t_i = m[i][0], stably sorts indices into classes and
     checks for the 0/1 step pattern of H_k.  Returns a HereditaryType on
-    success (block count and grouped dims, classes listing original
-    indices), or None.
+    success (block count and grouped dims in class order), or None.
     """
     n = order.n
     t = [order.M[i][0] for i in range(n)]
@@ -364,7 +364,7 @@ def is_hereditary(order: ExponentOrder):
             if C[i][j] != expected:
                 return None
     grouped = tuple(sum(order.dims[i] for i in members) for members in classes)
-    return HereditaryType(len(classes), grouped, tuple(tuple(m) for m in classes))
+    return HereditaryType(len(classes), grouped)
 
 
 def merge_unreduced(order: ExponentOrder) -> ExponentOrder:

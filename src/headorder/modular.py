@@ -3,7 +3,9 @@
 The Z/p^K routines are built around the Howell normal form, the canonical
 echelon form for submodules of (Z/p^K)^n: two generating sets span the same
 submodule exactly when their Howell forms coincide, and membership reduces a
-vector to zero against the form.  Everything is exact integer arithmetic.
+vector to zero against the form.  The prime field is the case K = 1, where
+the Howell form is the reduced row echelon form, so one elimination kernel
+serves both rings.  Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -19,10 +21,6 @@ def val(x: int, p: int, K: int) -> int:
         x //= p
         v += 1
     return v
-
-
-def _unit_inv(u: int, p: int, K: int) -> int:
-    return pow(u, -1, p**K)
 
 
 def _echelon(work, pivot_cols: int, p: int, K: int):
@@ -42,7 +40,7 @@ def _echelon(work, pivot_cols: int, p: int, K: int):
         pivot = min(cand, key=lambda r: val(r[j], p, K))
         cand.remove(pivot)
         v = val(pivot[j], p, K)
-        inv = _unit_inv(pivot[j] // p**v, p, K)
+        inv = pow(pivot[j] // p**v, -1, m)
         pivot = [(x * inv) % m for x in pivot]
         for r in cand:
             q = r[j] // p**v
@@ -148,37 +146,19 @@ def annihilator(rows, p: int, K: int):
 # prime-field routines
 
 
-def _rref_modp(rows, p: int):
-    """Gauss-Jordan over F_p of a nonempty matrix: (matrix, pivot columns).
-
-    Row r of the returned matrix has its leading 1 in column pivot_cols[r];
-    the rows past the pivots are zero.
-    """
-    nrows = len(rows)
-    mat = [[x % p for x in r] for r in rows]
-    pivot_cols = []
-    r = 0
-    for j in range(len(rows[0])):
-        sel = next((i for i in range(r, nrows) if mat[i][j]), None)
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = pow(mat[r][j], -1, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][j]:
-                f = mat[i][j]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivot_cols.append(j)
-        r += 1
-    return mat, pivot_cols
+def rref_modp(rows, p: int):
+    """Reduced row echelon form over F_p, zero rows dropped: the Howell form
+    at K = 1, whose pivots are 1 and whose entries above them are zero."""
+    return howell(rows, p, 1)
 
 
 def nullspace_modp(rows, p: int):
-    """Basis of the right nullspace of a matrix over F_p."""
+    """Basis of the right nullspace of a matrix over F_p: one vector per
+    column that no row of the reduced echelon form pivots on."""
     if not rows:
         return []
-    mat, pivot_cols = _rref_modp(rows, p)
+    mat = howell(rows, p, 1)
+    pivot_cols = [next(j for j, x in enumerate(row) if x) for row in mat]
     ncols = len(rows[0])
     basis = []
     for j in range(ncols):
@@ -190,14 +170,6 @@ def nullspace_modp(rows, p: int):
             vec[pj] = (-mat[r][j]) % p
         basis.append(vec)
     return basis
-
-
-def rref_modp(rows, p: int):
-    """Reduced row echelon form over F_p, zero rows dropped."""
-    if not rows:
-        return []
-    mat, pivot_cols = _rref_modp(rows, p)
-    return mat[: len(pivot_cols)]
 
 
 def charpoly_modp(mat, p: int):

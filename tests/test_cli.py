@@ -267,13 +267,20 @@ AMALGAM_DOC = {
         ("check", {**COMPONENT_DOC, "dims": [1, True]}, "$.dims"),
         ("closed-form", {"n": 3, "a": True}, "$"),
         ("closed-form", {"n": 3, "a": 2, "dims": [1, True, 1]}, "$.dims"),
+        # values that pass the type checks but name no order or tree
+        ("tree", {**TREE_DOC, "m": 0, "r": 1}, "$"),
+        ("tree", {**TREE_DOC, "m": -3, "r": 2}, "$"),
+        ("head", {**CIRCULANT_DOC, "n": 2, "dims": [0, -1], "v": [0, 1], "depth": 0}, "$"),
+        ("check", {**COMPONENT_DOC, "ram": -5}, "$"),
+        ("check", {**CIRCULANT_DOC, "ram": 0}, "$"),
     ],
     ids=["tree-p", "tree-a", "circulant-depth", "dims-short", "dims-short-accepted",
          "dims-zero", "dims-string", "amalgam-components", "amalgam-component-type",
          "amalgam-gluings", "amalgam-gluing", "gluing-left", "gluing-right",
          "gluing-kinds", "circulant-depth-bool", "tree-p-bool", "tree-e-bool",
          "schema-version-bool", "exponent-dims-bool", "closed-form-a-bool",
-         "closed-form-dims-bool"],
+         "closed-form-dims-bool", "tree-m-zero", "tree-m-negative",
+         "circulant-dims-nonpositive", "exponent-ram-negative", "circulant-ram-zero"],
 )
 def test_malformed_field_exit_2(capsys, monkeypatch, command, doc, field):
     code, out, err = run(

@@ -117,6 +117,78 @@ def test_rref_modp_idempotent():
     assert rref_modp(r1, p) == r1
 
 
+def _rank_modp(rows, p):
+    """Rank over F_p by inserting rows one by one into a basis keyed by
+    leading column, independently of the package's elimination."""
+    basis = {}
+    for row in rows:
+        row = [x % p for x in row]
+        for j in range(len(row)):
+            if not row[j]:
+                continue
+            if j not in basis:
+                inv = pow(row[j], -1, p)
+                basis[j] = [(x * inv) % p for x in row]
+                break
+            f = row[j]
+            row = [(a - f * b) % p for a, b in zip(row, basis[j])]
+    return len(basis)
+
+
+def _entry(rng, p):
+    """A random integer entry, zero about 40% of the time."""
+    return rng.randrange(-2 * p, 2 * p) if rng.random() >= 0.4 else 0
+
+
+def _random_fp_matrices(rng):
+    """Seeded matrices over F_p with zero rows, repeated rows, the zero
+    matrix and the 1 x n and n x 1 shapes."""
+    for p in (2, 3, 5, 7):
+        shapes = [(1, 1), (1, 6), (6, 1), (3, 3), (4, 7), (7, 4)]
+        shapes += [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(40)]
+        for nrows, ncols in shapes:
+            yield p, [[0] * ncols for _ in range(nrows)]
+            for _ in range(6):
+                rows = [[_entry(rng, p) for _ in range(ncols)] for _ in range(nrows)]
+                if nrows > 1 and rng.random() < 0.5:
+                    rows[rng.randrange(nrows)] = [0] * ncols
+                if nrows > 2 and rng.random() < 0.5:
+                    # a multiple of another row, so the rank drops
+                    i, j = rng.sample(range(nrows), 2)
+                    k = rng.randrange(1, p)
+                    rows[i] = [k * x for x in rows[j]]
+                yield p, rows
+
+
+def test_rref_and_nullspace_modp_pinned_by_their_properties():
+    # these properties fix both outputs uniquely, so the test does not rely
+    # on the elimination it checks
+    for p, rows in _random_fp_matrices(random.Random(1007)):
+        ncols = len(rows[0])
+        rank = _rank_modp(rows, p)
+        rref = rref_modp(rows, p)
+        assert len(rref) == rank
+        pivots = [next(j for j, x in enumerate(row) if x) for row in rref]
+        assert pivots == sorted(set(pivots))
+        for r, (row, j) in enumerate(zip(rref, pivots)):
+            assert row[j] == 1
+            assert all(0 <= x < p for x in row)
+            assert all(other[j] == 0 for s, other in enumerate(rref) if s != r)
+        for row in rows:
+            rem = [x % p for x in row]
+            for basis_row, j in zip(rref, pivots):
+                f = rem[j]
+                rem = [(a - f * b) % p for a, b in zip(rem, basis_row)]
+            assert not any(rem)
+        free = [j for j in range(ncols) if j not in pivots]
+        ns = nullspace_modp(rows, p)
+        assert len(ns) == ncols - rank == len(free)
+        for vec, j in zip(ns, free):
+            assert all(sum(a * b for a, b in zip(row, vec)) % p == 0 for row in rows)
+            assert all(0 <= x < p for x in vec)
+            assert [vec[k] for k in free] == [int(k == j) for k in free]
+
+
 def test_charpoly_modp_known():
     # companion matrix of x^3 + 2x + 1 over F_5
     p = 5
