@@ -29,7 +29,6 @@ from .exponent import (
     fixed_point_chain,
     glued_idealizer,
     is_hereditary,
-    merge_unreduced,
     radical,
 )
 
@@ -83,6 +82,8 @@ def validate_amalgam(components, gluings, params=None) -> AmalgamBlock:
             raise ValueError("gluing depth must be nonnegative")
         if g.depth == 0:
             continue
+        if g.left == g.right:
+            raise ValueError(f"gluing joins block {g.left} to itself")
         for kind in g.kinds:
             if kind not in KINDS:
                 raise ValueError(f"unknown gluing kind {kind!r}")
@@ -155,12 +156,11 @@ def amalgam_chain(B: AmalgamBlock, max_steps: int | None = None):
 def terminal_types(terminal: AmalgamBlock) -> tuple[HereditaryType, ...]:
     """Hereditary type of each component of a chain's fixed point.
 
-    Merges isomorphic block repeats in each component and reads off the
-    hereditary shape.
+    Isomorphic block repeats share one block of the type.
     """
     types = []
     for comp in terminal.components:
-        ht = is_hereditary(merge_unreduced(comp))
+        ht = is_hereditary(comp)
         if ht is None:
             raise RuntimeError("chain fixed point is not hereditary")
         types.append(ht)

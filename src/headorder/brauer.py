@@ -18,7 +18,7 @@ from .amalgam import (
 )
 from .circulant import main2_type, simple_module_match
 from .errors import BadRotation, NotATree, NotCoprime
-from .exponent import DisjointSets, scaled_hereditary, standard_hereditary
+from .exponent import scaled_hereditary, standard_hereditary
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,31 @@ class PlanarBrauerTree:
     @property
     def n_vertices(self) -> int:
         return len(self.rotations)
+
+
+class DisjointSets:
+    """Union-find over the indices 0..n-1.
+
+    Every root is the smallest index of its class.
+    """
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(self, i: int, j: int) -> bool:
+        """Join the classes of i and j; False if they were one class already."""
+        ri, rj = self.find(i), self.find(j)
+        if ri == rj:
+            return False
+        self.parent[max(ri, rj)] = min(ri, rj)
+        return True
 
 
 def validate_tree(tree: PlanarBrauerTree) -> PlanarBrauerTree:

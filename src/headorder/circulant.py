@@ -58,6 +58,8 @@ class CirculantState:
             raise ValueError("dims must be positive")
         if self.ram < 1:
             raise ValueError("need ram >= 1")
+        if not v:
+            raise ValueError("v must be nonempty")
         if v[0] != 0:
             raise ValueError("v_0 must be 0")
         if any(v[i] > v[i + 1] for i in range(len(v) - 1)):

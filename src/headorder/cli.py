@@ -32,12 +32,9 @@ from .exponent import (
     ExponentOrder,
     glued_chain,
     is_hereditary,
-    merge_unreduced,
     radical,
     scaled_hereditary,
 )
-
-COMMANDS = ("check", "radical", "chain", "head", "closed-form", "tree", "verify", "sweep")
 
 
 def _read_input(arg):
@@ -50,7 +47,7 @@ def _read_input(arg):
 
 
 def _hereditary_doc(order: ExponentOrder):
-    ht = is_hereditary(merge_unreduced(order))
+    ht = is_hereditary(order)
     if ht is None:
         return None
     return {"blocks": ht.blocks, "grouped_dims": list(ht.grouped_dims)}
@@ -275,31 +272,33 @@ def _is_flat(value):
     return False
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="headorder",
-        description="Radical idealizer chains and head orders via exponent matrices",
-    )
-    parser.add_argument("--command", required=True, choices=COMMANDS)
-    parser.add_argument("--input", help="path to a JSON document, or - for stdin")
-    parser.add_argument("--max-steps", type=int, default=None)
-    parser.add_argument("--oracle", choices=("on", "off"), default="off")
-    parser.add_argument("--grid", help="n=<lo..hi>,a=<lo..hi> (sweep)")
-    parser.add_argument("--format", choices=("json", "pretty"), default="json")
-    args = parser.parse_args(argv)
+HANDLERS = {
+    "check": cmd_check,
+    "radical": cmd_radical,
+    "chain": cmd_chain,
+    "head": cmd_head,
+    "closed-form": cmd_closed_form,
+    "tree": cmd_tree,
+    "verify": cmd_verify,
+    "sweep": cmd_sweep,
+}
 
-    handlers = {
-        "check": cmd_check,
-        "radical": cmd_radical,
-        "chain": cmd_chain,
-        "head": cmd_head,
-        "closed-form": cmd_closed_form,
-        "tree": cmd_tree,
-        "verify": cmd_verify,
-        "sweep": cmd_sweep,
-    }
+PARSER = argparse.ArgumentParser(
+    prog="headorder",
+    description="Radical idealizer chains and head orders via exponent matrices",
+)
+PARSER.add_argument("--command", required=True, choices=HANDLERS)
+PARSER.add_argument("--input", help="path to a JSON document, or - for stdin")
+PARSER.add_argument("--max-steps", type=int, default=None)
+PARSER.add_argument("--oracle", choices=("on", "off"), default="off")
+PARSER.add_argument("--grid", help="n=<lo..hi>,a=<lo..hi> (sweep)")
+PARSER.add_argument("--format", choices=("json", "pretty"), default="json")
+
+
+def main(argv=None) -> int:
+    args = PARSER.parse_args(argv)
     try:
-        report, code = handlers[args.command](args)
+        report, code = HANDLERS[args.command](args)
     except (HeadOrderError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2

@@ -100,46 +100,16 @@ def scaled_hereditary(dims, a: int, ram: int = 1) -> ExponentOrder:
     return ExponentOrder(dims, M, ram)
 
 
-class DisjointSets:
-    """Union-find over the indices 0..n-1.
-
-    Every root is the smallest index of its class.
-    """
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> bool:
-        """Join the classes of i and j; False if they were one class already."""
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        self.parent[max(ri, rj)] = min(ri, rj)
-        return True
-
-
 def _unreduced_classes(M: Matrix) -> list[int]:
-    """Class root of each index, joining i and j when m[i][j] + m[j][i] = 0.
+    """Class root of each index: the first j with m[i][j] + m[j][i] = 0.
 
-    Such indices carry isomorphic block factors; the triangle inequality
-    forces their rows and columns to be diagonal shifts of one another.
-    Every root is the smallest index of its class.
+    Such indices carry isomorphic block factors; the triangle inequality of
+    an order forces their rows and columns to be diagonal shifts of one
+    another.  It also makes the relation transitive, since it gives
+    m_ik + m_ki <= (m_ij + m_ji) + (m_jk + m_kj) and m_ik + m_ki >= m_ii = 0.
+    So the first zero of row i of M + M^T is the smallest index of i's class.
     """
-    n = len(M)
-    sets = DisjointSets(n)
-    for i, (row, col) in enumerate(zip(M, zip(*M))):
-        if 0 in map(add, row[i + 1 :], col[i + 1 :]):
-            for j in range(i + 1, n):
-                if row[j] + col[j] == 0:
-                    sets.union(i, j)
-    return [sets.find(i) for i in range(n)]
+    return [list(map(add, row, col)).index(0) for row, col in zip(M, zip(*M))]
 
 
 def radical(order: ExponentOrder) -> ExponentIdeal:
@@ -336,35 +306,22 @@ class HereditaryType:
 def is_hereditary(order: ExponentOrder):
     """Test conjugacy to a standard block-step hereditary order.
 
-    Normalizes with t_i = m[i][0], stably sorts indices into classes and
-    checks for the 0/1 step pattern of H_k.  Returns a HereditaryType on
-    success (block count and grouped dims in class order), or None.
+    Normalizes with t_i = m[i][0] to C and lets s_i be the row sums of C:
+    the order is hereditary iff C[i][j] = 1 when s_i > s_j and 0 otherwise.
+    The blocks are then the distinct values of s in decreasing order, and
+    the grouped dims sum the dims over each value.  Members of one unreduced
+    class have equal rows and columns in C, so an unreduced order has the
+    type of merge_unreduced(order).  Returns a HereditaryType, or None.
     """
-    n = order.n
-    t = [order.M[i][0] for i in range(n)]
-    C = diag_conjugate(order, t).M
-    if any(x not in (0, 1) for row in C for x in row):
+    C = diag_conjugate(order, [row[0] for row in order.M]).M
+    s = [sum(row) for row in C]
+    if any(c != (si > sj) for row, si in zip(C, s) for c, sj in zip(row, s)):
         return None
-    # class key: number of 1s in the row, strictly decreasing along classes
-    sums = [sum(C[i]) for i in range(n)]
-    idx = sorted(range(n), key=lambda i: -sums[i])
-    classes: list[list[int]] = []
-    for i in idx:
-        if classes and sums[classes[-1][0]] == sums[i]:
-            classes[-1].append(i)
-        else:
-            classes.append([i])
-    rank = {}
-    for c, members in enumerate(classes):
-        for i in members:
-            rank[i] = c
-    for i in range(n):
-        for j in range(n):
-            expected = 1 if rank[i] < rank[j] else 0
-            if C[i][j] != expected:
-                return None
-    grouped = tuple(sum(order.dims[i] for i in members) for members in classes)
-    return HereditaryType(len(classes), grouped)
+    levels = sorted(set(s), reverse=True)
+    grouped = tuple(
+        sum(d for d, si in zip(order.dims, s) if si == level) for level in levels
+    )
+    return HereditaryType(len(levels), grouped)
 
 
 def merge_unreduced(order: ExponentOrder) -> ExponentOrder:

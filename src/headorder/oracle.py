@@ -98,28 +98,27 @@ class FiniteAlgebraModel:
     """A subring of an Ambient given by a Howell basis, with its mult table.
 
     mult[i][j] holds the coefficients of basis[i] * basis[j] in the basis,
-    exact over Z/p^K.  labels are positional names for reports.
+    exact over Z/p^K.
     """
 
     ambient: Ambient
     basis: tuple[tuple[int, ...], ...]
     mult: tuple[tuple[tuple[int, ...], ...], ...]
-    labels: tuple[str, ...]
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
 
-def build_model(ambient: Ambient, gens, labels=None) -> FiniteAlgebraModel:
+def build_model(ambient: Ambient, gens) -> FiniteAlgebraModel:
     """Close the generators into a model: Howell basis plus structure constants.
 
     Raises if the span is not multiplicatively closed or misses the unit.
     """
-    return _close_basis(ambient, howell(gens, ambient.p, ambient.K), labels)
+    return _close_basis(ambient, howell(gens, ambient.p, ambient.K))
 
 
-def _close_basis(ambient: Ambient, basis, labels=None) -> FiniteAlgebraModel:
+def _close_basis(ambient: Ambient, basis) -> FiniteAlgebraModel:
     """build_model for generators that already are a Howell basis."""
     p, K = ambient.p, ambient.K
     R = len(basis)
@@ -138,9 +137,7 @@ def _close_basis(ambient: Ambient, basis, labels=None) -> FiniteAlgebraModel:
             raise ValueError("generators do not span a closed ring")
         table[t] = tuple(coeffs)
     mult = [tuple(table[i : i + R]) for i in range(0, R * R, R)]
-    if labels is None:
-        labels = tuple(f"b{i}" for i in range(len(basis)))
-    return FiniteAlgebraModel(ambient, tuple(tuple(b) for b in basis), tuple(mult), tuple(labels))
+    return FiniteAlgebraModel(ambient, tuple(tuple(b) for b in basis), tuple(mult))
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +372,14 @@ def read_exponents(rows, ambient: Ambient, noise_floor: int):
 
 
 def spans_agree(rows_a, rows_b, ambient: Ambient, noise_floor: int) -> bool:
-    """Equality of two submodules modulo p^noise_floor * ambient."""
-    p, K = ambient.p, ambient.K
-    pad = []
-    for t in range(ambient.dim):
-        e = [0] * ambient.dim
-        e[t] = p**noise_floor
-        pad.append(e)
-    ha = howell(list(rows_a) + pad, p, K)
-    hb = howell(list(rows_b) + pad, p, K)
-    return ha == hb
+    """Equality of two submodules modulo p^noise_floor * ambient.
+
+    A + p^noise * ambient and B + p^noise * ambient are equal iff A and B
+    have one image mod p^noise, which their Howell forms over Z/p^noise
+    decide.
+    """
+    p = ambient.p
+    return howell(rows_a, p, noise_floor) == howell(rows_b, p, noise_floor)
 
 
 def certify_order(order: ExponentOrder, p: int) -> bool:

@@ -175,12 +175,15 @@ def from_document(doc, path="$"):
         except (ValueError, HeadOrderError) as exc:
             raise SchemaError(path, str(exc)) from exc
     if kind == "tree":
-        edges = _int_matrix(_need(doc, "edges", path), f"{path}.edges")
+        edges = [
+            _int_pair(e, f"{path}.edges[{i}]")
+            for i, e in enumerate(_int_matrix(_need(doc, "edges", path), f"{path}.edges"))
+        ]
         if "e" in doc and not (is_int(doc["e"]) and doc["e"] == len(edges)):
             raise SchemaError(f"{path}.e", "e must equal the number of edges")
         tree = PlanarBrauerTree(
             exceptional=_int(_need(doc, "exceptional", path), f"{path}.exceptional"),
-            edges=tuple(tuple(e) for e in edges),
+            edges=tuple(edges),
             dims=tuple(_int_list(_need(doc, "dims", path), f"{path}.dims")),
             rotations=tuple(
                 tuple(r)

@@ -229,6 +229,7 @@ COMPONENT_DOC = {
     "dims": [1, 1],
     "matrix": [[0, 2], [0, 0]],
 }
+H2_DOC = {**COMPONENT_DOC, "matrix": [[0, 1], [0, 0]]}
 GLUING = {"left": [0, 0], "right": [1, 0], "depth": 2, "kinds": ["diagonal", "diagonal"]}
 AMALGAM_DOC = {
     "schema_version": 1,
@@ -273,6 +274,14 @@ AMALGAM_DOC = {
         ("head", {**CIRCULANT_DOC, "n": 2, "dims": [0, -1], "v": [0, 1], "depth": 0}, "$"),
         ("check", {**COMPONENT_DOC, "ram": -5}, "$"),
         ("check", {**CIRCULANT_DOC, "ram": 0}, "$"),
+        ("check", {**CIRCULANT_DOC, "n": 0, "dims": [], "v": [], "depth": 0}, "$"),
+        ("tree", {**TREE_DOC, "edges": [[0, 1, 2]]}, "$.edges[0]"),
+        ("tree", {**TREE_DOC, "edges": [[0]]}, "$.edges[0]"),
+        # a gluing of a block to itself constrains nothing
+        ("head", {**AMALGAM_DOC, "gluings": [{**GLUING, "right": [0, 0]}]}, "$"),
+        ("chain", {**AMALGAM_DOC, "components": [H2_DOC], "gluings": [
+            {"left": [0, -1], "right": [0, -1], "depth": 3, "kinds": ["matrix", "matrix"]}
+        ]}, "$"),
     ],
     ids=["tree-p", "tree-a", "circulant-depth", "dims-short", "dims-short-accepted",
          "dims-zero", "dims-string", "amalgam-components", "amalgam-component-type",
@@ -280,7 +289,9 @@ AMALGAM_DOC = {
          "gluing-kinds", "circulant-depth-bool", "tree-p-bool", "tree-e-bool",
          "schema-version-bool", "exponent-dims-bool", "closed-form-a-bool",
          "closed-form-dims-bool", "tree-m-zero", "tree-m-negative",
-         "circulant-dims-nonpositive", "exponent-ram-negative", "circulant-ram-zero"],
+         "circulant-dims-nonpositive", "exponent-ram-negative", "circulant-ram-zero",
+         "circulant-empty", "tree-edge-triple", "tree-edge-single", "gluing-self-diagonal",
+         "gluing-self-whole"],
 )
 def test_malformed_field_exit_2(capsys, monkeypatch, command, doc, field):
     code, out, err = run(

@@ -1,6 +1,7 @@
 """Exponent-matrix orders: validation, radical, idealizer, chains."""
 
 import random
+from operator import add
 
 import pytest
 
@@ -9,11 +10,13 @@ from headorder.amalgam import (
     amalgam_chain,
     validate_amalgam,
 )
+from headorder.brauer import DisjointSets
 from headorder.errors import DiagonalNonzero, StepBudgetExceeded, TriangleViolation
 from headorder import exponent
 from headorder.exponent import (
     ExponentIdeal,
     ExponentOrder,
+    HereditaryType,
     diag_conjugate,
     equal_up_to_diag,
     equal_up_to_diag_and_rotation,
@@ -395,3 +398,85 @@ def test_equal_up_to_diag_and_rotation():
     P = (1, 0, 2, 3)
     swap = tuple(tuple(A[P[i]][P[j]] for j in range(n)) for i in range(n))
     assert not equal_up_to_diag_and_rotation(A, swap)
+
+
+def reference_unreduced_classes(M):
+    """The union-find class roots that _unreduced_classes replaced."""
+    n = len(M)
+    sets = DisjointSets(n)
+    for i, (row, col) in enumerate(zip(M, zip(*M))):
+        if 0 in map(add, row[i + 1 :], col[i + 1 :]):
+            for j in range(i + 1, n):
+                if row[j] + col[j] == 0:
+                    sets.union(i, j)
+    return [sets.find(i) for i in range(n)]
+
+
+def reference_is_hereditary(order):
+    """The sort-group-rank test that is_hereditary replaced."""
+    n = order.n
+    t = [order.M[i][0] for i in range(n)]
+    C = diag_conjugate(order, t).M
+    if any(x not in (0, 1) for row in C for x in row):
+        return None
+    # class key: number of 1s in the row, strictly decreasing along classes
+    sums = [sum(C[i]) for i in range(n)]
+    idx = sorted(range(n), key=lambda i: -sums[i])
+    classes: list[list[int]] = []
+    for i in idx:
+        if classes and sums[classes[-1][0]] == sums[i]:
+            classes[-1].append(i)
+        else:
+            classes.append([i])
+    rank = {}
+    for c, members in enumerate(classes):
+        for i in members:
+            rank[i] = c
+    for i in range(n):
+        for j in range(n):
+            expected = 1 if rank[i] < rank[j] else 0
+            if C[i][j] != expected:
+                return None
+    grouped = tuple(sum(order.dims[i] for i in members) for members in classes)
+    return HereditaryType(len(classes), grouped)
+
+
+def _blown_up_hereditary(rng):
+    """standard_hereditary on k blocks with repeated indices, conjugated;
+    half the time one off-diagonal entry is raised by 1.  None when that
+    breaks the triangle inequality."""
+    k = rng.randint(1, 5)
+    n = rng.randint(k, 8)
+    of = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+    rng.shuffle(of)
+    M = [[1 if of[j] > of[i] else 0 for j in range(n)] for i in range(n)]
+    if n > 1 and rng.random() < 0.5:
+        i, j = rng.sample(range(n), 2)
+        M[i][j] += 1
+    try:
+        order = validate_order(M, [rng.randint(1, 3) for _ in range(n)])
+    except TriangleViolation:
+        return None
+    return diag_conjugate(order, [rng.randint(-3, 3) for _ in range(n)])
+
+
+def test_classes_and_types_match_reference():
+    rng = random.Random(12)
+    orders = []
+    for _ in range(1500):
+        n = rng.randint(1, 8)
+        M = _random_order(rng, n).M
+        orders.append(ExponentOrder(tuple(rng.randint(1, 3) for _ in range(n)), M))
+        blown = _blown_up_hereditary(rng)
+        if blown is not None:
+            orders.append(blown)
+    hereditary = unreduced = 0
+    for order in orders:
+        assert exponent._unreduced_classes(order.M) == reference_unreduced_classes(order.M)
+        ht = is_hereditary(order)
+        assert ht == reference_is_hereditary(order)
+        assert ht == is_hereditary(merge_unreduced(order))
+        assert ht == reference_is_hereditary(merge_unreduced(order))
+        hereditary += ht is not None
+        unreduced += not order.is_reduced()
+    assert hereditary >= 300 and len(orders) - hereditary >= 300 and unreduced >= 300

@@ -788,3 +788,54 @@ def test_ambient_dim_cached_keeps_equality():
     unread = Ambient((1, 2, 6), 3, 10)
     assert read == unread and hash(read) == hash(unread)
     assert read != Ambient((1, 2, 6), 3, 11)
+
+
+def reference_spans_agree(rows_a, rows_b, ambient, noise_floor):
+    """The padded test that spans_agree replaced: both spans plus
+    p^noise_floor times every unit vector, in Howell form at K."""
+    p, K = ambient.p, ambient.K
+    pad = []
+    for t in range(ambient.dim):
+        e = [0] * ambient.dim
+        e[t] = p**noise_floor
+        pad.append(e)
+    ha = howell(list(rows_a) + pad, p, K)
+    hb = howell(list(rows_b) + pad, p, K)
+    return ha == hb
+
+
+def _span_pair(rng, dim, p, K, noise):
+    """Random rows A, and rows B with the same span mod p^noise: A's rows
+    times units plus p^noise junk, and sums of two of A's rows.  Three
+    times in four, one entry of B is then replaced."""
+    m = p**K
+    a = [
+        [rng.randrange(m) * rng.choice((1, 1, p, p * p)) % m for _ in range(dim)]
+        for _ in range(rng.randint(0, dim + 1))
+    ]
+    units = [u for u in range(1, p * p) if u % p]
+    b = []
+    for row in a:
+        u = rng.choice(units)
+        b.append([(u * x + p**noise * rng.randrange(m)) % m for x in row])
+    b += [[(x + y) % m for x, y in zip(r, s)] for r, s in zip(a, a[1:])]
+    rng.shuffle(b)
+    if b and rng.random() < 0.75:
+        rng.choice(b)[rng.randrange(dim)] = rng.randrange(m)
+    return a, b
+
+
+def test_spans_agree_matches_padded_reference():
+    rng = random.Random(12)
+    outcomes = {True: 0, False: 0}
+    for _ in range(3000):
+        sizes = rng.choice([(1,), (2,), (1, 1), (1, 2), (1, 1, 1)])
+        p = rng.choice((2, 3, 5))
+        K = rng.randint(1, 6)
+        noise = rng.randint(0, K)
+        amb = Ambient(sizes, p, K)
+        a, b = _span_pair(rng, amb.dim, p, K, noise)
+        got = spans_agree(a, b, amb, noise)
+        assert got == reference_spans_agree(a, b, amb, noise)
+        outcomes[got] += 1
+    assert min(outcomes.values()) >= 500
