@@ -11,7 +11,7 @@ reports head-order data per component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .amalgam import (
     WHOLE, AmalgamBlock, GluingConstraint, amalgam_chain, terminal_types, validate_amalgam,
@@ -49,31 +49,6 @@ class PlanarBrauerTree:
         return len(self.rotations)
 
 
-class DisjointSets:
-    """Union-find over the indices 0..n-1.
-
-    Every root is the smallest index of its class.
-    """
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> bool:
-        """Join the classes of i and j; False if they were one class already."""
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        self.parent[max(ri, rj)] = min(ri, rj)
-        return True
-
-
 def validate_tree(tree: PlanarBrauerTree) -> PlanarBrauerTree:
     e = tree.e
     nv = tree.n_vertices
@@ -86,14 +61,22 @@ def validate_tree(tree: PlanarBrauerTree) -> PlanarBrauerTree:
     if not 0 <= tree.exceptional < nv:
         raise ValueError("exceptional vertex out of range")
     incident = [set() for _ in range(nv)]
-    components = DisjointSets(nv)
+    # the vertex list of each component, shared by its vertices; a join
+    # moves the shorter list, so each vertex moves O(log e) times
+    component = [[w] for w in range(nv)]
     for i, (u, v) in enumerate(tree.edges):
         if not (0 <= u < nv and 0 <= v < nv) or u == v:
             raise NotATree(f"edge {i} = ({u},{v}) is not a proper edge")
         incident[u].add(i)
         incident[v].add(i)
-        if not components.union(u, v):
+        big, small = component[u], component[v]
+        if big is small:
             raise NotATree(f"edge {i} closes a cycle")
+        if len(big) < len(small):
+            big, small = small, big
+        big.extend(small)
+        for w in small:
+            component[w] = big
     for w in range(nv):
         if set(tree.rotations[w]) != incident[w] or len(tree.rotations[w]) != len(
             incident[w]
@@ -103,6 +86,8 @@ def validate_tree(tree: PlanarBrauerTree) -> PlanarBrauerTree:
             )
     if tree.a < 1 or tree.p < 2:
         raise ValueError("need a >= 1 and p >= 2")
+    if any(tree.p % q == 0 for q in range(2, isqrt(tree.p) + 1)):
+        raise ValueError(f"p = {tree.p} is not prime")
     # e divides p^s - p^(s-1) = p^(s-1) (p - 1) for every s >= 1 iff it
     # divides the s = 1 term p - 1
     if (tree.p - 1) % e != 0:

@@ -1,9 +1,10 @@
 """The cyclically symmetric family Lambda(v) and its closed-form chain data.
 
-A CirculantState holds the nondecreasing exponent vector v (v_0 = 0) together
-with an amalgamation depth f: the number of remaining idealizer steps before
-the diagonal congruences to other block components disappear.  The depth is
-side metadata; expansion to a full exponent matrix drops it.
+A CirculantState holds an exponent vector v (v_0 = 0) for which Lambda(v) is
+an order, together with an amalgamation depth f: the number of remaining
+idealizer steps before the diagonal congruences to other block components
+disappear.  The depth is side metadata; expansion to a full exponent matrix
+drops it.
 """
 
 from __future__ import annotations
@@ -62,8 +63,13 @@ class CirculantState:
             raise ValueError("v must be nonempty")
         if v[0] != 0:
             raise ValueError("v_0 must be 0")
-        if any(v[i] > v[i + 1] for i in range(len(v) - 1)):
-            raise ValueError("v must be nondecreasing")
+        # Lambda(v) is an order iff v_a + v_b >= w_(a+b) for b >= a, where w
+        # extends v past the wrap by w_(n+k) = v_k + v_(n-1).  b = n - 1
+        # gives v_a >= v_(a-1), so v is nondecreasing.
+        w = v + tuple(x + v[-1] for x in v)
+        if any(z > x + y for a, x in enumerate(v) for y, z in zip(v[a:], w[2 * a:])):
+            raise ValueError("Lambda(v) is not an order: need v_a + v_b >= v_(a+b), "
+                             "with v_(n+k) = v_k + v_(n-1)")
         if not 0 <= self.f <= v[-1]:
             raise ValueError("depth f must satisfy 0 <= f <= v_{n-1}")
 
@@ -292,57 +298,27 @@ def certify_cell(n: int, a: int, chain) -> bool:
     )
 
 
-def _is_cycle(sigma: dict, n: int) -> bool:
-    """True if sigma is one cycle through exactly its n labels.
-
-    The orbit of one label is walked until it leaves the labels or repeats;
-    sigma is an n-cycle iff that orbit has n labels and closes at its start.
-    """
-    start = x = next(iter(sigma), None)
-    orbit = set()
-    while x in sigma and x not in orbit:
-        orbit.add(x)
-        x = sigma[x]
-    return n > 0 and len(sigma) == len(orbit) == n and x == start
-
-
 def main2_type(n: int, a: int, dims: dict, sigma: dict, start=None) -> HereditaryType:
     """Hereditary type of the head order of one component, from arithmetic alone.
 
-    d = gcd(n, a), t = n/d, c = (a/d)^{-1} mod t; grouped dimensions are
-    D_j = sum of dims over the tau = sigma^t orbit of j, listed along
-    gamma = sigma^c starting at ``start`` (any label; the type is well
-    defined up to cyclic rotation).
+    One walk along sigma from ``start`` (any label, by default the least;
+    the type is well defined up to cyclic rotation) lists the labels in
+    cycle order, and checks that sigma is one n-cycle on exactly its n
+    labels.  The head simple module T_j restricts to the sum of the S_i
+    over fiber j of simple_module_match(n, a), so grouped dimension j is the
+    sum of dims over the labels at the positions of that fiber.
     """
-    if not _is_cycle(sigma, n):
-        raise NotACycle(f"sigma must be an n-cycle on {n} labels")
-    d = gcd(n, a)
-    t = n // d
-    c = pow(a // d, -1, t) if t > 1 else 0
-
-    def power(p, k):
-        def apply(x):
-            for _ in range(k):
-                x = p[x]
-            return x
-
-        return apply
-
-    tau = power(sigma, t)
-    gamma = power(sigma, c)
-    if start is None:
-        start = min(sigma)
-    grouped = []
-    j = start
-    for _ in range(t):
-        orbit_sum = 0
-        x = j
-        for _ in range(d):
-            orbit_sum += dims[x]
-            x = tau(x)
-        grouped.append(orbit_sum)
-        j = gamma(j)
-    return HereditaryType(t, tuple(grouped))
+    x = min(sigma, default=None) if start is None else start
+    cycle = []
+    while x in sigma and len(cycle) < len(sigma):
+        cycle.append(x)
+        x = sigma[x]
+    if not (len(sigma) == n == len(set(cycle)) > 0 and x == cycle[0]):
+        raise NotACycle(f"sigma must be an n-cycle on {n} labels, start one of them")
+    fibers = simple_module_match(n, a).values()
+    return HereditaryType(
+        len(fibers), tuple(sum(dims[cycle[i]] for i in fiber) for fiber in fibers)
+    )
 
 
 def simple_module_match(n: int, a: int) -> dict:
@@ -355,8 +331,4 @@ def simple_module_match(n: int, a: int) -> dict:
     d = gcd(n, a)
     np = n // d
     c = pow(a // d, -1, np) if np > 1 else 0
-    fibers = {}
-    for j in range(np):
-        target = (c * j) % np
-        fibers[j] = tuple(i for i in range(n) if i % np == target)
-    return fibers
+    return {j: tuple(range(c * j % np, n, np)) for j in range(np)}

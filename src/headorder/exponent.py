@@ -41,12 +41,7 @@ class ExponentOrder:
         return max(x for row in self.M for x in row)
 
     def is_reduced(self) -> bool:
-        n = self.n
-        return all(
-            self.M[i][j] + self.M[j][i] >= 1
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+        return _unreduced_classes(self.M) == list(range(self.n))
 
 
 @dataclass(frozen=True)

@@ -237,12 +237,8 @@ def oracle_radical(model: FiniteAlgebraModel):
     return howell(gens, p, K)
 
 
-def oracle_idealizer(model: FiniteAlgebraModel, jbasis, within=None):
+def oracle_idealizer(model: FiniteAlgebraModel, jbasis):
     """Howell basis of {x : x J <= J and J x <= J} in the ambient truncation.
-
-    ``within`` optionally restricts the solution to a sublattice (rows
-    spanning it), needed when the rational algebra spanned by the model is
-    smaller than the ambient; by default the whole ambient is searched.
 
     x J <= J holds iff c . (x g) = 0 for every g in J and every c in the
     annihilator of J, and likewise for g x.  Both are linear in x: with
@@ -254,8 +250,6 @@ def oracle_idealizer(model: FiniteAlgebraModel, jbasis, within=None):
     p, K = amb.p, amb.K
     ann = annihilator(jbasis, p, K)
     conds = {}
-    if within is not None:
-        conds = dict.fromkeys(map(tuple, annihilator(within, p, K)))
     for g in jbasis:
         gt = amb.transpose(g)
         for c in ann:

@@ -1,5 +1,6 @@
 """Planar trees, their permutations and the blocks they generate."""
 
+import random
 import time
 
 import pytest
@@ -66,6 +67,81 @@ def test_validate_rejects_cycle():
     )
     with pytest.raises(NotATree, match="edge 2 closes a cycle"):
         validate_tree(t)
+
+
+class DisjointSets:
+    """Union-find over the indices 0..n-1; every root is the smallest index
+    of its class.  The reference for the cycle check of validate_tree."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(self, i: int, j: int) -> bool:
+        """Join the classes of i and j; False if they were one class already."""
+        ri, rj = self.find(i), self.find(j)
+        if ri == rj:
+            return False
+        self.parent[max(ri, rj)] = min(ri, rj)
+        return True
+
+
+def reference_edge_error(edges, nv):
+    """The first NotATree message of the edge loop, found by union-find."""
+    sets = DisjointSets(nv)
+    for i, (u, v) in enumerate(edges):
+        if not (0 <= u < nv and 0 <= v < nv) or u == v:
+            return f"edge {i} = ({u},{v}) is not a proper edge"
+        if not sets.union(u, v):
+            return f"edge {i} closes a cycle"
+    return None
+
+
+def test_validate_tree_matches_union_find():
+    rng = random.Random(13)
+    # keyed by the last word of the message: "... closes a cycle", "... edge"
+    outcomes = {"ok": 0, "cycle": 0, "edge": 0}
+    for _ in range(3000):
+        nv = rng.randint(2, 12)
+        if rng.random() < 0.4:
+            # a random tree: vertex k joins an earlier one, then shuffled
+            edges = [(rng.randrange(k), k) for k in range(1, nv)]
+        else:
+            edges = [tuple(rng.sample(range(nv), 2)) for _ in range(nv - 1)]
+        rng.shuffle(edges)
+        if rng.random() < 0.1:
+            k = rng.randrange(nv - 1)
+            edges[k] = (edges[k][0], rng.choice((-1, nv, edges[k][0])))
+        e = len(edges)
+        rotations = tuple(
+            tuple(i for i, edge in enumerate(edges) if w in edge) for w in range(nv)
+        )
+        # the least prime p = 1 mod e, so that only the edges can fail
+        p = next(q for q in range(e + 1, 10**4, e) if all(q % r for r in range(2, q)))
+        tree = PlanarBrauerTree(0, tuple(edges), (1,) * e, rotations, p, 1)
+        want = reference_edge_error(edges, nv)
+        try:
+            validate_tree(tree)
+            got = None
+        except NotATree as exc:
+            got = str(exc)
+        assert got == want
+        outcomes["ok" if want is None else want.split()[-1]] += 1
+    assert min(outcomes.values()) >= 200, outcomes
+
+
+def test_validate_rejects_composite_p():
+    # squares of primes need the trial division to reach isqrt(p)
+    for p in (25, 49, 91):
+        with pytest.raises(ValueError, match=f"p = {p} is not prime"):
+            validate_tree(star(1, p, 2))
+    assert validate_tree(star(2, 97, 1)).p == 97
 
 
 def test_validate_rejects_bad_rotation():

@@ -1,6 +1,7 @@
 """Closed-form chain states for the cyclically symmetric family."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -17,13 +18,15 @@ from headorder.circulant import (
     midway_state,
     simple_module_match,
 )
-from headorder.errors import NotACycle, OutOfRange
+from headorder.errors import NotACycle, OutOfRange, TriangleViolation
 from headorder.exponent import (
+    HereditaryType,
     equal_up_to_diag_and_rotation,
     glued_chain,
     is_hereditary,
     merge_unreduced,
     scaled_hereditary,
+    validate_order,
 )
 from math import gcd
 
@@ -37,6 +40,29 @@ def test_state_validation():
         CirculantState((1, 1), (0, 1), f=2)  # depth above top value
 
 
+def test_state_accepts_exactly_the_orders():
+    # every v with v_0 = 0, n <= 5 and entries in [-1, 3]
+    accepted = 0
+    for n in range(1, 6):
+        for tail in product(range(-1, 4), repeat=n - 1):
+            v = (0,) + tail
+            M = [[v[j - i] if j >= i else v[n + j - i] - v[-1] for j in range(n)]
+                 for i in range(n)]
+            try:
+                validate_order(M, (1,) * n)
+                is_order = True
+            except TriangleViolation:
+                is_order = False
+            try:
+                CirculantState((1,) * n, v)
+                ok = True
+            except ValueError:
+                ok = False
+            assert ok == is_order, v
+            accepted += ok
+    assert accepted == 30  # of the 781 vectors
+
+
 def test_expand_shape():
     st = CirculantState((1, 1, 1), (0, 1, 2))
     M = expand(st).M
@@ -47,8 +73,6 @@ def test_expand_shape():
             want = st.v[j - i] if j >= i else st.v[3 + j - i] - st.v[-1]
             assert M[i][j] == want
     # closure holds
-    from headorder.exponent import validate_order
-
     validate_order(M, (1, 1, 1))
 
 
@@ -145,6 +169,88 @@ def test_main2_type_needs_cycle():
     # a value that is not a label
     with pytest.raises(NotACycle):
         main2_type(3, 1, {0: 1, 1: 1, 2: 1}, {0: 1, 1: 2, 2: 7})
+    # a start that is not a label
+    with pytest.raises(NotACycle):
+        main2_type(3, 1, {0: 1, 1: 1, 2: 1}, {0: 1, 1: 2, 2: 0}, start=3)
+
+
+def reference_main2_type(n, a, dims, sigma, start=None):
+    """main2_type as it was before it read the fibers: sigma^t and sigma^c
+    walked through closures, after a separate n-cycle check."""
+    x = first = next(iter(sigma), None)
+    orbit = set()
+    while x in sigma and x not in orbit:
+        orbit.add(x)
+        x = sigma[x]
+    if not (n > 0 and len(sigma) == len(orbit) == n and x == first):
+        raise NotACycle("not an n-cycle")
+    d = gcd(n, a)
+    t = n // d
+    c = pow(a // d, -1, t) if t > 1 else 0
+
+    def power(p, k):
+        def apply(x):
+            for _ in range(k):
+                x = p[x]
+            return x
+
+        return apply
+
+    tau = power(sigma, t)
+    gamma = power(sigma, c)
+    if start is None:
+        start = min(sigma)
+    grouped = []
+    j = start
+    for _ in range(t):
+        orbit_sum = 0
+        x = j
+        for _ in range(d):
+            orbit_sum += dims[x]
+            x = tau(x)
+        grouped.append(orbit_sum)
+        j = gamma(j)
+    return HereditaryType(t, tuple(grouped))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotACycle:
+        return NotACycle
+    except KeyError:
+        return KeyError
+
+
+def test_main2_type_matches_closure_reference():
+    rng = random.Random(29)
+    kinds = {"type": 0, "not-a-cycle": 0, "start-not-a-label": 0}
+    for _ in range(2000):
+        labels = rng.sample(range(20), rng.randint(0, 7))
+        if rng.random() < 0.5:
+            # an n-cycle through the labels in a shuffled order
+            order = rng.sample(labels, len(labels))
+            succ = {order[k - 1]: x for k, x in enumerate(order)}
+            images = [succ[x] for x in labels]
+        else:
+            images = rng.sample(labels, len(labels))
+        if labels and rng.random() < 0.15:
+            images[rng.randrange(len(labels))] = rng.choice((20, 21))
+        sigma = dict(zip(labels, images))
+        dims = {x: rng.randint(1, 4) for x in labels}
+        n = len(labels) + (rng.random() < 0.1)
+        a = rng.randint(0, 15)
+        for start in [None, 20] + labels:
+            want = _outcome(reference_main2_type, n, a, dims, sigma, start)
+            if want is KeyError:
+                # the closures failed on a start that is not a label
+                assert start not in sigma
+                want = NotACycle
+                kinds["start-not-a-label"] += 1
+            else:
+                kinds["type" if want is not NotACycle else "not-a-cycle"] += 1
+            assert _outcome(main2_type, n, a, dims, sigma, start) == want
+    assert min(kinds.values()) >= 500, kinds
 
 
 def test_main2_type_block_count():

@@ -61,8 +61,6 @@ def test_chain_trace_tags(tmp_path, capsys):
         # (7, 10): the last early form is also the first plateau, the
         # midway form and the head, and the first match names it
         ((0,) + (10,) * 6, 10, [None] * 7 + ["reduced-start"] + early),
-        # a non-standard start is tagged by content, not by step index
-        ((0, 0, 1), 1, [None, "early-form(m=0)"]),
     ]
     for v, f, want in cases:
         path = write_doc(tmp_path, CirculantState((1,) * len(v), v, f=f))
@@ -277,6 +275,13 @@ AMALGAM_DOC = {
         ("check", {**CIRCULANT_DOC, "n": 0, "dims": [], "v": [], "depth": 0}, "$"),
         ("tree", {**TREE_DOC, "edges": [[0, 1, 2]]}, "$.edges[0]"),
         ("tree", {**TREE_DOC, "edges": [[0]]}, "$.edges[0]"),
+        # Lambda(v) is not an order: v_1 + v_1 < v_2, or v_2 + v_1 < v_0 + v_2
+        ("check", {**CIRCULANT_DOC, "v": [0, 0, 5], "depth": 0}, "$"),
+        ("chain", {**CIRCULANT_DOC, "v": [0, 0, 1], "depth": 1}, "$"),
+        # p must be prime, even where e divides p - 1
+        ("tree", {**TREE_DOC, "edges": [[0, 1], [1, 2], [2, 3]], "dims": [1, 1, 1],
+                  "rotations": [[0], [0, 1], [1, 2], [2]], "p": 4}, "$"),
+        ("tree", {**TREE_DOC, "p": 9, "a": 2}, "$"),
         # a gluing of a block to itself constrains nothing
         ("head", {**AMALGAM_DOC, "gluings": [{**GLUING, "right": [0, 0]}]}, "$"),
         ("chain", {**AMALGAM_DOC, "components": [H2_DOC], "gluings": [
@@ -290,7 +295,9 @@ AMALGAM_DOC = {
          "schema-version-bool", "exponent-dims-bool", "closed-form-a-bool",
          "closed-form-dims-bool", "tree-m-zero", "tree-m-negative",
          "circulant-dims-nonpositive", "exponent-ram-negative", "circulant-ram-zero",
-         "circulant-empty", "tree-edge-triple", "tree-edge-single", "gluing-self-diagonal",
+         "circulant-empty", "tree-edge-triple", "tree-edge-single",
+         "circulant-not-an-order", "circulant-not-an-order-chain", "tree-p-composite-path",
+         "tree-p-prime-power", "gluing-self-diagonal",
          "gluing-self-whole"],
 )
 def test_malformed_field_exit_2(capsys, monkeypatch, command, doc, field):

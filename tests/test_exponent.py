@@ -10,7 +10,6 @@ from headorder.amalgam import (
     amalgam_chain,
     validate_amalgam,
 )
-from headorder.brauer import DisjointSets
 from headorder.errors import DiagonalNonzero, StepBudgetExceeded, TriangleViolation
 from headorder import exponent
 from headorder.exponent import (
@@ -31,6 +30,7 @@ from headorder.exponent import (
     standard_hereditary,
     validate_order,
 )
+from test_brauer import DisjointSets
 
 H3 = [[0, 1, 1], [0, 0, 1], [0, 0, 0]]
 

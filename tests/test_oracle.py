@@ -601,12 +601,16 @@ def _cyclic9_chain():
     """The oracle idealizer chain of Z_3[C_9] within the maximal order:
     every model with its radical and idealizer, up to the fixed point."""
     amb, gens0, maximal, _ = _cyclic9_group_ring()
-    noise = amb.K - 3
+    p, K = amb.p, amb.K
+    noise = K - 3
     model = build_model(amb, gens0)
     steps = []
     for _ in range(8):
         J = oracle_radical(model)
-        Id = oracle_idealizer(model, J, within=maximal)
+        # Id(J) within the maximal order: by the double annihilator over
+        # Z/p^K, right_kernel(ann(X) + ann(Y)) is the intersection of X and Y
+        Id = oracle_idealizer(model, J)
+        Id = right_kernel(annihilator(Id, p, K) + annihilator(maximal, p, K), p, K)
         steps.append((model, J, Id))
         if spans_agree(Id, model.basis, amb, noise):
             break
