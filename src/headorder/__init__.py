@@ -21,7 +21,6 @@ from .brauer import (
     derive_permutations,
     hasse_invariant,
     head_order_report,
-    validate_tree,
 )
 from .circulant import (
     CirculantState,

@@ -11,7 +11,7 @@ reports head-order data per component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
 from .amalgam import (
     WHOLE, AmalgamBlock, GluingConstraint, amalgam_chain, terminal_types, validate_amalgam,
@@ -28,7 +28,8 @@ class PlanarBrauerTree:
     edges[i] = (u, v) and dims[i] is the multiplicity attached to edge i.
     rotations[w] lists the edges at vertex w in their cyclic planar order.
     m is the index of the character field descent and galois_r the induced
-    shift, both 1 when no descent happens.
+    shift, both 1 when no descent happens.  A tree is checked once, when it
+    is made, so the functions below take it as valid.
     """
 
     exceptional: int
@@ -40,6 +41,9 @@ class PlanarBrauerTree:
     m: int = 1
     galois_r: int = 1
 
+    def __post_init__(self):
+        validate_tree(self)
+
     @property
     def e(self) -> int:
         return len(self.edges)
@@ -47,6 +51,24 @@ class PlanarBrauerTree:
     @property
     def n_vertices(self) -> int:
         return len(self.rotations)
+
+
+# Miller-Rabin to the prime bases 2..37 is exact below PSI12 (Sorenson and Webster 2015)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PSI12 = 318_665_857_834_031_151_167_461
+
+
+def is_prime(p: int) -> bool:
+    """Whether 2 <= p < PSI12 is prime."""
+    if any(p % q == 0 for q in PRIME_BASES):
+        return p in PRIME_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # 2^s exactly divides p - 1
+    for q in PRIME_BASES:
+        # a prime p has x = 1 or x^(2^k) = -1 for some k < s
+        x = pow(q, (p - 1) >> s, p)
+        if x != 1 and all(pow(x, 1 << k, p) != p - 1 for k in range(s)):
+            return False
+    return True
 
 
 def validate_tree(tree: PlanarBrauerTree) -> PlanarBrauerTree:
@@ -86,7 +108,9 @@ def validate_tree(tree: PlanarBrauerTree) -> PlanarBrauerTree:
             )
     if tree.a < 1 or tree.p < 2:
         raise ValueError("need a >= 1 and p >= 2")
-    if any(tree.p % q == 0 for q in range(2, isqrt(tree.p) + 1)):
+    if tree.p >= PSI12:
+        raise ValueError(f"p = {tree.p} is too large to test for primality")
+    if not is_prime(tree.p):
         raise ValueError(f"p = {tree.p} is not prime")
     # e divides p^s - p^(s-1) = p^(s-1) (p - 1) for every s >= 1 iff it
     # divides the s = 1 term p - 1
@@ -124,7 +148,6 @@ def derive_permutations(tree: PlanarBrauerTree):
     vertex's cycle, then one cycle per non-exceptional vertex in vertex
     order.
     """
-    validate_tree(tree)
     dist = _distances(tree)
     delta = {}
     rho = {}
@@ -157,7 +180,6 @@ def build_block(tree: PlanarBrauerTree) -> AmalgamBlock:
     a; on the exceptional side the congruence runs through the last (most
     ramified) stack component and carries no entrywise bound there.
     """
-    validate_tree(tree)
     p, a, e = tree.p, tree.a, tree.e
     exc_cycle = tree.rotations[tree.exceptional]
     exc_dims = tuple(tree.dims[i] for i in exc_cycle)

@@ -21,22 +21,6 @@ from .exponent import (
     equal_up_to_diag_and_rotation,
 )
 
-__all__ = [
-    "CirculantState",
-    "expand",
-    "initial_reduction",
-    "anfang_state",
-    "defm1_state",
-    "midway_state",
-    "head_order_w",
-    "head_order_f",
-    "Checkpoint",
-    "chain_checkpoints",
-    "certify_cell",
-    "main2_type",
-    "simple_module_match",
-]
-
 
 @dataclass(frozen=True)
 class CirculantState:

@@ -244,32 +244,23 @@ def cmd_sweep(args):
 
 
 def _render_pretty(doc, indent=0):
+    """One line per item of a dict or list, headed "key:" or "-"; a nonempty
+    dict, or a list holding a dict or list, goes on the lines below."""
     pad = "  " * indent
-    lines = []
     if isinstance(doc, dict):
-        for key in sorted(doc):
-            value = doc[key]
-            if isinstance(value, (dict, list)) and value and not _is_flat(value):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_pretty(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {json.dumps(value, sort_keys=True)}")
-    elif isinstance(doc, list):
-        for item in doc:
-            if isinstance(item, (dict, list)) and item and not _is_flat(item):
-                lines.append(f"{pad}-")
-                lines.extend(_render_pretty(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {json.dumps(item, sort_keys=True)}")
+        items = [(f"{key}:", doc[key]) for key in sorted(doc)]
     else:
-        lines.append(f"{pad}{json.dumps(doc, sort_keys=True)}")
+        items = [("-", item) for item in doc]
+    lines = []
+    for head, value in items:
+        if isinstance(value, dict) and value or isinstance(value, list) and any(
+            isinstance(x, (dict, list)) for x in value
+        ):
+            lines.append(f"{pad}{head}")
+            lines.extend(_render_pretty(value, indent + 1))
+        else:
+            lines.append(f"{pad}{head} {json.dumps(value, sort_keys=True)}")
     return lines if indent else "\n".join(lines)
-
-
-def _is_flat(value):
-    if isinstance(value, list):
-        return all(not isinstance(x, (dict, list)) for x in value)
-    return False
 
 
 HANDLERS = {

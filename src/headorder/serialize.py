@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .amalgam import AmalgamBlock, GluingConstraint, validate_amalgam
-from .brauer import PlanarBrauerTree, validate_tree
+from .brauer import PlanarBrauerTree
 from .circulant import CirculantState
 from .errors import HeadOrderError, SchemaError
 from .exponent import ExponentOrder, validate_order
@@ -126,78 +126,71 @@ def from_document(doc, path="$"):
     if not is_int(version) or version != SCHEMA_VERSION:
         raise SchemaError(f"{path}.schema_version", f"unsupported version {version}")
     kind = _need(doc, "type", path)
-    if kind == "exponent":
-        dims = _int_list(_need(doc, "dims", path), f"{path}.dims")
-        matrix = _int_matrix(_need(doc, "matrix", path), f"{path}.matrix")
-        ram = _int(doc.get("ram", 1), f"{path}.ram")
-        try:
+    # a field check names its own path, a constructor's error the document's
+    try:
+        if kind == "exponent":
+            dims = _int_list(_need(doc, "dims", path), f"{path}.dims")
+            matrix = _int_matrix(_need(doc, "matrix", path), f"{path}.matrix")
+            ram = _int(doc.get("ram", 1), f"{path}.ram")
             return validate_order(matrix, dims, ram=ram)
-        except (ValueError, HeadOrderError) as exc:
-            raise SchemaError(path, str(exc)) from exc
-    if kind == "circulant":
-        dims = _int_list(_need(doc, "dims", path), f"{path}.dims")
-        v = _int_list(_need(doc, "v", path), f"{path}.v")
-        n = _int(_need(doc, "n", path), f"{path}.n")
-        if n != len(v):
-            raise SchemaError(f"{path}.n", "n must equal len(v)")
-        depth = _int(doc.get("depth", 0), f"{path}.depth")
-        ram = _int(doc.get("ram", 1), f"{path}.ram")
-        try:
+        if kind == "circulant":
+            dims = _int_list(_need(doc, "dims", path), f"{path}.dims")
+            v = _int_list(_need(doc, "v", path), f"{path}.v")
+            n = _int(_need(doc, "n", path), f"{path}.n")
+            if n != len(v):
+                raise SchemaError(f"{path}.n", "n must equal len(v)")
+            depth = _int(doc.get("depth", 0), f"{path}.depth")
+            ram = _int(doc.get("ram", 1), f"{path}.ram")
             return CirculantState(tuple(dims), tuple(v), f=depth, ram=ram)
-        except (ValueError, HeadOrderError) as exc:
-            raise SchemaError(path, str(exc)) from exc
-    if kind == "amalgam":
-        comps = []
-        for i, c in enumerate(_list(_need(doc, "components", path), f"{path}.components")):
-            cpath = f"{path}.components[{i}]"
-            comp = from_document(c, cpath)
-            if not isinstance(comp, ExponentOrder):
-                raise SchemaError(cpath, "expected an exponent document")
-            comps.append(comp)
-        gluings = []
-        for i, g in enumerate(_list(_need(doc, "gluings", path), f"{path}.gluings")):
-            gpath = f"{path}.gluings[{i}]"
-            if not isinstance(g, dict):
-                raise SchemaError(gpath, "expected an object")
-            gluings.append(
-                GluingConstraint(
-                    _int_pair(_need(g, "left", gpath), f"{gpath}.left"),
-                    _int_pair(_need(g, "right", gpath), f"{gpath}.right"),
-                    _int(_need(g, "depth", gpath), f"{gpath}.depth"),
-                    _str_pair(g.get("kinds", ["diagonal", "diagonal"]), f"{gpath}.kinds"),
+        if kind == "amalgam":
+            comps = []
+            for i, c in enumerate(_list(_need(doc, "components", path), f"{path}.components")):
+                cpath = f"{path}.components[{i}]"
+                comp = from_document(c, cpath)
+                if not isinstance(comp, ExponentOrder):
+                    raise SchemaError(cpath, "expected an exponent document")
+                comps.append(comp)
+            gluings = []
+            for i, g in enumerate(_list(_need(doc, "gluings", path), f"{path}.gluings")):
+                gpath = f"{path}.gluings[{i}]"
+                if not isinstance(g, dict):
+                    raise SchemaError(gpath, "expected an object")
+                gluings.append(
+                    GluingConstraint(
+                        _int_pair(_need(g, "left", gpath), f"{gpath}.left"),
+                        _int_pair(_need(g, "right", gpath), f"{gpath}.right"),
+                        _int(_need(g, "depth", gpath), f"{gpath}.depth"),
+                        _str_pair(g.get("kinds", ["diagonal", "diagonal"]), f"{gpath}.kinds"),
+                    )
                 )
+            params = (
+                tuple(_int_list(doc["params"], f"{path}.params")) if "params" in doc else None
             )
-        params = (
-            tuple(_int_list(doc["params"], f"{path}.params")) if "params" in doc else None
-        )
-        try:
             return validate_amalgam(comps, gluings, params)
-        except (ValueError, HeadOrderError) as exc:
-            raise SchemaError(path, str(exc)) from exc
-    if kind == "tree":
-        edges = [
-            _int_pair(e, f"{path}.edges[{i}]")
-            for i, e in enumerate(_int_matrix(_need(doc, "edges", path), f"{path}.edges"))
-        ]
-        if "e" in doc and not (is_int(doc["e"]) and doc["e"] == len(edges)):
-            raise SchemaError(f"{path}.e", "e must equal the number of edges")
-        tree = PlanarBrauerTree(
-            exceptional=_int(_need(doc, "exceptional", path), f"{path}.exceptional"),
-            edges=tuple(edges),
-            dims=tuple(_int_list(_need(doc, "dims", path), f"{path}.dims")),
-            rotations=tuple(
-                tuple(r)
-                for r in _int_matrix(_need(doc, "rotations", path), f"{path}.rotations")
-            ),
-            p=_int(_need(doc, "p", path), f"{path}.p"),
-            a=_int(_need(doc, "a", path), f"{path}.a"),
-            m=_int(doc.get("m", 1), f"{path}.m"),
-            galois_r=_int(doc.get("r", 1), f"{path}.r"),
-        )
-        try:
-            return validate_tree(tree)
-        except (ValueError, HeadOrderError) as exc:
-            raise SchemaError(path, str(exc)) from exc
+        if kind == "tree":
+            edges = [
+                _int_pair(e, f"{path}.edges[{i}]")
+                for i, e in enumerate(_int_matrix(_need(doc, "edges", path), f"{path}.edges"))
+            ]
+            if "e" in doc and not (is_int(doc["e"]) and doc["e"] == len(edges)):
+                raise SchemaError(f"{path}.e", "e must equal the number of edges")
+            return PlanarBrauerTree(
+                exceptional=_int(_need(doc, "exceptional", path), f"{path}.exceptional"),
+                edges=tuple(edges),
+                dims=tuple(_int_list(_need(doc, "dims", path), f"{path}.dims")),
+                rotations=tuple(
+                    tuple(r)
+                    for r in _int_matrix(_need(doc, "rotations", path), f"{path}.rotations")
+                ),
+                p=_int(_need(doc, "p", path), f"{path}.p"),
+                a=_int(_need(doc, "a", path), f"{path}.a"),
+                m=_int(doc.get("m", 1), f"{path}.m"),
+                galois_r=_int(doc.get("r", 1), f"{path}.r"),
+            )
+    except SchemaError:
+        raise
+    except (ValueError, HeadOrderError) as exc:
+        raise SchemaError(path, str(exc)) from exc
     raise SchemaError(f"{path}.type", f"unknown type {kind!r}")
 
 

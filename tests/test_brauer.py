@@ -2,16 +2,19 @@
 
 import random
 import time
+from math import isqrt
 
 import pytest
 
 from headorder.amalgam import WHOLE, amalgam_chain
 from headorder.brauer import (
+    PSI12,
     PlanarBrauerTree,
     build_block,
     derive_permutations,
     hasse_invariant,
     head_order_report,
+    is_prime,
     nonexceptional_vertices,
     validate_tree,
 )
@@ -45,28 +48,26 @@ def path3(p, a, exceptional=0):
 
 
 def test_validate_rejects_cycle():
-    t = PlanarBrauerTree(
-        exceptional=0,
-        edges=((0, 1), (1, 2), (2, 0)),
-        dims=(1, 1, 1),
-        rotations=((0, 2), (0, 1), (1, 2)),
-        p=7,
-        a=1,
-    )
     with pytest.raises(NotATree):
-        validate_tree(t)
+        PlanarBrauerTree(
+            exceptional=0,
+            edges=((0, 1), (1, 2), (2, 0)),
+            dims=(1, 1, 1),
+            rotations=((0, 2), (0, 1), (1, 2)),
+            p=7,
+            a=1,
+        )
     # four vertices and three edges, but the edges close a cycle and leave
     # vertex 3 isolated
-    t = PlanarBrauerTree(
-        exceptional=0,
-        edges=((0, 1), (1, 2), (2, 0)),
-        dims=(1, 1, 1),
-        rotations=((0, 2), (0, 1), (1, 2), ()),
-        p=7,
-        a=1,
-    )
     with pytest.raises(NotATree, match="edge 2 closes a cycle"):
-        validate_tree(t)
+        PlanarBrauerTree(
+            exceptional=0,
+            edges=((0, 1), (1, 2), (2, 0)),
+            dims=(1, 1, 1),
+            rotations=((0, 2), (0, 1), (1, 2), ()),
+            p=7,
+            a=1,
+        )
 
 
 class DisjointSets:
@@ -124,10 +125,9 @@ def test_validate_tree_matches_union_find():
         )
         # the least prime p = 1 mod e, so that only the edges can fail
         p = next(q for q in range(e + 1, 10**4, e) if all(q % r for r in range(2, q)))
-        tree = PlanarBrauerTree(0, tuple(edges), (1,) * e, rotations, p, 1)
         want = reference_edge_error(edges, nv)
         try:
-            validate_tree(tree)
+            PlanarBrauerTree(0, tuple(edges), (1,) * e, rotations, p, 1)
             got = None
         except NotATree as exc:
             got = str(exc)
@@ -144,18 +144,42 @@ def test_validate_rejects_composite_p():
     assert validate_tree(star(2, 97, 1)).p == 97
 
 
+def test_is_prime_matches_trial_division():
+    def trial_division(p):
+        return all(p % q for q in range(2, isqrt(p) + 1))
+
+    assert all(is_prime(p) == trial_division(p) for p in range(2, 10**5))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # Carmichael numbers, then the least strong pseudoprimes to the bases
+    # 2..7, 2..11, 2..13, 2..17 and 2..31
+    for n in (561, 41041, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051):
+        assert not is_prime(n), n
+
+
+def test_validate_rejects_p_beyond_exact_bases():
+    # psi_12 is the least strong pseudoprime to all twelve bases 2..37
+    assert PSI12 == 399_165_290_221 * 798_330_580_441
+    with pytest.raises(ValueError) as exc:
+        star(1, PSI12, 1)
+    assert str(exc.value) == f"p = {PSI12} is too large to test for primality"
+    assert star(1, 10**14 + 31, 1).p == 10**14 + 31
+    assert star(2, 2**61 - 1, 1).p == 2**61 - 1
+
+
 def test_validate_rejects_bad_rotation():
     t = star(2, 3, 1)
-    bad = PlanarBrauerTree(
-        exceptional=0,
-        edges=t.edges,
-        dims=t.dims,
-        rotations=((0, 0), (0,), (1,)),
-        p=3,
-        a=1,
-    )
     with pytest.raises(BadRotation):
-        validate_tree(bad)
+        PlanarBrauerTree(
+            exceptional=0,
+            edges=t.edges,
+            dims=t.dims,
+            rotations=((0, 0), (0,), (1,)),
+            p=3,
+            a=1,
+        )
 
 
 def test_validate_rejects_nondividing_e():
@@ -175,18 +199,17 @@ def test_validate_large_a_is_constant_time():
 
 def test_validate_rejects_noncoprime_descent():
     t = star(2, 3, 1)
-    bad = PlanarBrauerTree(
-        exceptional=0,
-        edges=t.edges,
-        dims=t.dims,
-        rotations=t.rotations,
-        p=3,
-        a=1,
-        m=4,
-        galois_r=2,
-    )
     with pytest.raises(NotCoprime):
-        validate_tree(bad)
+        PlanarBrauerTree(
+            exceptional=0,
+            edges=t.edges,
+            dims=t.dims,
+            rotations=t.rotations,
+            p=3,
+            a=1,
+            m=4,
+            galois_r=2,
+        )
 
 
 def test_permutations_star():
@@ -263,14 +286,17 @@ def test_report_validates_tree_once(monkeypatch):
     monkeypatch.setattr(
         brauer, "validate_tree", lambda t: calls.append(t) or checked(t)
     )
-    head_order_report(path3(7, 1, exceptional=1))
-    assert len(calls) == 1
-    # the public entry points still validate on their own
-    t = star(2, 3, 1)
-    bad = PlanarBrauerTree(t.exceptional, t.edges, t.dims, ((1, 1),) + t.rotations[1:], 3, 1)
-    for fn in (derive_permutations, build_block, head_order_report):
-        with pytest.raises(BadRotation):
-            fn(bad)
+    # a tree is checked once, when it is made, and never again
+    t = path3(7, 1, exceptional=1)
+    assert calls == [t]
+    head_order_report(t)
+    derive_permutations(t)
+    build_block(t)
+    assert calls == [t]
+    # so no invalid tree reaches the functions that take one
+    with pytest.raises(BadRotation):
+        PlanarBrauerTree(t.exceptional, t.edges, t.dims, ((1, 1),) + t.rotations[1:], 7, 1)
+    assert len(calls) == 2
 
 
 def test_report_hasse_field():

@@ -150,6 +150,20 @@ def test_sweep_grid(capsys):
     assert report["disagreements"] == []
 
 
+def test_sweep_disagreement_exit_1(capsys, monkeypatch):
+    import headorder.cli as cli
+
+    certify = cli.certify_cell
+    monkeypatch.setattr(
+        cli, "certify_cell", lambda n, a, chain: (n, a) != (3, 2) and certify(n, a, chain)
+    )
+    code, out, _ = run(capsys, ["--command", "sweep", "--grid", "n=2..4,a=1..3"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["disagreements"] == [{"n": 3, "a": 2}]
+    assert (report["cells"], report["agree"]) == (9, False)
+
+
 def test_sweep_requires_grid(capsys):
     code, _, err = run(capsys, ["--command", "sweep"])
     assert code == 2
@@ -287,6 +301,18 @@ AMALGAM_DOC = {
         ("chain", {**AMALGAM_DOC, "components": [H2_DOC], "gluings": [
             {"left": [0, -1], "right": [0, -1], "depth": 3, "kinds": ["matrix", "matrix"]}
         ]}, "$"),
+        ("check", {**AMALGAM_DOC, "gluings": [{**GLUING, "depth": -1}]}, "$"),
+        ("check", {**AMALGAM_DOC, "gluings": [{**GLUING, "kinds": ["diagonal", "x"]}]}, "$"),
+        ("tree", {**TREE_DOC, "exceptional": 2}, "$"),
+        ("tree", {**TREE_DOC, "a": 0}, "$"),
+        # p at or above psi_12 passes Miller-Rabin to every base 2..37
+        ("tree", {**TREE_DOC, "p": 318_665_857_834_031_151_167_461}, "$"),
+        # a well-formed document of a type the command does not take
+        ("chain", TREE_DOC, "$"),
+        ("radical", AMALGAM_DOC, "$"),
+        ("tree", COMPONENT_DOC, "$"),
+        # None: the command is run without --input
+        ("check", None, "$"),
     ],
     ids=["tree-p", "tree-a", "circulant-depth", "dims-short", "dims-short-accepted",
          "dims-zero", "dims-string", "amalgam-components", "amalgam-component-type",
@@ -298,12 +324,14 @@ AMALGAM_DOC = {
          "circulant-empty", "tree-edge-triple", "tree-edge-single",
          "circulant-not-an-order", "circulant-not-an-order-chain", "tree-p-composite-path",
          "tree-p-prime-power", "gluing-self-diagonal",
-         "gluing-self-whole"],
+         "gluing-self-whole", "gluing-depth-negative", "gluing-kind-unknown",
+         "tree-exceptional-range", "tree-a-zero", "tree-p-psi12", "chain-on-tree",
+         "radical-on-amalgam", "tree-on-exponent", "no-input"],
 )
 def test_malformed_field_exit_2(capsys, monkeypatch, command, doc, field):
     code, out, err = run(
         capsys,
-        ["--command", command, "--input", "-"],
+        ["--command", command] + ([] if doc is None else ["--input", "-"]),
         stdin=json.dumps(doc),
         monkeypatch=monkeypatch,
     )
@@ -377,6 +405,81 @@ def test_pretty_format(tmp_path, capsys):
     assert "valid: true" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+PRETTY_TREE = """\
+chain_length: 1
+components:
+  -
+    blocks: 1
+    component: 0
+    exceptional: true
+    grouped_dims: [1]
+  -
+    blocks: 2
+    component: 1
+    exceptional: false
+    grouped_dims: [1, 2]
+    predicted_blocks: 2
+    predicted_dims: [1, 2]
+    simple_fibers:
+      0: [0]
+      1: [1]
+  -
+    blocks: 1
+    component: 2
+    exceptional: false
+    grouped_dims: [2]
+    predicted_blocks: 1
+    predicted_dims: [2]
+    simple_fibers:
+      0: [0]
+hasse:
+  m: 2
+  t: 1
+"""
+PRETTY_CLOSED_FORM = """\
+a: 2
+b: 2
+head_matrix:
+  - [0, 1, 2]
+  - [0, 0, 1]
+  - [-1, 0, 0]
+head_v: [0, 1, 2]
+n: 3
+simple_fibers:
+  0: [0]
+  1: [2]
+  2: [1]
+"""
+
+
+@pytest.mark.parametrize(
+    "command, doc, want",
+    [
+        # a list of dicts, dicts nested in those, and a top-level dict
+        ("tree", {**TREE_DOC, "edges": [[0, 1], [1, 2]], "dims": [1, 2],
+                  "rotations": [[0], [0, 1], [1]], "m": 2}, PRETTY_TREE),
+        # a list of lists
+        ("closed-form", {"n": 3, "a": 2}, PRETTY_CLOSED_FORM),
+        ("closed-form", {"n": 3, "a": 6}, 'a: 6\nb: 0\nhead_matrix: null\nn: 3\n'
+         'note: "a is a multiple of n: the head order is maximal"\n'),
+        ("closed-form", {"n": 3, "a": 4, "dims": [1, 2, 3]}, "a: 4\nb: 1\nhead_matrix:\n"
+         "  - [0, 1, 1]\n  - [0, 0, 1]\n  - [0, 0, 0]\nn: 3\nsimple_fibers:\n"
+         "  0: [0]\n  1: [1]\n  2: [2]\n"),
+        ("check", CIRCULANT_DOC, 'hereditary: null\ninput_type: "CirculantState"\n'
+         "reduced: true\nvalid: true\n"),
+    ],
+    ids=["tree", "closed-form", "closed-form-maximal", "closed-form-dims", "check-circulant"],
+)
+def test_pretty_nested_reports(capsys, monkeypatch, command, doc, want):
+    code, out, err = run(
+        capsys,
+        ["--command", command, "--input", "-", "--format", "pretty"],
+        stdin=json.dumps(doc),
+        monkeypatch=monkeypatch,
+    )
+    assert (code, out, err) == (0, want, "")
 
 
 def test_max_steps_flag(tmp_path, capsys):
