@@ -289,6 +289,8 @@ PARSER.add_argument("--format", choices=("json", "pretty"), default="json")
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
+        if args.max_steps is not None and args.max_steps < 0:
+            raise SchemaError("--max-steps", "need an integer >= 0")
         report, code = HANDLERS[args.command](args)
     except (HeadOrderError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)

@@ -8,9 +8,9 @@ vector is carried along but never influences the exponent computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
-from operator import add, neg, sub
+from operator import add, indexOf, neg, sub
 
 from .errors import DiagonalNonzero, StepBudgetExceeded, TriangleViolation
 
@@ -44,11 +44,22 @@ class ExponentOrder:
         return _unreduced_classes(self.M) == list(range(self.n))
 
 
+# ExponentIdeal.shift of an ideal whose rotation symmetry is not yet known
+_UNCHECKED = object()
+
+
 @dataclass(frozen=True)
 class ExponentIdeal:
-    """Exponent matrix of a full two-sided ideal inside an ExponentOrder."""
+    """Exponent matrix of a full two-sided ideal inside an ExponentOrder.
+
+    ``shift`` is the rotation shift of N (see _rotation_shift) when it is
+    already known: glued_chain sets the one its states inherit from the
+    start on each step's ideal.  Any other ideal is checked when an
+    idealizer needs it.
+    """
 
     N: Matrix
+    shift: object = field(default=_UNCHECKED, init=False, repr=False, compare=False)
 
 
 def validate_order(M, dims, ram: int = 1) -> ExponentOrder:
@@ -102,9 +113,10 @@ def _unreduced_classes(M: Matrix) -> list[int]:
     an order forces their rows and columns to be diagonal shifts of one
     another.  It also makes the relation transitive, since it gives
     m_ik + m_ki <= (m_ij + m_ji) + (m_jk + m_kj) and m_ik + m_ki >= m_ii = 0.
-    So the first zero of row i of M + M^T is the smallest index of i's class.
+    So the first zero of row i of M + M^T is the smallest index of i's class,
+    and the search of each row stops there.
     """
-    return [list(map(add, row, col)).index(0) for row, col in zip(M, zip(*M))]
+    return [indexOf(map(add, row, col), 0) for row, col in zip(M, zip(*M))]
 
 
 def radical(order: ExponentOrder) -> ExponentIdeal:
@@ -114,12 +126,21 @@ def radical(order: ExponentOrder) -> ExponentIdeal:
     the semisimple quotient, so the radical raises exponents by one on the
     whole class block; on a reduced order that is just the diagonal.
     """
-    root = _unreduced_classes(order.M)
+    M = order.M
+    root = _unreduced_classes(M)
+    if root == list(range(len(M))):
+        # reduced: every class is one index, only the diagonal rises
+        N = []
+        for i, row in enumerate(M):
+            row = list(row)
+            row[i] += 1
+            N.append(tuple(row))
+        return ExponentIdeal(tuple(N))
     members = {}
     for j, r in enumerate(root):
         members.setdefault(r, []).append(j)
     N = []
-    for row, r in zip(order.M, root):
+    for row, r in zip(M, root):
         row = list(row)
         for j in members[r]:
             row[j] += 1
@@ -151,26 +172,41 @@ def _rotation_shift(N: Matrix) -> tuple[int, ...] | None:
     return s
 
 
-def _idealizer_matrix(N: Matrix, depths: list[int]) -> Matrix:
+def _idealizer_matrix(ideal: ExponentIdeal, depths: list[int]) -> Matrix:
     """Exponent matrix of the glued idealizer of N (see glued_idealizer).
 
     G[i][j] = max_k (A_i[k] - A_j[k]), A_i being N[i] followed by minus
     column i of N, raised off the diagonal to max(d_i, d_j) - N[j][i].  When
-    N is rotation-symmetric (_rotation_shift) and every depth is equal, so
-    is G with the same shift s: row 0 is computed and every further row is
-    the previous one rotated and shifted.
+    N is rotation-symmetric (ideal.shift) and every depth is equal, so is G
+    with the same shift s: row 0 is computed from the rows and columns of N
+    and every further row is the previous one rotated and shifted.
     """
+    N = ideal.N
     n = len(N)
     if n <= 1:
         return ((0,),) * n  # at most one block: G is the zero diagonal
+    s = None
+    if depths.count(depths[0]) == n:
+        s = ideal.shift
+        if s is _UNCHECKED:
+            s = _rotation_shift(N)
     cols = list(zip(*N))
-    A = [row + tuple(map(neg, col)) for row, col in zip(N, cols)]
-    s = _rotation_shift(N) if depths.count(depths[0]) == n else None
+    if s is None:
+        A = [row + tuple(map(neg, col)) for row, col in zip(N, cols)]
+        rows = ([max(map(sub, Ai, Aj)) for Aj in A] for Ai in A)
+    else:
+        # the left maximum runs over N[0] - N[j], the right one over
+        # column j minus column 0
+        row0, col0 = N[0], cols[0]
+        rows = [
+            [
+                max(max(map(sub, row0, Nj)), max(map(sub, colj, col0)))
+                for Nj, colj in zip(N, cols)
+            ]
+        ]
     glued = any(depths)
     G = []
-    for i in range(n if s is None else 1):
-        Ai = A[i]
-        row = [max(map(sub, Ai, Aj)) for Aj in A]
+    for i, row in enumerate(rows):
         if glued:
             # max(d_i, d_j) - N[j][i] is the larger of d_i - N[j][i] and
             # d_j - N[j][i]; column i of N holds N[j][i]
@@ -202,11 +238,12 @@ def idealizer(order: ExponentOrder, ideal: ExponentIdeal) -> ExponentOrder:
     Equivariance: when N[i+1][j+1] = N[i][j] - s[i] + s[j] for all i, j
     (indices mod n), as on every state of the Lambda(v) chains, reindexing
     k -> k+1 in either maximum gives G[i+1][j+1] = G[i][j] - s[i] + s[j]
-    with the same s.  That condition is checked exactly on N, so row 0
-    determines G and the rest is filled in O(n^2) by exact integer shifts;
-    on any other N every row is computed.
+    with the same s.  That condition is checked exactly on N, unless the
+    ideal already carries its shift, so row 0 determines G and the rest is
+    filled in O(n^2) by exact integer shifts; on any other N every row is
+    computed.
     """
-    G = _idealizer_matrix(ideal.N, [0] * order.n)
+    G = _idealizer_matrix(ideal, [0] * order.n)
     return ExponentOrder(order.dims, G, order.ram)
 
 
@@ -225,34 +262,34 @@ def glued_idealizer(order: ExponentOrder, ideal: ExponentIdeal, depths) -> Expon
     depths = [int(x) for x in depths]
     if len(depths) != order.n:
         raise ValueError("depths must have length n")
-    G = _idealizer_matrix(ideal.N, depths)
+    G = _idealizer_matrix(ideal, depths)
     return ExponentOrder(order.dims, G, order.ram)
 
 
 def fixed_point_chain(step, start, max_steps: int):
     """[start, step(start), ...] up to the first state that step leaves equal.
 
-    Raises StepBudgetExceeded if no fixed point is reached within max_steps
-    applications of step.
+    max_steps bounds the moves, len(chain) - 1: the application of step that
+    only confirms the fixed point is not counted, so a start that already is
+    its fixed point passes with max_steps = 0.  Raises StepBudgetExceeded if
+    the chain would need more moves.
     """
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     chain = [start]
     current = start
-    for _ in range(max_steps):
+    while True:
         nxt = step(current)
         if nxt == current:
             return chain
+        if len(chain) > max_steps:
+            raise StepBudgetExceeded(max_steps)
         chain.append(nxt)
         current = nxt
-    raise StepBudgetExceeded(max_steps)
 
 
 def default_step_budget(order: ExponentOrder) -> int:
     return 10 * (order.n + max(order.max_entry(), 1))
-
-
-def _glued_step(state):
-    order, f = state
-    return glued_idealizer(order, radical(order), [f] * order.n), max(f - 1, 0)
 
 
 def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
@@ -261,10 +298,29 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
     Every diagonal block is glued at the same depth, which drops by one per
     step.  Returns the list of (order, depth) pairs from the start to the
     first exponent-and-depth fixed point.
+
+    The rotation symmetry of _rotation_shift is checked once, on the start,
+    and every state inherits it.  If M[i+1][j+1] = M[i][j] - s[i] + s[j],
+    then m_ij + m_ji is invariant under i -> i+1 (the s terms cancel), so
+    rotation maps the unreduced classes onto each other and the radical, M
+    plus the class indicator, has the same shift s.  By the equivariance of
+    idealizer, the uniform-depth idealizer of the radical has shift s too,
+    and by induction so has every state.  Each step's ideal carries s, so
+    its row fill runs with no check on N.  A start without the
+    symmetry runs the general path on every step, also on states that
+    happen to be symmetric later; both paths give the same matrix.
     """
     if max_steps is None:
         max_steps = default_step_budget(order) + depth
-    return fixed_point_chain(_glued_step, (order, depth), max_steps)
+    s = _rotation_shift(order.M)
+
+    def step(state):
+        current, f = state
+        ideal = radical(current)
+        object.__setattr__(ideal, "shift", s)
+        return glued_idealizer(current, ideal, [f] * current.n), max(f - 1, 0)
+
+    return fixed_point_chain(step, (order, depth), max_steps)
 
 
 def idealizer_chain(order: ExponentOrder, max_steps: int | None = None):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import headorder
 from headorder.cli import main
 from headorder.serialize import dumps
-from headorder.exponent import scaled_hereditary, standard_hereditary
+from headorder.exponent import scaled_hereditary, standard_hereditary, validate_order
 from headorder.circulant import CirculantState
 
 
@@ -313,6 +313,8 @@ AMALGAM_DOC = {
         ("tree", COMPONENT_DOC, "$"),
         # None: the command is run without --input
         ("check", None, "$"),
+        # a flag after the command name: a negative step budget
+        ("head --max-steps -1", H2_DOC, "--max-steps"),
     ],
     ids=["tree-p", "tree-a", "circulant-depth", "dims-short", "dims-short-accepted",
          "dims-zero", "dims-string", "amalgam-components", "amalgam-component-type",
@@ -326,12 +328,12 @@ AMALGAM_DOC = {
          "tree-p-prime-power", "gluing-self-diagonal",
          "gluing-self-whole", "gluing-depth-negative", "gluing-kind-unknown",
          "tree-exceptional-range", "tree-a-zero", "tree-p-psi12", "chain-on-tree",
-         "radical-on-amalgam", "tree-on-exponent", "no-input"],
+         "radical-on-amalgam", "tree-on-exponent", "no-input", "max-steps-negative"],
 )
 def test_malformed_field_exit_2(capsys, monkeypatch, command, doc, field):
     code, out, err = run(
         capsys,
-        ["--command", command] + ([] if doc is None else ["--input", "-"]),
+        ["--command", *command.split()] + ([] if doc is None else ["--input", "-"]),
         stdin=json.dumps(doc),
         monkeypatch=monkeypatch,
     )
@@ -489,6 +491,24 @@ def test_max_steps_flag(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+def test_max_steps_counts_moves(tmp_path, capsys):
+    path = write_doc(tmp_path, scaled_hereditary((1, 1, 1), 9))
+    _, out, _ = run(capsys, ["--command", "chain", "--input", path])
+    length = json.loads(out)["length"]
+    code, _, _ = run(capsys, ["--command", "chain", "--input", path, "--max-steps", str(length)])
+    assert code == 0
+    code, _, err = run(
+        capsys, ["--command", "chain", "--input", path, "--max-steps", str(length - 1)]
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == f"no idealizer fixed point within {length - 1} steps"
+    # an order that already is its head takes no move
+    path = write_doc(tmp_path, validate_order([[0, 1], [0, 0]], (1, 1)))
+    code, out, _ = run(capsys, ["--command", "head", "--input", path, "--max-steps", "0"])
+    assert code == 0
+    assert json.loads(out)["steps"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,21 @@ def _random_rotation_symmetric(rng, n):
     )
 
 
+def _random_circulant_order(rng, n):
+    """m[i][j] = c[(j - i) % n] for the min-plus closure c of random entries
+    in [0, 3], some c_k = c_(n-k) = 0 (unreduced), conjugated by a random
+    diagonal."""
+    c = [0] + [rng.randint(0, 3) for _ in range(n - 1)]
+    if n > 1 and rng.random() < 0.5:
+        k = rng.randrange(1, n)
+        c[k] = c[n - k] = 0
+    for _ in range(n):
+        c = [min(c[m], *(c[i] + c[(m - i) % n] for i in range(n))) for m in range(n)]
+    M = [[c[(j - i) % n] for j in range(n)] for i in range(n)]
+    order = validate_order(M, (1,) * n)
+    return diag_conjugate(order, [rng.randint(-3, 3) for _ in range(n)])
+
+
 def _star_amalgam():
     # the three-component star of test_amalgam: the outer components carry
     # depths (2, 0), the centre (2, 2)
@@ -335,6 +350,109 @@ def test_step_budget_exceeded(run):
         run(1)
     assert info.value.max_steps == 1
     assert len(run(None)) > 2
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda s: idealizer_chain(scaled_hereditary((1, 1, 1), 9), max_steps=s),
+        lambda s: glued_chain(scaled_hereditary((1, 1, 1), 9), 9, max_steps=s),
+        lambda s: amalgam_chain(_glued_pair(), max_steps=s),
+    ],
+    ids=["idealizer_chain", "glued_chain", "amalgam_chain"],
+)
+def test_step_budget_counts_moves(run):
+    # the application that only confirms the fixed point is not a move
+    chain = run(None)
+    length = len(chain) - 1
+    assert run(length) == chain
+    with pytest.raises(StepBudgetExceeded) as info:
+        run(length - 1)
+    assert info.value.max_steps == length - 1
+    with pytest.raises(ValueError):
+        run(-1)
+
+
+def test_step_budget_zero_on_a_head():
+    head = validate_order([[0, 1], [0, 0]], (1, 1))
+    assert idealizer_chain(head, max_steps=0) == [head]
+    assert glued_chain(head, 0, max_steps=0) == [(head, 0)]
+    pair = validate_amalgam((head, head), ())
+    assert amalgam_chain(pair, max_steps=0) == [pair]
+
+
+def _reference_glued_chain(order, depth):
+    """glued_chain from maxplus_glued_idealizer and the radical's definition:
+    +1 on every (i, j) with m[i][j] + m[j][i] = 0."""
+    chain = [(order, depth)]
+    while True:
+        current, f = chain[-1]
+        M = current.M
+        N = tuple(
+            tuple(x + (x + y == 0) for x, y in zip(row, col))
+            for row, col in zip(M, zip(*M))
+        )
+        nxt = maxplus_glued_idealizer(current, ExponentIdeal(N), [f] * current.n)
+        state = (nxt, max(f - 1, 0))
+        if state == chain[-1]:
+            return chain
+        chain.append(state)
+
+
+def test_chain_matches_maxplus_reference(monkeypatch):
+    calls = []
+
+    def spy(N):
+        s = rotation_shift(N)
+        calls.append(s)
+        return s
+
+    rotation_shift = exponent._rotation_shift
+    monkeypatch.setattr(exponent, "_rotation_shift", spy)
+    rng = random.Random(7)
+
+    def check(start, depth):
+        calls.clear()
+        got = glued_chain(start, depth)
+        assert len(calls) == 1  # the start's check, inherited by every state
+        assert got == _reference_glued_chain(start, depth)
+        calls.clear()
+        assert idealizer_chain(start) == [o for o, _ in _reference_glued_chain(start, 0)]
+        assert len(calls) == 1
+        return calls[0]
+
+    # Lambda(v) starts conjugated by random diagonals: nonzero shifts
+    nonzero = 0
+    for n in range(2, 8):
+        for a in range(1, 3 * n + 2, 2):
+            t = [rng.randint(-4, 4) for _ in range(n)]
+            start = diag_conjugate(scaled_hereditary((1,) * n, a), t)
+            s = check(start, rng.randint(0, a))
+            assert s is not None
+            nonzero += any(s)
+    assert nonzero > 20
+
+    # chains through unreduced states: the b = 0 cells, whose head is the
+    # maximal order, and circulant orders with some c_k = c_(n-k) = 0
+    unreduced = 0
+    for n in range(2, 8):
+        for a in (n, 2 * n):
+            t = [rng.randint(-4, 4) for _ in range(n)]
+            start = diag_conjugate(scaled_hereditary((1,) * n, a), t)
+            assert check(start, a) is not None
+        for _ in range(4):
+            start = _random_circulant_order(rng, n)
+            assert check(start, rng.randint(0, 4)) is not None
+            unreduced += sum(not o.is_reduced() for o in idealizer_chain(start))
+    assert unreduced > 20
+
+    # random orders, with negative and unreduced entries, take the general path
+    asymmetric = 0
+    for n in range(1, 8):
+        for _ in range(15):
+            s = check(_random_order(rng, n), rng.randint(0, 4))
+            asymmetric += s is None
+    assert asymmetric > 50
 
 
 def test_diag_conjugate_roundtrip():
