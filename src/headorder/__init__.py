@@ -18,7 +18,6 @@ from .amalgam import (
 from .brauer import (
     PlanarBrauerTree,
     build_block,
-    derive_permutations,
     hasse_invariant,
     head_order_report,
 )

@@ -4,8 +4,8 @@ A tree with a planar embedding (a cyclic edge order at every vertex) and a
 marked exceptional vertex determines, for parameters (p, a), an amalgam of
 graduated orders: one component per non-exceptional vertex plus a stack of
 ``a`` components over increasingly ramified base rings at the exceptional
-vertex.  This module derives the edge permutations, builds that amalgam and
-reports head-order data per component.
+vertex.  This module builds that amalgam and reports head-order data per
+component.
 """
 
 from __future__ import annotations
@@ -121,46 +121,6 @@ def validate_tree(tree: PlanarBrauerTree) -> PlanarBrauerTree:
     if gcd(tree.galois_r, tree.m) != 1:
         raise NotCoprime("galois_r must be prime to m")
     return tree
-
-
-def _distances(tree: PlanarBrauerTree) -> list[int]:
-    adj = [[] for _ in range(tree.n_vertices)]
-    for u, v in tree.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    dist = [-1] * tree.n_vertices
-    dist[tree.exceptional] = 0
-    queue = [tree.exceptional]
-    for w in queue:
-        for x in adj[w]:
-            if dist[x] < 0:
-                dist[x] = dist[w] + 1
-                queue.append(x)
-    return dist
-
-
-def derive_permutations(tree: PlanarBrauerTree):
-    """Edge permutations delta, rho and the orbit list r_1..r_{a+e}.
-
-    delta advances each edge to its rotation successor at its even-distance
-    endpoint, rho at its odd-distance endpoint (every edge has one of
-    each).  The orbit list starts with ``a`` copies of the exceptional
-    vertex's cycle, then one cycle per non-exceptional vertex in vertex
-    order.
-    """
-    dist = _distances(tree)
-    delta = {}
-    rho = {}
-    for w in range(tree.n_vertices):
-        cyc = tree.rotations[w]
-        target = delta if dist[w] % 2 == 0 else rho
-        for k, i in enumerate(cyc):
-            target[i] = cyc[(k + 1) % len(cyc)]
-    orbits = [tuple(tree.rotations[tree.exceptional])] * tree.a
-    for w in range(tree.n_vertices):
-        if w != tree.exceptional:
-            orbits.append(tuple(tree.rotations[w]))
-    return delta, rho, tuple(orbits)
 
 
 def nonexceptional_vertices(tree: PlanarBrauerTree) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import sub
 
 from .errors import NotACycle, OutOfRange
 from .exponent import (
@@ -51,7 +52,7 @@ class CirculantState:
         # extends v past the wrap by w_(n+k) = v_k + v_(n-1).  b = n - 1
         # gives v_a >= v_(a-1), so v is nondecreasing.
         w = v + tuple(x + v[-1] for x in v)
-        if any(z > x + y for a, x in enumerate(v) for y, z in zip(v[a:], w[2 * a:])):
+        if any(max(map(sub, w[2 * a:], v[a:])) > x for a, x in enumerate(v)):
             raise ValueError("Lambda(v) is not an order: need v_a + v_b >= v_(a+b), "
                              "with v_(n+k) = v_k + v_(n-1)")
         if not 0 <= self.f <= v[-1]:
@@ -62,11 +63,9 @@ def expand(state: CirculantState) -> ExponentOrder:
     """Exponent matrix m_ij = v_{j-i} above, v_{n+j-i} - v_{n-1} below."""
     v = state.v
     n = state.n
-    top = v[n - 1]
-    M = tuple(
-        tuple(v[j - i] if j >= i else v[n + j - i] - top for j in range(n))
-        for i in range(n)
-    )
+    # g[n - 1 + k] is the entry at j - i = k
+    g = tuple(x - v[-1] for x in v[1:]) + v
+    M = tuple(g[n - 1 - i : 2 * n - 1 - i] for i in range(n))
     return ExponentOrder(state.dims, M, state.ram)
 
 
@@ -122,21 +121,16 @@ def defm1_state(n: int, b: int):
     """The state v^(1) reached n - l0 steps after (0_b, b^{n-1}), with its step.
 
     v^(1) = (0, 1^{l0}, ..., (b-y-1)^{l0}, (b-y)^{l0+1}, ..., (b-1)^{l0+1},
-    b^{l0}) with y = x0 - 1.  The returned step index is relative to the
-    (0_b, b^{n-1}) state sitting at step 0.
+    b^{l0}) with y = x0 - 1 is the last early form, m = n - l0 - 1: for
+    x0 < b that form has l = l0 and y < b - 1, so its ranges are 1..b-y-1
+    times l0, b-y..b-1 times l0+1 and b times l0; at x0 = b it has l = l0 + 1
+    and y = 0; at b = 1 both are (0, 1^{n-1}).  Its depth is 0.  The step is
+    relative to the (0_b, b^{n-1}) state sitting at step 0.
     """
     if not 0 < b < n:
         raise OutOfRange(f"need 0 < b < n, got b={b}, n={n}")
-    l0, x0 = _split(n, b)
-    y = x0 - 1
-    v = [0]
-    for u in range(1, b - y):
-        v.extend([u] * l0)
-    for u in range(b - y, b):
-        v.extend([u] * (l0 + 1))
-    v.extend([b] * l0)
-    assert len(v) == n
-    return CirculantState((1,) * n, tuple(v), f=0), n - l0
+    l0, _ = _split(n, b)
+    return anfang_state(n, b, n - l0 - 1), n - l0
 
 
 def midway_state(n: int, b: int):
@@ -176,43 +170,41 @@ def midway_state(n: int, b: int):
     return CirculantState((1,) * n, tuple(v), f=0), m2
 
 
-def head_order_w(n: int, b: int, dims=None) -> CirculantState:
-    """Head order w = (0, 1^{l_1}, ..., b^{l_b}) for b not dividing n.
+def _grading(n: int, b: int):
+    """f(j) = 1 + floor((j - 1 - floor(x*j/n)) / l) with n = l*b + x, 0 <= x < b."""
+    l, x = divmod(n, b)
+    return lambda j: 1 + (j - 1 - (x * j) // n) // l
 
-    l_j = l0 + e_j with e_j = a_j - a_{j-1}, a_j = floor(x0*j/b), and
-    l_b = l0.  The pattern (e_1, ..., e_i) repeats gcd(n, b) times.
+
+def head_order_w(n: int, b: int, dims=None) -> CirculantState:
+    """Head order w = (f(0), ..., f(n-1)) for b not dividing n, f the grading.
+
+    n - x = l*b gives f(j - n) = f(j) - b, and f(n - 1) = b, so the entry
+    w_(n+j-i) - w_(n-1) of Lambda(w) below the diagonal is f(j - i): Lambda(w)
+    is head_order_f(n, b) entry for entry.
     """
     if not 0 < b < n:
         raise OutOfRange(f"need 0 < b < n, got b={b}, n={n}")
     if n % b == 0:
         raise OutOfRange("b divides n: the defm1 state is already hereditary")
     dims = (1,) * n if dims is None else tuple(dims)
-    l0, x0 = _split(n, b)
-    a_of = lambda j: (x0 * j) // b
-    v = [0]
-    for j in range(1, b):
-        v.extend([j] * (l0 + a_of(j) - a_of(j - 1)))
-    v.extend([b] * l0)
-    assert len(v) == n
-    return CirculantState(dims, tuple(v), f=0)
+    f = _grading(n, b)
+    return CirculantState(dims, tuple(f(j) for j in range(n)), f=0)
 
 
 def head_order_f(n: int, a: int, dims=None) -> ExponentOrder:
     """Head order as the matrix m_ij = f(j - i), straight from the a-grading.
 
-    f(j) = 1 + floor((j - 1 - floor(x*j/n)) / l) where n = l*b + x with
-    0 <= x < b and b = a mod n.  Defined for 0 < b < n (including b | n).
+    f is _grading(n, b) with b = a mod n.  Defined for 0 < b < n (including
+    b | n, where x = 0 and f(j) = 1 + floor((j - 1) / l)).
     """
     b = a % n
     if not 0 < b < n:
         raise OutOfRange(f"a mod n = {b}: no head formula (maximal order)")
     dims = (1,) * n if dims is None else tuple(dims)
-    l, x = divmod(n, b)
-
-    def f(j):
-        return 1 + (j - 1 - (x * j) // n) // l
-
-    M = tuple(tuple(f(j - i) for j in range(n)) for i in range(n))
+    f = _grading(n, b)
+    g = tuple(f(k) for k in range(1 - n, n))
+    M = tuple(g[n - 1 - i : 2 * n - 1 - i] for i in range(n))
     return ExponentOrder(dims, M)
 
 
@@ -269,14 +261,16 @@ def certify_cell(n: int, a: int, chain) -> bool:
     """True if the chain of (order, depth) pairs from (0, a^{n-1}) at depth a
     passes every checkpoint at its step and ends at the head.
 
-    The terminal state must match, up to diagonal conjugation and rotation,
-    head_order_f (b = a mod n > 0) and the last checkpoint: the head w when
-    b does not divide n, the first plateau when it does, and the maximal
-    order when b = 0 (the same as merging to one maximal block).
+    The terminal state must match the last checkpoint up to diagonal
+    conjugation and rotation: the head w when b = a mod n does not divide
+    n, the first plateau v^(1) when it does, and the maximal order when
+    b = 0 (the same as merging to one maximal block).  For b > 0 that
+    matrix is head_order_f(n, a): see head_order_w, and for b | n the
+    grading at x = 0 is v^(1).
     """
     checkpoints = chain_checkpoints(n, a)
-    heads = [checkpoints[-1].matrix] + ([head_order_f(n, a).M] if a % n else [])
-    return all(equal_up_to_diag_and_rotation(chain[-1][0].M, M) for M in heads) and all(
+    head = checkpoints[-1].matrix
+    return equal_up_to_diag_and_rotation(chain[-1][0].M, head) and all(
         cp.step is None or (cp.step < len(chain) and cp.matches(*chain[cp.step]))
         for cp in checkpoints
     )

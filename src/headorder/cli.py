@@ -280,7 +280,7 @@ PARSER = argparse.ArgumentParser(
 )
 PARSER.add_argument("--command", required=True, choices=HANDLERS)
 PARSER.add_argument("--input", help="path to a JSON document, or - for stdin")
-PARSER.add_argument("--max-steps", type=int, default=None)
+PARSER.add_argument("--max-steps", type=int, default=None, help="move budget (chain, head)")
 PARSER.add_argument("--oracle", choices=("on", "off"), default="off")
 PARSER.add_argument("--grid", help="n=<lo..hi>,a=<lo..hi> (sweep)")
 PARSER.add_argument("--format", choices=("json", "pretty"), default="json")
@@ -289,6 +289,8 @@ PARSER.add_argument("--format", choices=("json", "pretty"), default="json")
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
+        if args.max_steps is not None and args.command not in ("chain", "head"):
+            raise SchemaError("--max-steps", "only chain and head take a step budget")
         if args.max_steps is not None and args.max_steps < 0:
             raise SchemaError("--max-steps", "need an integer >= 0")
         report, code = HANDLERS[args.command](args)

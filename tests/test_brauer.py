@@ -11,7 +11,6 @@ from headorder.brauer import (
     PSI12,
     PlanarBrauerTree,
     build_block,
-    derive_permutations,
     hasse_invariant,
     head_order_report,
     is_prime,
@@ -212,6 +211,46 @@ def test_validate_rejects_noncoprime_descent():
         )
 
 
+def _distances(tree):
+    adj = [[] for _ in range(tree.n_vertices)]
+    for u, v in tree.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = [-1] * tree.n_vertices
+    dist[tree.exceptional] = 0
+    queue = [tree.exceptional]
+    for w in queue:
+        for x in adj[w]:
+            if dist[x] < 0:
+                dist[x] = dist[w] + 1
+                queue.append(x)
+    return dist
+
+
+def derive_permutations(tree):
+    """Edge permutations delta, rho and the orbit list r_1..r_{a+e}.
+
+    delta advances each edge to its rotation successor at its even-distance
+    endpoint, rho at its odd-distance endpoint (every edge has one of
+    each).  The orbit list starts with ``a`` copies of the exceptional
+    vertex's cycle, then one cycle per non-exceptional vertex in vertex
+    order.  The reference for the sigma of head_order_report.
+    """
+    dist = _distances(tree)
+    delta = {}
+    rho = {}
+    for w in range(tree.n_vertices):
+        cyc = tree.rotations[w]
+        target = delta if dist[w] % 2 == 0 else rho
+        for k, i in enumerate(cyc):
+            target[i] = cyc[(k + 1) % len(cyc)]
+    orbits = [tuple(tree.rotations[tree.exceptional])] * tree.a
+    for w in range(tree.n_vertices):
+        if w != tree.exceptional:
+            orbits.append(tuple(tree.rotations[w]))
+    return delta, rho, tuple(orbits)
+
+
 def test_permutations_star():
     t = star(3, 7, 1)
     delta, rho, orbits = derive_permutations(t)
@@ -290,7 +329,6 @@ def test_report_validates_tree_once(monkeypatch):
     t = path3(7, 1, exceptional=1)
     assert calls == [t]
     head_order_report(t)
-    derive_permutations(t)
     build_block(t)
     assert calls == [t]
     # so no invalid tree reaches the functions that take one

@@ -10,6 +10,7 @@ from headorder.circulant import (
     _split,
     anfang_state,
     certify_cell,
+    defm1_state,
     expand,
     head_order_f,
     head_order_w,
@@ -144,6 +145,53 @@ def test_head_order_f_matches_w():
             F = head_order_f(n, a)
             W = expand(head_order_w(n, b))
             assert equal_up_to_diag_and_rotation(F.M, W.M)
+
+
+def paper_v1(n, b):
+    """v^(1) as displayed: (0, 1^{l0}, ..., (b-y-1)^{l0}, (b-y)^{l0+1}, ...,
+    (b-1)^{l0+1}, b^{l0}) with y = x0 - 1."""
+    l0, x0 = _split(n, b)
+    y = x0 - 1
+    v = [0]
+    for u in range(1, b - y):
+        v.extend([u] * l0)
+    for u in range(b - y, b):
+        v.extend([u] * (l0 + 1))
+    v.extend([b] * l0)
+    assert len(v) == n
+    return tuple(v)
+
+
+def paper_w(n, b):
+    """The head w = (0, 1^{l_1}, ..., b^{l_b}) as displayed: l_j = l0 + e_j
+    with e_j = a_j - a_{j-1}, a_j = floor(x0*j/b), and l_b = l0.  The
+    pattern (e_1, ..., e_i) repeats gcd(n, b) times."""
+    l0, x0 = _split(n, b)
+    a_of = lambda j: (x0 * j) // b
+    v = [0]
+    for j in range(1, b):
+        v.extend([j] * (l0 + a_of(j) - a_of(j - 1)))
+    v.extend([b] * l0)
+    assert len(v) == n
+    return tuple(v)
+
+
+def test_closed_forms_are_the_last_early_form_and_the_grading():
+    # v^(1) is the last early form, w is row 0 of the grading f, and
+    # Lambda(w), or Lambda(v^(1)) when b | n, is the f-matrix entry for entry
+    for n in range(2, 121):
+        for b in range(1, n):
+            l0, _ = _split(n, b)
+            v1, step = defm1_state(n, b)
+            assert (v1, step) == (anfang_state(n, b, n - l0 - 1), n - l0)
+            assert v1.v == paper_v1(n, b) and v1.f == 0
+            F = head_order_f(n, b).M
+            if n % b:
+                w = head_order_w(n, b)
+                assert w.v == paper_w(n, b)
+                assert expand(w).M == F
+            else:
+                assert expand(v1).M == F
 
 
 def test_head_order_f_divisor_case_hereditary():

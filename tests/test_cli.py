@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -315,6 +316,10 @@ AMALGAM_DOC = {
         ("check", None, "$"),
         # a flag after the command name: a negative step budget
         ("head --max-steps -1", H2_DOC, "--max-steps"),
+        # only chain and head take a step budget
+        ("verify --max-steps 0", {"n": 7, "a": 10}, "--max-steps"),
+        ("tree --max-steps 0", TREE_DOC, "--max-steps"),
+        ("sweep --grid n=2..3,a=1..2 --max-steps 5", None, "--max-steps"),
     ],
     ids=["tree-p", "tree-a", "circulant-depth", "dims-short", "dims-short-accepted",
          "dims-zero", "dims-string", "amalgam-components", "amalgam-component-type",
@@ -328,7 +333,8 @@ AMALGAM_DOC = {
          "tree-p-prime-power", "gluing-self-diagonal",
          "gluing-self-whole", "gluing-depth-negative", "gluing-kind-unknown",
          "tree-exceptional-range", "tree-a-zero", "tree-p-psi12", "chain-on-tree",
-         "radical-on-amalgam", "tree-on-exponent", "no-input", "max-steps-negative"],
+         "radical-on-amalgam", "tree-on-exponent", "no-input", "max-steps-negative",
+         "max-steps-verify", "max-steps-tree", "max-steps-sweep"],
 )
 def test_malformed_field_exit_2(capsys, monkeypatch, command, doc, field):
     code, out, err = run(
@@ -509,6 +515,31 @@ def test_max_steps_counts_moves(tmp_path, capsys):
     code, out, _ = run(capsys, ["--command", "head", "--input", path, "--max-steps", "0"])
     assert code == 0
     assert json.loads(out)["steps"] == 0
+
+
+def test_closed_form_bytes_pinned():
+    # sha256 of exit code and stdout, request by request, for closed-form
+    # (without and with dims) and verify on n = 2..12, a = 1..24, and for
+    # one sweep: the head_v and head_f paths print the same bytes
+    digests = {}
+    for command in ("closed-form", "verify"):
+        h = hashlib.sha256()
+        for n in range(2, 13):
+            for a in range(1, 25):
+                docs = [{"n": n, "a": a}]
+                if command == "closed-form":
+                    docs.append({"n": n, "a": a, "dims": [1 + i * a % 3 for i in range(n)]})
+                for doc in docs:
+                    code, out, _ = _run_cli(["--command", command, "--input", "-"], json.dumps(doc))
+                    h.update(f"{code}\n{out}".encode())
+        digests[command] = h.hexdigest()
+    code, out, _ = _run_cli(["--command", "sweep", "--grid", "n=2..10,a=1..30"], "")
+    digests["sweep"] = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert digests == {
+        "closed-form": "3e07e824b14a30f2600220b75d6e742025790a96533ae9e521654dcf54c87414",
+        "verify": "2ac8c56f5e6172a83a1af281e6737a459df1d8152c7ded15af5f8cd957aefbe4",
+        "sweep": "ca14c258cacf77634bcbeddda61e5ff704f4b3c216fac7d1390b2f55ef1d34b1",
+    }
 
 
 # ---------------------------------------------------------------------------
