@@ -14,13 +14,7 @@ from math import gcd
 from operator import sub
 
 from .errors import NotACycle, OutOfRange
-from .exponent import (
-    ExponentOrder,
-    HereditaryType,
-    Matrix,
-    equal_up_to_diag,
-    equal_up_to_diag_and_rotation,
-)
+from .exponent import ExponentOrder, HereditaryType, Matrix, equal_up_to_diag
 
 
 @dataclass(frozen=True)
@@ -213,9 +207,15 @@ class Checkpoint:
     """One closed-form state of the (n, a) chain.
 
     ``step`` indexes the chain from (0, a^{n-1}) at depth a, the start at
-    step 0.  The head has no step: it is compared up to diagonal conjugation
-    and rotation.  Every other checkpoint is compared up to diagonal
-    conjugation, and on its depth too unless ``depth`` is None.
+    step 0; the head has no step.  A state matches a checkpoint up to
+    diagonal conjugation, and on its depth too unless ``depth`` is None.
+
+    No rotation is needed: write Lambda(v) as m_ij = g(j - i).  Its
+    rotation m_(i+1)(j+1) is m_ij + t_i - t_j with t = (0, ..., 0, v_(n-1)),
+    so Lambda(v) is a diagonal conjugate of each of its rotations.  Every
+    checkpoint is a Lambda(v), and so is head_order_f.  Hence if rot^r(A)
+    is a diagonal conjugate of a checkpoint B, then A is one of rot^(-r)(B),
+    and so of B.
     """
 
     tag: str
@@ -224,8 +224,6 @@ class Checkpoint:
     depth: int | None
 
     def matches(self, order: ExponentOrder, depth: int) -> bool:
-        if self.step is None:
-            return equal_up_to_diag_and_rotation(order.M, self.matrix)
         return equal_up_to_diag(order.M, self.matrix) and self.depth in (None, depth)
 
 
@@ -262,15 +260,15 @@ def certify_cell(n: int, a: int, chain) -> bool:
     passes every checkpoint at its step and ends at the head.
 
     The terminal state must match the last checkpoint up to diagonal
-    conjugation and rotation: the head w when b = a mod n does not divide
-    n, the first plateau v^(1) when it does, and the maximal order when
-    b = 0 (the same as merging to one maximal block).  For b > 0 that
-    matrix is head_order_f(n, a): see head_order_w, and for b | n the
-    grading at x = 0 is v^(1).
+    conjugation (Checkpoint shows that rotation adds nothing): the head w
+    when b = a mod n does not divide n, the first plateau v^(1) when it
+    does, and the maximal order when b = 0 (the same as merging to one
+    maximal block).  For b > 0 that matrix is head_order_f(n, a): see
+    head_order_w, and for b | n the grading at x = 0 is v^(1).
     """
     checkpoints = chain_checkpoints(n, a)
     head = checkpoints[-1].matrix
-    return equal_up_to_diag_and_rotation(chain[-1][0].M, head) and all(
+    return equal_up_to_diag(chain[-1][0].M, head) and all(
         cp.step is None or (cp.step < len(chain) and cp.matches(*chain[cp.step]))
         for cp in checkpoints
     )

@@ -212,13 +212,18 @@ def cmd_verify(args):
 
 def _parse_grid(spec):
     try:
-        parts = dict(p.split("=") for p in spec.split(","))
+        pairs = [p.split("=") for p in spec.split(",")]
+        parts = dict(pairs)
         nlo, nhi = (int(x) for x in parts["n"].split(".."))
         alo, ahi = (int(x) for x in parts["a"].split(".."))
     except (KeyError, ValueError) as exc:
         raise SchemaError("--grid", "expected n=<lo..hi>,a=<lo..hi>") from exc
+    if len(pairs) != 2:
+        raise SchemaError("--grid", "expected the keys n and a, once each")
     if nlo < 2 or alo < 1:
         raise SchemaError("--grid", "need n >= 2 and a >= 1")
+    if nlo > nhi or alo > ahi:
+        raise SchemaError("--grid", "empty range: need lo <= hi")
     return nlo, nhi, alo, ahi
 
 

@@ -154,37 +154,79 @@ def radical(order: ExponentOrder) -> ExponentIdeal:
 _radical_general = radical
 
 
+def _rotate(N: Matrix, r: int) -> Matrix:
+    """N relabeled by the index rotation i -> i + r: entry (i, j) is N[i+r][j+r]."""
+    return tuple(row[r:] + row[:r] for row in N[r:] + N[:r])
+
+
+def _diag_shift(A: Matrix, B: Matrix) -> tuple[int, ...] | None:
+    """t with A[i][j] - B[i][j] = t[i] - t[j] for all i, j and t[0] = 0, or None.
+
+    That is, A = diag_conjugate(B, -t).  Column 0 fixes the only
+    candidate, t[i] = A[i][0] - B[i][0], and it is checked row by row,
+    stopping at the first row that fails.
+    """
+    n = len(A)
+    if len(B) != n:
+        return None
+    t = tuple(a[0] - b[0] for a, b in zip(A, B))
+    for a, b, ti in zip(A, B, t):
+        # A[i][j] - B[i][j] + t[j] must be t[i] for every j
+        if tuple(map(add, map(sub, a, b), t)).count(ti) != n:
+            return None
+    return t
+
+
 def _rotation_shift(N: Matrix) -> tuple[int, ...] | None:
     """s with N[i+1][j+1] = N[i][j] - s[i] + s[j] for all i, j mod n, or None.
 
     That is, N is invariant under the index rotation i -> i+1 up to
-    conjugation by diag(pi^s).  The relation fixes s up to a constant; with
-    s[0] = 0 its row i = 0 reads s[j] = N[1][j+1] - N[0][j] (equivalently
-    s[i] = N[i][0] - N[i+1][1]), and that candidate is checked on every row.
+    conjugation by diag(pi^s): s, with s[0] = 0, is the diagonal witness of
+    (N, rotated N), which is minus that of (rotated N, N).
     """
-    n = len(N)
-    nxt = N[1 % n]
-    s = tuple(map(sub, nxt[1:] + nxt[:1], N[0]))
-    for row, nxt, si in zip(N, N[1:] + N[:1], s):
-        # N[i+1][j+1] - N[i][j] - s[j] must be -s[i] for every j
-        if tuple(map(sub, map(sub, nxt[1:] + nxt[:1], row), s)).count(-si) != n:
-            return None
-    return s
+    return _diag_shift(N, _rotate(N, 1))
 
 
-def _idealizer_matrix(ideal: ExponentIdeal, depths: list[int]) -> Matrix:
-    """Exponent matrix of the glued idealizer of N (see glued_idealizer).
+def idealizer(order: ExponentOrder, ideal: ExponentIdeal) -> ExponentOrder:
+    """Two-sided idealizer of an ideal: the glued idealizer at depth 0 everywhere."""
+    return glued_idealizer(order, ideal, [0] * order.n)
 
-    G[i][j] = max_k (A_i[k] - A_j[k]), A_i being N[i] followed by minus
-    column i of N, raised off the diagonal to max(d_i, d_j) - N[j][i].  When
-    N is rotation-symmetric (ideal.shift) and every depth is equal, so is G
-    with the same shift s: row 0 is computed from the rows and columns of N
-    and every further row is the previous one rotated and shifted.
+
+def glued_idealizer(order: ExponentOrder, ideal: ExponentIdeal, depths) -> ExponentOrder:
+    """Idealizer of an ideal when diagonal blocks carry congruence constraints.
+
+    The left condition (x N inside N) forces m[i][j] >= N[i][k] - N[j][k] for
+    all k, the right condition forces m[i][j] >= N[k][j] - N[k][i]; the
+    idealizer is cut out by both.  With A_i the row N[i] followed by minus
+    column i of N, both maxima are the one max-plus product
+    G[i][j] = max_k (A_i[k] - A_j[k]): O(n^3).
+
+    depths[q] is the congruence depth amalgamating diagonal block q to a
+    partner outside this component.  Multiplication into a glued diagonal
+    block must land at valuation >= depths[q] off the diagonal, which adds
+    the lower bound m[i][j] >= max(depths[i], depths[j]) - N[j][i].  With
+    every depth 0 (idealizer) the bound is vacuous: the idealizer has
+    m[i][j] >= N[i][i] - N[j][i] and N[i][i] >= 0 for an ideal of the
+    order.  The result always contains the order.
+
+    Equivariance: when N[i+1][j+1] = N[i][j] - s[i] + s[j] for all i, j
+    (indices mod n), as on every state of the Lambda(v) chains, reindexing
+    k -> k+1 in either maximum gives G[i+1][j+1] = G[i][j] - s[i] + s[j]
+    with the same s, and so does the depth bound when every depth is
+    equal.  That condition is checked exactly on N (see _rotation_shift),
+    unless the ideal already carries its shift, so row 0 determines G and
+    the rest is filled in O(n^2) by exact integer shifts; on any other N,
+    or with unequal depths, every row is computed.
     """
+    depths = [int(x) for x in depths]
+    n = order.n
+    if len(depths) != n:
+        raise ValueError("depths must have length n")
+    if n == 1:
+        # one block: G is the zero diagonal.  Most idealizers of the tree
+        # pipeline are of single blocks, and this skips their symmetry check
+        return ExponentOrder(order.dims, ((0,),), order.ram)
     N = ideal.N
-    n = len(N)
-    if n <= 1:
-        return ((0,),) * n  # at most one block: G is the zero diagonal
     s = None
     if depths.count(depths[0]) == n:
         s = ideal.shift
@@ -223,47 +265,7 @@ def _idealizer_matrix(ideal: ExponentIdeal, depths: list[int]) -> Matrix:
             # G[i+1][j] = G[i][j-1] - s[i] + s[j-1]
             row = tuple(map(sub, map(add, row[-1:] + row[:-1], s_prev), repeat(si)))
             G.append(row)
-    return tuple(G)
-
-
-def idealizer(order: ExponentOrder, ideal: ExponentIdeal) -> ExponentOrder:
-    """Two-sided idealizer of an ideal, as an entrywise max-plus formula.
-
-    The left condition (x N inside N) forces m[i][j] >= N[i][k] - N[j][k] for
-    all k, the right condition forces m[i][j] >= N[k][j] - N[k][i]; the
-    idealizer is cut out by both.  The result always contains the order.
-    With A_i the row N[i] followed by minus column i of N, both maxima are
-    the one max-plus product G[i][j] = max_k (A_i[k] - A_j[k]): O(n^3).
-
-    Equivariance: when N[i+1][j+1] = N[i][j] - s[i] + s[j] for all i, j
-    (indices mod n), as on every state of the Lambda(v) chains, reindexing
-    k -> k+1 in either maximum gives G[i+1][j+1] = G[i][j] - s[i] + s[j]
-    with the same s.  That condition is checked exactly on N, unless the
-    ideal already carries its shift, so row 0 determines G and the rest is
-    filled in O(n^2) by exact integer shifts; on any other N every row is
-    computed.
-    """
-    G = _idealizer_matrix(ideal, [0] * order.n)
-    return ExponentOrder(order.dims, G, order.ram)
-
-
-def glued_idealizer(order: ExponentOrder, ideal: ExponentIdeal, depths) -> ExponentOrder:
-    """Idealizer of an ideal when diagonal blocks carry congruence constraints.
-
-    depths[q] is the congruence depth amalgamating diagonal block q to a
-    partner outside this component.  Multiplication into a glued diagonal
-    block must land at valuation >= depths[q] off the diagonal, which adds
-    the lower bound m[i][j] >= max(depths[i], depths[j]) - N[j][i] to the
-    plain idealizer conditions.  With every depth 0 the bound is vacuous:
-    the idealizer has m[i][j] >= N[i][i] - N[j][i] and N[i][i] >= 0 for an
-    ideal of the order.  With equal depths the bound is rotation-equivariant
-    like the rest, so the O(n^2) row fill of idealizer applies here too.
-    """
-    depths = [int(x) for x in depths]
-    if len(depths) != order.n:
-        raise ValueError("depths must have length n")
-    G = _idealizer_matrix(ideal, depths)
-    return ExponentOrder(order.dims, G, order.ram)
+    return ExponentOrder(order.dims, tuple(G), order.ram)
 
 
 def fixed_point_chain(step, start, max_steps: int):
@@ -304,7 +306,7 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
     then m_ij + m_ji is invariant under i -> i+1 (the s terms cancel), so
     rotation maps the unreduced classes onto each other and the radical, M
     plus the class indicator, has the same shift s.  By the equivariance of
-    idealizer, the uniform-depth idealizer of the radical has shift s too,
+    glued_idealizer, the uniform-depth idealizer of the radical has shift s too,
     and by induction so has every state.  Each step's ideal carries s, so
     its row fill runs with no check on N.  A start without the
     symmetry runs the general path on every step, also on states that
@@ -398,25 +400,9 @@ def merge_unreduced(order: ExponentOrder) -> ExponentOrder:
 
 def equal_up_to_diag(A: Matrix, B: Matrix) -> bool:
     """True if A and B differ by a diagonal conjugation t_i - t_j."""
-    n = len(A)
-    if len(B) != n:
-        return False
-    s = [A[i][0] - B[i][0] for i in range(n)]
-    return all(
-        A[i][j] - B[i][j] == s[i] - s[j] for i in range(n) for j in range(n)
-    )
+    return _diag_shift(A, B) is not None
 
 
 def equal_up_to_diag_and_rotation(A: Matrix, B: Matrix) -> bool:
     """Equality up to diagonal conjugation and a cyclic index relabeling."""
-    n = len(A)
-    if len(B) != n:
-        return False
-    idx = range(n)
-    for r in idx:
-        # A relabeled by i -> i + r, compared entry by entry as it is read
-        rot = [(i + r) % n for i in idx]
-        s = [A[ri][r] - B[i][0] for i, ri in enumerate(rot)]
-        if all(A[rot[i]][rot[j]] - B[i][j] == s[i] - s[j] for i in idx for j in idx):
-            return True
-    return False
+    return any(_diag_shift(_rotate(A, r), B) is not None for r in range(len(A)))

@@ -10,6 +10,7 @@ from headorder.circulant import (
     _split,
     anfang_state,
     certify_cell,
+    chain_checkpoints,
     defm1_state,
     expand,
     head_order_f,
@@ -21,8 +22,10 @@ from headorder.circulant import (
 )
 from headorder.errors import NotACycle, OutOfRange, TriangleViolation
 from headorder.exponent import (
+    ExponentOrder,
     HereditaryType,
-    equal_up_to_diag_and_rotation,
+    diag_conjugate,
+    equal_up_to_diag,
     glued_chain,
     is_hereditary,
     merge_unreduced,
@@ -133,7 +136,7 @@ def test_head_order_w_matches_chain():
         chain = glued_chain(scaled_hereditary((1,) * n, a), a)
         term = chain[-1][0]
         w = head_order_w(n, b)
-        assert equal_up_to_diag_and_rotation(term.M, expand(w).M)
+        assert equal_up_to_diag(term.M, expand(w).M)
 
 
 def test_head_order_f_matches_w():
@@ -144,7 +147,25 @@ def test_head_order_f_matches_w():
                 continue
             F = head_order_f(n, a)
             W = expand(head_order_w(n, b))
-            assert equal_up_to_diag_and_rotation(F.M, W.M)
+            assert equal_up_to_diag(F.M, W.M)
+
+
+def test_checkpoints_are_diag_conjugates_of_their_rotations():
+    # the premise of matching checkpoints without rotation: every checkpoint
+    # B is a Lambda(v), so any rotation of B, conjugated, is diag-equal to B
+    rng = random.Random(17)
+    count = 0
+    for n in range(2, 17):
+        for a in range(1, 49):
+            for cp in chain_checkpoints(n, a):
+                B = cp.matrix
+                r = rng.randrange(n)
+                rot = tuple(tuple(B[(i + r) % n][(j + r) % n] for j in range(n)) for i in range(n))
+                t = [rng.randint(-5, 5) for _ in range(n)]
+                R = diag_conjugate(ExponentOrder((1,) * n, rot), t).M
+                assert equal_up_to_diag(R, B), (n, a, cp.tag, r)
+                count += 1
+    assert count == 6408
 
 
 def paper_v1(n, b):

@@ -320,6 +320,10 @@ AMALGAM_DOC = {
         ("verify --max-steps 0", {"n": 7, "a": 10}, "--max-steps"),
         ("tree --max-steps 0", TREE_DOC, "--max-steps"),
         ("sweep --grid n=2..3,a=1..2 --max-steps 5", None, "--max-steps"),
+        # an empty range, an unknown key and a repeated key
+        ("sweep --grid n=5..2,a=1..3", None, "--grid"),
+        ("sweep --grid n=2..3,a=1..2,x=7", None, "--grid"),
+        ("sweep --grid n=2..3,a=1..2,n=4..5", None, "--grid"),
     ],
     ids=["tree-p", "tree-a", "circulant-depth", "dims-short", "dims-short-accepted",
          "dims-zero", "dims-string", "amalgam-components", "amalgam-component-type",
@@ -334,7 +338,8 @@ AMALGAM_DOC = {
          "gluing-self-whole", "gluing-depth-negative", "gluing-kind-unknown",
          "tree-exceptional-range", "tree-a-zero", "tree-p-psi12", "chain-on-tree",
          "radical-on-amalgam", "tree-on-exponent", "no-input", "max-steps-negative",
-         "max-steps-verify", "max-steps-tree", "max-steps-sweep"],
+         "max-steps-verify", "max-steps-tree", "max-steps-sweep", "grid-empty-range",
+         "grid-unknown-key", "grid-repeated-key"],
 )
 def test_malformed_field_exit_2(capsys, monkeypatch, command, doc, field):
     code, out, err = run(
@@ -540,6 +545,20 @@ def test_closed_form_bytes_pinned():
         "verify": "2ac8c56f5e6172a83a1af281e6737a459df1d8152c7ded15af5f8cd957aefbe4",
         "sweep": "ca14c258cacf77634bcbeddda61e5ff704f4b3c216fac7d1390b2f55ef1d34b1",
     }
+
+
+def test_chain_tag_bytes_pinned():
+    # sha256 of exit code and stdout, request by request, for chain from
+    # (0, a^(n-1)) at depth a on n = 2..12, a = 1..24: every matrix, depth
+    # and checkpoint tag of those chains
+    h = hashlib.sha256()
+    for n in range(2, 13):
+        for a in range(1, 25):
+            doc = {**CIRCULANT_DOC, "n": n, "dims": [1] * n, "v": [0] + [a] * (n - 1),
+                   "depth": a}
+            code, out, _ = _run_cli(["--command", "chain", "--input", "-"], json.dumps(doc))
+            h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == "f9b9de4a8d7a5bd64ab2187dbeb800c448edac31761266d7dcdb7c8ce8e2f137"
 
 
 # ---------------------------------------------------------------------------

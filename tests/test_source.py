@@ -102,3 +102,12 @@ def test_no_helper_that_only_tests_use():
         p.read_text() for p in [ROOT / "README.md", *sorted((ROOT / "perfbench").glob("*.py"))]
     )
     assert unreferenced_names({p.stem: p.read_text() for p in MODULES}, text) == []
+
+
+def test_readme_python_examples_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
