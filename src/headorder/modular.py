@@ -121,11 +121,12 @@ def right_kernel(rows, p: int, K: int):
 
     Works on the transposed augmented system: Howell reduction of
     [A^T | I] with pivoting confined to the left block leaves the kernel as
-    the right parts of rows whose left parts vanished.
+    the right parts of rows whose left parts vanished.  No rows raise: the
+    kernel of no condition is the whole space, whose width is unknown.
     """
     m = p**K
     if not rows:
-        return []
+        raise ValueError("no rows: the width is unknown (pass a zero row)")
     nrows = len(rows)
     ncols = len(rows[0])
     aug = [
@@ -156,7 +157,7 @@ def nullspace_modp(rows, p: int):
     """Basis of the right nullspace of a matrix over F_p: one vector per
     column that no row of the reduced echelon form pivots on."""
     if not rows:
-        return []
+        raise ValueError("no rows: the width is unknown (pass a zero row)")
     mat = howell(rows, p, 1)
     pivot_cols = [next(j for j, x in enumerate(row) if x) for row in mat]
     ncols = len(rows[0])

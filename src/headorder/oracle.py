@@ -264,8 +264,9 @@ def oracle_idealizer(model: FiniteAlgebraModel, jbasis):
 # models of exponent orders and amalgams (unit block dimensions)
 
 
-def truncation_for(max_exponent: int, max_depth: int = 0) -> int:
-    return 2 * (max_exponent + max_depth) + 4
+def truncation_for(bound: int) -> int:
+    """Truncation K for models whose largest entry plus depth is ``bound``."""
+    return 2 * bound + 4
 
 
 def model_from_exponent(order: ExponentOrder, p: int, K: int) -> FiniteAlgebraModel:

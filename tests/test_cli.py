@@ -120,6 +120,20 @@ def test_verify_with_oracle(capsys, monkeypatch):
     assert report["oracle_first_step_agrees"] is True
 
 
+def test_verify_oracle_disagreement_exit_1(capsys, monkeypatch):
+    from headorder import oracle
+
+    monkeypatch.setattr(oracle, "idealizer", lambda order, ideal: order)
+    code, out, _ = run(
+        capsys,
+        ["--command", "verify", "--input", "-", "--oracle", "on"],
+        stdin='{"n": 3, "a": 2}',
+        monkeypatch=monkeypatch,
+    )
+    assert code == 1
+    assert json.loads(out)["oracle_first_step_agrees"] is False
+
+
 def test_verify_reports_oracle_outside_its_range(capsys, monkeypatch):
     code, out, _ = run(
         capsys,
@@ -264,6 +278,7 @@ AMALGAM_DOC = {
         ("closed-form", {"n": 3, "a": 4, "dims": [1, 0, 1]}, "$.dims"),
         ("verify", {"n": 3, "a": 4, "dims": "111"}, "$.dims"),
         ("check", {**AMALGAM_DOC, "components": 5}, "$.components"),
+        ("check", {**AMALGAM_DOC, "components": [], "gluings": []}, "$"),
         ("check", {**AMALGAM_DOC, "components": [CIRCULANT_DOC]}, "$.components[0]"),
         ("chain", {**AMALGAM_DOC, "gluings": GLUING}, "$.gluings"),
         ("check", {**AMALGAM_DOC, "gluings": [3]}, "$.gluings[0]"),
@@ -326,9 +341,9 @@ AMALGAM_DOC = {
         ("sweep --grid n=2..3,a=1..2,n=4..5", None, "--grid"),
     ],
     ids=["tree-p", "tree-a", "circulant-depth", "dims-short", "dims-short-accepted",
-         "dims-zero", "dims-string", "amalgam-components", "amalgam-component-type",
-         "amalgam-gluings", "amalgam-gluing", "gluing-left", "gluing-right",
-         "gluing-kinds", "circulant-depth-bool", "tree-p-bool", "tree-e-bool",
+         "dims-zero", "dims-string", "amalgam-components", "amalgam-no-components",
+         "amalgam-component-type", "amalgam-gluings", "amalgam-gluing", "gluing-left",
+         "gluing-right", "gluing-kinds", "circulant-depth-bool", "tree-p-bool", "tree-e-bool",
          "schema-version-bool", "exponent-dims-bool", "closed-form-a-bool",
          "closed-form-dims-bool", "tree-m-zero", "tree-m-negative",
          "circulant-dims-nonpositive", "exponent-ram-negative", "circulant-ram-zero",

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from headorder.modular import (
     annihilator,
     charpoly_modp,
@@ -98,6 +100,18 @@ def test_annihilator_double():
     a1 = annihilator(rows, p, K)
     a2 = annihilator(a1, p, K)
     assert span_equal(rows, a2, p, K)
+
+
+def test_no_rows_raise():
+    # the kernel of no condition is the whole space, whose width is unknown
+    for kernel in (
+        lambda rows: right_kernel(rows, 3, 4),
+        lambda rows: annihilator(rows, 3, 4),
+        lambda rows: nullspace_modp(rows, 3),
+    ):
+        with pytest.raises(ValueError):
+            kernel([])
+        assert len(kernel([[0, 0]])) == 2
 
 
 def test_nullspace_modp():

@@ -16,6 +16,7 @@ from headorder.amalgam import (
 from headorder.errors import OracleCapExceeded, TruncationTooSmall
 from headorder import oracle
 from headorder.exponent import (
+    ExponentIdeal,
     diag_conjugate,
     idealizer,
     radical,
@@ -36,6 +37,7 @@ from headorder.modular import (
 from headorder.oracle import (
     Ambient,
     build_model,
+    certify_order,
     model_from_amalgam,
     model_from_exponent,
     oracle_idealizer,
@@ -306,6 +308,27 @@ def test_oracle_idealizer_scaled_h3():
         assert spans_agree(Id, predmodel.basis, model.ambient, noise)
 
 
+def _never(*args):
+    raise AssertionError("certify_order went past the read-back that fails")
+
+
+def test_certify_order_rejects_a_wrong_radical(monkeypatch):
+    # every predicted radical exponent one too high: the J read-back says no
+    def high_radical(order):
+        return ExponentIdeal(tuple(tuple(x + 1 for x in row) for row in radical(order).N))
+
+    monkeypatch.setattr(oracle, "radical", high_radical)
+    monkeypatch.setattr(oracle, "oracle_idealizer", _never)
+    assert certify_order(scaled_hereditary((1, 1, 1), 2), 3) is False
+
+
+def test_certify_order_rejects_a_wrong_idealizer(monkeypatch):
+    # the predicted idealizer is the order itself: the Id read-back says no
+    monkeypatch.setattr(oracle, "idealizer", lambda order, ideal: order)
+    monkeypatch.setattr(oracle, "spans_agree", _never)
+    assert certify_order(scaled_hereditary((1, 1, 1), 2), 3) is False
+
+
 def test_truncation_stability():
     order = scaled_hereditary((1, 1), 2)
     for K in (8, 9):
@@ -322,7 +345,7 @@ def test_amalgam_model_one_step():
     B = validate_amalgam(
         (comp, comp), (GluingConstraint((0, 0), (1, 0), 1),)
     )
-    K = truncation_for(1, 1)
+    K = truncation_for(2)
     noise = K - 4
     for p in (2, 3):
         model = model_from_amalgam(B, p, K)
@@ -376,7 +399,7 @@ def test_amalgam_model_mixed_flavors_one_step(depth):
             GluingConstraint((1, 0), (2, 0), 1),
         ),
     )
-    K = truncation_for(1, depth)
+    K = truncation_for(1 + depth)
     noise = K - (1 + depth + 2)
     nxt = amalgam_idealizer_step(B)
     for p in (2, 3):
@@ -549,17 +572,24 @@ def _companion(coeffs, m):
     return M
 
 
-def _cyclic9_group_ring():
-    """Z_3[C_9] inside Z_3 x M_2(Z_3) x M_6(Z_3), truncated at K = 10.
+def _cyclic_group_ring(p, a):
+    """Z_p[C_{p^a}] inside ⊕_{s=0..a} M_{φ(p^s)}(Z_p), truncated at K = 10.
 
-    Returns the ambient, generators of the group ring, the Howell basis of
-    the maximal order and the identity e0 of the first summand.
+    The generator acts on summand s as the companion matrix of the
+    cyclotomic polynomial Φ_{p^s}(x) = Σ_{i<p} x^(i p^(s-1)), so the
+    maximal order is ⊕_s Z_p[ζ_{p^s}].  Returns the ambient, generators of
+    the group ring, the Howell basis of the maximal order and the identity
+    e0 of the first summand.
     """
-    p, K = 3, 10
-    amb = Ambient((1, 2, 6), p, K)
+    K = 10
+    degrees = [1] + [(p - 1) * p ** (s - 1) for s in range(1, a + 1)]
+    amb = Ambient(tuple(degrees), p, K)
     m = amb.modulus
-    C3 = _companion([1, 1], m)  # x^2 + x + 1
-    C9 = _companion([1, 0, 0, 1, 0, 0], m)  # x^6 + x^3 + 1
+    # Φ_{p^0} = x - 1; above it the coefficient of x^i is 1 when p^(s-1) | i
+    gens = [_companion([-1], m)] + [
+        _companion([int(i % p ** (s - 1) == 0) for i in range(degrees[s])], m)
+        for s in range(1, a + 1)
+    ]
 
     def matmul(A, B):
         n = len(A)
@@ -575,42 +605,42 @@ def _cyclic9_group_ring():
             R = matmul(R, A)
         return R
 
-    def zero(n):
-        return [[0] * n for _ in range(n)]
-
-    def embed(s, M2, M6):
+    def embed(mats):
+        # mats[s] goes to summand s; None leaves the summand zero
         v = [0] * amb.dim
-        v[0] = s % m
-        for i in range(2):
-            for j in range(2):
-                v[amb.pos(1, i, j)] = M2[i][j] % m
-        for i in range(6):
-            for j in range(6):
-                v[amb.pos(2, i, j)] = M6[i][j] % m
+        for s, M in enumerate(mats):
+            if M is not None:
+                for i, row in enumerate(M):
+                    for j, x in enumerate(row):
+                        v[amb.pos(s, i, j)] = x % m
         return v
 
-    gens0 = [embed(1, matpow(C3, k), matpow(C9, k)) for k in range(9)]
-    maxgens = [embed(1, zero(2), zero(6))]
-    maxgens += [embed(0, matpow(C3, k), zero(6)) for k in range(2)]
-    maxgens += [embed(0, zero(2), matpow(C9, k)) for k in range(6)]
-    maximal = howell(maxgens, p, K)
-    return amb, gens0, maximal, embed(1, zero(2), zero(6))
+    group = [embed([matpow(C, k) for C in gens]) for k in range(p**a)]
+    maxgens = [
+        embed([matpow(C, k) if t == s else None for t in range(a + 1)])
+        for s, C in enumerate(gens)
+        for k in range(degrees[s])
+    ]
+    e0 = embed([[[1]]] + [None] * a)
+    return amb, group, howell(maxgens, p, K), e0
 
 
-def _cyclic9_chain():
-    """The oracle idealizer chain of Z_3[C_9] within the maximal order:
+def _cyclic_chain(p, a):
+    """The oracle idealizer chain of Z_p[C_{p^a}] within the maximal order:
     every model with its radical and idealizer, up to the fixed point."""
-    amb, gens0, maximal, _ = _cyclic9_group_ring()
-    p, K = amb.p, amb.K
+    amb, gens0, maximal, _ = _cyclic_group_ring(p, a)
+    K = amb.K
     noise = K - 3
     model = build_model(amb, gens0)
     steps = []
-    for _ in range(8):
+    for _ in range(p**a):
         J = oracle_radical(model)
         # Id(J) within the maximal order: by the double annihilator over
-        # Z/p^K, right_kernel(ann(X) + ann(Y)) is the intersection of X and Y
+        # Z/p^K, right_kernel(ann(X) + ann(Y)) is the intersection of X and
+        # Y; the zero row stands for no condition when both are the ambient
         Id = oracle_idealizer(model, J)
-        Id = right_kernel(annihilator(Id, p, K) + annihilator(maximal, p, K), p, K)
+        conds = annihilator(Id, p, K) + annihilator(maximal, p, K) + [[0] * amb.dim]
+        Id = right_kernel(conds, p, K)
         steps.append((model, J, Id))
         if spans_agree(Id, model.basis, amb, noise):
             break
@@ -618,27 +648,33 @@ def _cyclic9_chain():
     return steps, maximal
 
 
-def test_ramified_stack_regression():
-    """The group ring of a cyclic group of order 9 over the 3-adics.
+@pytest.mark.parametrize(
+    "p, a, package_length",
+    [(2, 1, 1), (3, 1, 1), (5, 1, 1), (2, 2, 2), (2, 3, 3), (2, 4, 7), (3, 2, 2)],
+)
+def test_ramified_stack_regression(p, a, package_length):
+    """The group ring of a cyclic group of order p^a over the p-adics.
 
-    Its idealizer chain takes 3 steps to reach the maximal order, one more
-    than the independent per-gluing depth counters predict for the matching
-    tree block (a = 2 stack): the stack congruence and the edge congruence
-    are entangled through all three components.  Pin both numbers.
+    Its idealizer chain takes p^(a-1) steps to reach the maximal order.
+    The independent per-gluing depth counters of the matching one-edge
+    tree block (e = 1) predict max(a, p^(a-1) - 1) steps, one short
+    whenever p^(a-1) > a: the stack congruence and the edge congruence
+    are entangled through all the components.  Pin both numbers.
     """
-    amb, _, _, e0 = _cyclic9_group_ring()
-    p, K = amb.p, amb.K
-    steps, maximal = _cyclic9_chain()
-    assert steps[0][0].rank == 9
+    amb, _, _, e0 = _cyclic_group_ring(p, a)
+    K = amb.K
+    steps, maximal = _cyclic_chain(p, a)
+    assert steps[0][0].rank == p**a
     moves = len(steps) - 1
-    assert moves == 3
+    assert moves == p ** (a - 1)
     model = steps[-1][0]
     assert spans_agree(model.basis, maximal, amb, K - 3)
     # the identity of the untouched rational component splits off last:
-    # 9 e_0 is in the group ring, 3 e_0 appears one step in, e_0 at the end
+    # p^a e_0 is in the group ring, e_0 only in the maximal order
     assert in_span(e0, model.basis, p, K)
+    assert not in_span(e0, steps[0][0].basis, p, K)
 
-    # the tree-block bookkeeping for the same data stops after 2 steps
+    # the tree-block bookkeeping for the same data stops earlier
     from headorder.brauer import PlanarBrauerTree, head_order_report
 
     tree = PlanarBrauerTree(
@@ -646,16 +682,16 @@ def test_ramified_stack_regression():
         edges=((0, 1),),
         dims=(1,),
         rotations=((0,), (0,)),
-        p=3,
-        a=2,
+        p=p,
+        a=a,
     )
-    assert head_order_report(tree)["chain_length"] == 2
+    assert head_order_report(tree)["chain_length"] == package_length
 
 
 def test_radical_modp_matches_dense_reference_on_group_ring():
     # in Z_3[C_9] nearly every product of two basis elements is nonzero and
     # has a long support, the opposite extreme from the sparse orders
-    for model, _, _ in _cyclic9_chain()[0]:
+    for model, _, _ in _cyclic_chain(3, 2)[0]:
         assert radical_modp(model.mult, 3) == dense_radical_modp(model.mult, 3)
 
 
@@ -751,7 +787,7 @@ def test_oracle_idealizer_matches_dense_reference(p):
         J = oracle_radical(model)
         assert oracle_idealizer(model, J) == dense_oracle_idealizer(model, J)
     if p == 3:
-        steps, maximal = _cyclic9_chain()
+        steps, maximal = _cyclic_chain(3, 2)
         for model, J, Id in steps:
             assert Id == dense_oracle_idealizer(model, J, within=maximal)
 
@@ -771,7 +807,7 @@ def test_build_model_matches_dense_reference(p):
     for model in _reference_models(p):
         assert model.mult == dense_mult_table(model.ambient, model.basis)
     if p == 3:
-        for model, _, _ in _cyclic9_chain()[0]:
+        for model, _, _ in _cyclic_chain(3, 2)[0]:
             assert model.mult == dense_mult_table(model.ambient, model.basis)
 
 

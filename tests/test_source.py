@@ -111,3 +111,31 @@ def test_readme_python_examples_run(monkeypatch):
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def root_bindings(source: str) -> list[str]:
+    """Imports and public names that a package root binds: each is a
+    second import path to a module's name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.extend(f"import {alias.name}" for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.append(node.id)
+    return [n for n in out if n.startswith("import ") or not n.startswith("_")]
+
+
+def test_root_bindings_are_detected():
+    source = 'import os\nfrom .a import f as g\n__version__ = "1"\nX, _y = 1, 2\ndef h(): pass\n'
+    assert root_bindings(source) == ["import os", "import f", "h", "X"]
+    assert root_bindings('"""Doc."""\n__version__ = "1"\n') == []
+
+
+def test_package_root_reexports_nothing():
+    # one import path per name: tests, the CLI and the README import from
+    # the modules, and the package root binds only its version
+    source = (PACKAGE / "__init__.py").read_text()
+    assert root_bindings(source) == []
+    assert "__version__" in _referenced([ast.parse(source)])
