@@ -16,11 +16,19 @@ uniformizer.  Two congruence flavors appear:
 
 Both flavors lose exactly one level of depth per idealizer step and the
 constraint disappears at depth 0, splitting the components.
+
+Settling: a component that one step leaves unchanged while none of its
+diagonal blocks carries a depth is left unchanged by every later step.
+Proof: a block's depth is the largest depth of the diagonal gluings at it,
+and gluing depths only fall and vanish, so its depths stay zero; with
+zero depths the step is Id(J(.)), and the component is already its own
+Id(J(.)).  A one-block component, ((0,),), is the maximal order and
+settled from the start.  The chain steps no settled component.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 from .exponent import (
     ExponentOrder,
@@ -62,9 +70,20 @@ class GluingConstraint:
 
 @dataclass(frozen=True)
 class AmalgamBlock:
+    """Components glued by congruences.
+
+    ``settled`` holds the indices of components that no later step moves
+    (see the module docstring).  amalgam_idealizer_step sets it on the
+    blocks it returns; any other block has it empty and is stepped in
+    full.
+    """
+
     components: tuple[ExponentOrder, ...]
     gluings: tuple[GluingConstraint, ...]
     params: tuple | None = None
+    settled: frozenset = field(
+        default=frozenset(), init=False, repr=False, compare=False
+    )
 
 
 def validate_amalgam(components, gluings, params=None) -> AmalgamBlock:
@@ -132,17 +151,32 @@ def amalgam_idealizer_step(B: AmalgamBlock) -> AmalgamBlock:
 
     Components step through their constraint-aware idealizer using the
     depth each diagonal block currently carries; afterwards every gluing
-    depth drops by one and exhausted gluings disappear.
+    depth drops by one and exhausted gluings disappear.  Settled
+    components are returned as they are, and the returned block records
+    which components are settled.
     """
     depths = _depth_vectors(B)
-    new_components = tuple(
-        glued_idealizer(comp, radical(comp), depths[c])
-        for c, comp in enumerate(B.components)
+    settled = B.settled
+    components = []
+    for c, comp in enumerate(B.components):
+        if c not in settled:
+            if comp.n == 1:
+                settled |= {c}
+            else:
+                nxt = glued_idealizer(comp, radical(comp), depths[c])
+                if nxt != comp:
+                    comp = nxt
+                elif not any(depths[c]):
+                    settled |= {c}
+        components.append(comp)
+    gluings = tuple(
+        GluingConstraint(g.left, g.right, g.depth - 1, g.kinds)
+        for g in B.gluings
+        if g.depth > 1
     )
-    new_gluings = tuple(
-        replace(g, depth=g.depth - 1) for g in B.gluings if g.depth > 1
-    )
-    return AmalgamBlock(new_components, new_gluings, B.params)
+    stepped = AmalgamBlock(tuple(components), gluings, B.params)
+    object.__setattr__(stepped, "settled", settled)
+    return stepped
 
 
 def amalgam_chain(B: AmalgamBlock, max_steps: int | None = None):

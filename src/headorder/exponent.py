@@ -222,10 +222,6 @@ def glued_idealizer(order: ExponentOrder, ideal: ExponentIdeal, depths) -> Expon
     n = order.n
     if len(depths) != n:
         raise ValueError("depths must have length n")
-    if n == 1:
-        # one block: G is the zero diagonal.  Most idealizers of the tree
-        # pipeline are of single blocks, and this skips their symmetry check
-        return ExponentOrder(order.dims, ((0,),), order.ram)
     N = ideal.N
     s = None
     if depths.count(depths[0]) == n:

@@ -23,7 +23,6 @@ from headorder.brauer import (
     build_block,
     hasse_invariant,
     head_order_report,
-    validate_tree,
 )
 from headorder.circulant import (
     _split,
@@ -47,6 +46,7 @@ from headorder.oracle import (
     oracle_idealizer,
     oracle_radical,
     spans_agree,
+    truncation_for,
 )
 from test_brauer import derive_permutations
 
@@ -179,7 +179,7 @@ def _amalgam_models(B, p):
     )
     mx = max(mx, 1)
     mxd = max((g.depth for st in chain for g in st.gluings), default=0)
-    K = 2 * (mx + mxd) + 4
+    K = truncation_for(mx + mxd)
     noise = K - (mx + mxd + 2)
     return [model_from_amalgam(st, p, K) for st in chain], noise
 
@@ -348,9 +348,10 @@ def _rotation_choices(incident):
         yield combo
 
 
-def test_c6_tree_pipeline():
-    ok = True
-    checked = 0
+def c6_trees(a_values=(1, 2)):
+    """Every criterion-6 tree: e <= 4 edges with unit dims, every labeled
+    tree, planar rotation and exceptional vertex, p in {3, 5, 7} with e
+    dividing p - 1, and each a in a_values."""
     for e in range(1, 5):
         nv = e + 1
         primes = [p for p in (3, 5, 7) if (p - 1) % e == 0]
@@ -362,70 +363,59 @@ def test_c6_tree_pipeline():
             for rotations in _rotation_choices(incident):
                 for exceptional in range(nv):
                     for p in primes:
-                        for a in (1, 2):
-                            tree = validate_tree(
-                                PlanarBrauerTree(
-                                    exceptional=exceptional,
-                                    edges=edges,
-                                    dims=(1,) * e,
-                                    rotations=rotations,
-                                    p=p,
-                                    a=a,
-                                )
+                        for a in a_values:
+                            yield PlanarBrauerTree(
+                                exceptional=exceptional,
+                                edges=edges,
+                                dims=(1,) * e,
+                                rotations=rotations,
+                                p=p,
+                                a=a,
                             )
-                            rep = head_order_report(tree)
-                            types = block_head_order(build_block(tree))
-                            # the report's sigma at w, the rotation
-                            # successor, is delta or rho restricted to w
-                            delta, rho, _ = derive_permutations(tree)
-                            for w, cyc in enumerate(rotations):
-                                succ = {
-                                    i: cyc[(k + 1) % len(cyc)]
-                                    for k, i in enumerate(cyc)
-                                }
-                                if w != exceptional and succ not in (
-                                    {i: delta[i] for i in cyc},
-                                    {i: rho[i] for i in cyc},
-                                ):
-                                    ok = False
-                            for entry, ht in zip(rep["components"], types):
-                                if (
-                                    entry["blocks"] != ht.blocks
-                                    or entry["grouped_dims"]
-                                    != list(ht.grouped_dims)
-                                ):
-                                    ok = False
-                            for entry in rep["components"]:
-                                if entry["exceptional"]:
-                                    continue
-                                if entry["blocks"] != entry["predicted_blocks"]:
-                                    ok = False
-                                if (
-                                    entry["grouped_dims"]
-                                    != entry["predicted_dims"]
-                                ):
-                                    ok = False
-                                fibers = entry["simple_fibers"]
-                                n = sum(len(f) for f in fibers.values())
-                                d = gcd(n, a)
-                                seen = sorted(
-                                    x for f in fibers.values() for x in f
-                                )
-                                if seen != list(range(n)):
-                                    ok = False
-                                if any(len(f) != d for f in fibers.values()):
-                                    ok = False
-                            checked += 1
-                            if not ok:
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
+
+
+def _c6_tree_agrees(tree):
+    rep = head_order_report(tree)
+    types = block_head_order(build_block(tree))
+    # the report's sigma at w, the rotation successor, is delta or rho
+    # restricted to w
+    delta, rho, _ = derive_permutations(tree)
+    for w, cyc in enumerate(tree.rotations):
+        succ = {i: cyc[(k + 1) % len(cyc)] for k, i in enumerate(cyc)}
+        if w != tree.exceptional and succ not in (
+            {i: delta[i] for i in cyc},
+            {i: rho[i] for i in cyc},
+        ):
+            return False
+    for entry, ht in zip(rep["components"], types):
+        if entry["blocks"] != ht.blocks or entry["grouped_dims"] != list(
+            ht.grouped_dims
+        ):
+            return False
+    for entry in rep["components"]:
+        if entry["exceptional"]:
+            continue
+        if entry["blocks"] != entry["predicted_blocks"]:
+            return False
+        if entry["grouped_dims"] != entry["predicted_dims"]:
+            return False
+        fibers = entry["simple_fibers"]
+        n = sum(len(f) for f in fibers.values())
+        d = gcd(n, tree.a)
+        seen = sorted(x for f in fibers.values() for x in f)
+        if seen != list(range(n)):
+            return False
+        if any(len(f) != d for f in fibers.values()):
+            return False
+    return True
+
+
+def test_c6_tree_pipeline():
+    ok = True
+    checked = 0
+    for tree in c6_trees():
+        ok = _c6_tree_agrees(tree)
+        checked += 1
         if not ok:
             break
     report("criterion 6, tree pipeline agreement", ok, f"{checked} trees")

@@ -1,17 +1,30 @@
 """Glued sums of components and their idealizer chains."""
 
+from dataclasses import replace
+
 import pytest
 
 from headorder.amalgam import (
     WHOLE,
     AmalgamBlock,
     GluingConstraint,
+    _depth_vectors,
     amalgam_chain,
     amalgam_idealizer_step,
     block_head_order,
     validate_amalgam,
 )
-from headorder.exponent import scaled_hereditary, standard_hereditary
+from headorder.brauer import PlanarBrauerTree, build_block
+from headorder.errors import StepBudgetExceeded
+from headorder.exponent import (
+    fixed_point_chain,
+    glued_idealizer,
+    radical,
+    scaled_hereditary,
+    standard_hereditary,
+)
+from headorder.serialize import dumps, loads
+from test_acceptance import _amalgam_cases, c6_trees
 
 
 def pair(depth, scale=1, kinds=("diagonal", "diagonal")):
@@ -136,3 +149,69 @@ def test_matrix_gluing_never_moves_exponents():
 def test_params_round_along_chain():
     B = AmalgamBlock((scaled_hereditary((1, 1), 1),), (), params=(3, 1, 2))
     assert amalgam_idealizer_step(B).params == (3, 1, 2)
+
+
+def _step_every_component(B):
+    """The amalgam step with no component skipped, rebuilt through
+    AmalgamBlock(...) so that no settled set is carried."""
+    components = tuple(
+        glued_idealizer(comp, radical(comp), depths)
+        for comp, depths in zip(B.components, _depth_vectors(B))
+    )
+    gluings = tuple(
+        GluingConstraint(g.left, g.right, g.depth - 1, g.kinds)
+        for g in B.gluings
+        if g.depth > 1
+    )
+    return AmalgamBlock(components, gluings, B.params)
+
+
+def _equivalence_blocks():
+    trees = list(c6_trees((1, 2, 3)))
+    blocks = [build_block(t) for t in trees]
+    # one variant with non-unit dims per planar shape
+    shapes = {(t.edges, t.rotations): t for t in reversed(trees) if t.a == 2}
+    for t in shapes.values():
+        blocks.append(build_block(replace(t, dims=tuple(range(2, t.e + 2)))))
+    # labelings of one tree often build the same block: each is run once
+    return dict.fromkeys(blocks + _amalgam_cases())
+
+
+def test_chain_equals_chain_stepping_every_component():
+    # settled components are skipped without changing any state
+    for B in _equivalence_blocks():
+        chain = amalgam_chain(B)
+        assert chain == fixed_point_chain(_step_every_component, B, len(chain) - 1)
+
+
+def test_settled_set_is_outside_equality():
+    tree = PlanarBrauerTree(
+        exceptional=1, edges=((0, 1), (0, 2)), dims=(1, 1),
+        rotations=((0, 1), (0,), (1,)), p=5, a=2,
+    )
+    # the step that confirms the fixed point finds every component settled
+    last = amalgam_chain(build_block(tree))[-1]
+    assert last.settled == {0, 1, 3}
+    last = amalgam_idealizer_step(last)
+    assert last.settled == frozenset(range(4))
+    rebuilt = [
+        AmalgamBlock(last.components, last.gluings, last.params),
+        validate_amalgam(last.components, last.gluings, last.params),
+        replace(last),
+        loads(dumps(last)),
+    ]
+    for block in rebuilt:
+        assert block.settled == frozenset()
+        assert block == last and hash(block) == hash(last)
+
+
+def test_settled_components_count_every_move():
+    # the one-edge tree with p = 7, a = 3 moves 48 times, most of them
+    # only counting gluing depths down
+    tree = PlanarBrauerTree(
+        exceptional=0, edges=((0, 1),), dims=(1,), rotations=((0,), (0,)), p=7, a=3,
+    )
+    assert len(amalgam_chain(build_block(tree), max_steps=48)) == 49
+    with pytest.raises(StepBudgetExceeded) as info:
+        amalgam_chain(build_block(tree), max_steps=47)
+    assert info.value.max_steps == 47

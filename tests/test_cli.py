@@ -576,6 +576,33 @@ def test_chain_tag_bytes_pinned():
     assert h.hexdigest() == "f9b9de4a8d7a5bd64ab2187dbeb800c448edac31761266d7dcdb7c8ce8e2f137"
 
 
+def test_tree_bytes_pinned():
+    # sha256 of exit code and stdout, request by request, for tree on every
+    # criterion-6 tree with a = 1, 2, then for chain and head on the amalgam
+    # documents of the first a = 2 block of each edge count with the
+    # exceptional vertex at a leaf and at an inner vertex: every chain
+    # length, head type and amalgam state of those runs
+    from headorder.brauer import build_block
+    from test_acceptance import c6_trees
+
+    trees = list(c6_trees((1, 2)))
+    h = hashlib.sha256()
+    for tree in trees:
+        code, out, _ = _run_cli(["--command", "tree", "--input", "-"], dumps(tree))
+        h.update(f"{code}\n{out}".encode())
+    firsts = {
+        (t.e, len(t.rotations[t.exceptional]) == 1): t
+        for t in reversed(trees)
+        if t.a == 2
+    }
+    for key in sorted(firsts):
+        doc = dumps(build_block(firsts[key]))
+        for command in ("chain", "head"):
+            code, out, _ = _run_cli(["--command", command, "--input", "-"], doc)
+            h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == "05d23bc13a9e4df39f7bab677a330eb121ac7d8625091fae8ef15995fccf0a02"
+
+
 # ---------------------------------------------------------------------------
 # fuzzing the CLI boundary with mutated documents
 

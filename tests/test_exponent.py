@@ -288,6 +288,15 @@ def test_glued_idealizer_depth_zero_is_bare():
     assert glued.M == bare.M
 
 
+@pytest.mark.parametrize("dims, ram", [((1,), 1), ((3,), 2)])
+def test_glued_idealizer_one_block(dims, ram):
+    # a one-block order is the maximal order at every depth
+    order = ExponentOrder(dims, ((0,),), ram)
+    for depth in range(4):
+        got = glued_idealizer(order, radical(order), [depth])
+        assert got == ExponentOrder(dims, ((0,),), ram)
+
+
 def test_glued_idealizer_depth_blocks_growth():
     # with depth equal to the scale the first step only opens the diagonal
     order = scaled_hereditary((1, 1, 1), 2)
