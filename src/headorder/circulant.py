@@ -9,12 +9,12 @@ drops it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from operator import sub
 
 from .errors import NotACycle, OutOfRange
-from .exponent import ExponentOrder, HereditaryType, Matrix, equal_up_to_diag
+from .exponent import ExponentOrder, HereditaryType, Matrix, diag_key
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,8 @@ class Checkpoint:
 
     ``step`` indexes the chain from (0, a^{n-1}) at depth a, the start at
     step 0; the head has no step.  A state matches a checkpoint up to
-    diagonal conjugation, and on its depth too unless ``depth`` is None.
+    diagonal conjugation, that is when its diag_key equals ``key``, and on
+    its depth too unless ``depth`` is None.
 
     No rotation is needed: write Lambda(v) as m_ij = g(j - i).  Its
     rotation m_(i+1)(j+1) is m_ij + t_i - t_j with t = (0, ..., 0, v_(n-1)),
@@ -222,9 +223,13 @@ class Checkpoint:
     step: int | None
     matrix: Matrix
     depth: int | None
+    key: Matrix = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", diag_key(self.matrix))
 
     def matches(self, order: ExponentOrder, depth: int) -> bool:
-        return equal_up_to_diag(order.M, self.matrix) and self.depth in (None, depth)
+        return diag_key(order.M) == self.key and self.depth in (None, depth)
 
 
 def chain_checkpoints(n: int, a: int) -> tuple[Checkpoint, ...]:
@@ -267,8 +272,7 @@ def certify_cell(n: int, a: int, chain) -> bool:
     head_order_w, and for b | n the grading at x = 0 is v^(1).
     """
     checkpoints = chain_checkpoints(n, a)
-    head = checkpoints[-1].matrix
-    return equal_up_to_diag(chain[-1][0].M, head) and all(
+    return diag_key(chain[-1][0].M) == checkpoints[-1].key and all(
         cp.step is None or (cp.step < len(chain) and cp.matches(*chain[cp.step]))
         for cp in checkpoints
     )

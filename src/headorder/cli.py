@@ -30,6 +30,7 @@ from .circulant import (
 from .errors import HeadOrderError, SchemaError
 from .exponent import (
     ExponentOrder,
+    diag_key,
     glued_chain,
     is_hereditary,
     radical,
@@ -40,10 +41,13 @@ from .exponent import (
 def _read_input(arg):
     if arg is None:
         raise SchemaError("$", "this command requires --input")
-    if arg == "-":
-        return sys.stdin.read()
-    with open(arg) as fh:
-        return fh.read()
+    try:
+        if arg == "-":
+            return sys.stdin.read()
+        with open(arg, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError("$", f"input is not UTF-8 text: {exc}") from exc
 
 
 def _hereditary_doc(order: ExponentOrder):
@@ -97,18 +101,22 @@ def cmd_chain(args):
             )
         return {"steps": steps, "length": len(chain) - 1}, 0
     chain = _chain_of(value, args.max_steps)
-    checkpoints = ()
+    # the checkpoints of each diagonal normal form, in schedule order
+    index = {}
     if isinstance(value, CirculantState):
         a = value.v[-1]
         if value.f == a and all(x in (0, a) for x in value.v) and a > 0:
-            checkpoints = chain_checkpoints(value.n, a)
+            for cp in chain_checkpoints(value.n, a):
+                index.setdefault(cp.key, []).append(cp)
     steps = []
     for k, (order, depth) in enumerate(chain):
         entry = {"step": k, "matrix": [list(r) for r in order.M], "depth": depth}
         # the first checkpoint the state matches by content, whatever its step
-        tag = next((cp.tag for cp in checkpoints if cp.matches(order, depth)), None)
-        if tag:
-            entry["matches"] = tag
+        if index:
+            candidates = index.get(diag_key(order.M), ())
+            tag = next((cp.tag for cp in candidates if cp.depth in (None, depth)), None)
+            if tag:
+                entry["matches"] = tag
         steps.append(entry)
     steps[-1]["hereditary"] = _hereditary_doc(chain[-1][0])
     return {"steps": steps, "length": len(chain) - 1}, 0
@@ -303,7 +311,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=1)
+        text = serialize.render(report)
     else:
         text = _render_pretty(report)
     try:

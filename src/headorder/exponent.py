@@ -177,6 +177,19 @@ def _diag_shift(A: Matrix, B: Matrix) -> tuple[int, ...] | None:
     return t
 
 
+def diag_key(M: Matrix) -> Matrix:
+    """The diagonal normal form of M: entry (i, j) is m_ij - m_i0 + m_j0.
+
+    It is M conjugated by t_i = m_i0, so column 0 is m_00 (zero on an order),
+    and it is exact: A and B are diagonal conjugates iff their keys are
+    equal.  Conjugating by t adds t_i - t_j to m_ij and t_i - t_0 to m_i0,
+    which cancel in the key; and if the keys are equal, then
+    a_ij - b_ij = s_i - s_j with s_i = a_i0 - b_i0.
+    """
+    col = [row[0] for row in M]
+    return tuple(tuple(map(sub, map(add, row, col), repeat(c))) for row, c in zip(M, col))
+
+
 def _rotation_shift(N: Matrix) -> tuple[int, ...] | None:
     """s with N[i+1][j+1] = N[i][j] - s[i] + s[j] for all i, j mod n, or None.
 
@@ -362,7 +375,7 @@ def is_hereditary(order: ExponentOrder):
     class have equal rows and columns in C, so an unreduced order has the
     type of merge_unreduced(order).  Returns a HereditaryType, or None.
     """
-    C = diag_conjugate(order, [row[0] for row in order.M]).M
+    C = diag_key(order.M)
     s = [sum(row) for row in C]
     if any(c != (si > sj) for row, si in zip(C, s) for c, sj in zip(row, s)):
         return None

@@ -2,7 +2,8 @@
 
 Every document carries a "type" discriminator and a "schema_version".
 Serialization is deterministic: keys are emitted in sorted order and all
-values are plain integers, strings, lists and objects.
+values are plain integers, strings, lists and objects.  ``render`` writes
+documents and the CLI's reports alike.
 """
 
 from __future__ import annotations
@@ -194,16 +195,63 @@ def from_document(doc, path="$"):
     raise SchemaError(f"{path}.type", f"unknown type {kind!r}")
 
 
+_STRING = json.encoder.encode_basestring_ascii  # json.dumps's escaping
+
+
+def render(value) -> str:
+    """Exactly ``json.dumps(value, sort_keys=True, indent=1)``, for dicts with
+    str keys, lists, tuples, ints, strs, True, False and None.
+
+    Anything else, such as a float, a set or a non-str key, raises
+    TypeError.  A list of ints only (no bools) is joined in one call.
+    """
+    return _render(value, "\n")
+
+
+def _render(value, nl):
+    # nl: a newline and the indent of the line that holds value
+    if isinstance(value, str):
+        return _STRING(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = nl + " "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_render(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("cannot render a key that is not a str")
+        items = [_STRING(key) + ": " + _render(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise TypeError(f"cannot render {type(value).__name__}")
+
+
 def dumps(value) -> str:
-    return json.dumps(to_document(value), sort_keys=True, indent=1)
+    return render(to_document(value))
 
 
 def read_json(text: str):
-    """The parsed JSON value; invalid JSON raises SchemaError at "$"."""
+    """The parsed JSON value; text that does not parse, nests too deeply or
+    holds an integer too long to convert raises SchemaError at "$"."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or the int digit limit
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("$", "invalid JSON: nested too deeply") from exc
 
 
 def loads(text: str):

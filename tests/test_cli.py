@@ -368,6 +368,25 @@ def test_malformed_field_exit_2(capsys, monkeypatch, command, doc, field):
     assert json.loads(err)["error"].startswith(f"{field}:")
 
 
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("closed-form", b'\xff\xfe{"n": 3}'),
+        ("check", b"[" * 100_000 + b"]" * 100_000),
+        ("closed-form", b'{"n": 3, "a": ' + b"9" * 4301 + b"}"),
+    ],
+    ids=["not-utf-8", "nested-too-deeply", "int-over-digit-limit"],
+)
+def test_malformed_text_exit_2(tmp_path, capsys, command, data):
+    # input text that no JSON value can come from, read from a file
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    code, out, err = run(capsys, ["--command", command, "--input", str(path)])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"].startswith("$:")
+
+
 def test_missing_file_exit_2(capsys):
     code, _, _ = run(capsys, ["--command", "check", "--input", "/nope.json"])
     assert code == 2
@@ -574,6 +593,21 @@ def test_chain_tag_bytes_pinned():
             code, out, _ = _run_cli(["--command", "chain", "--input", "-"], json.dumps(doc))
             h.update(f"{code}\n{out}".encode())
     assert h.hexdigest() == "f9b9de4a8d7a5bd64ab2187dbeb800c448edac31761266d7dcdb7c8ce8e2f137"
+
+
+@pytest.mark.parametrize(
+    "n, a, digest",
+    [
+        (24, 72, "faf45361a8690db3debfe4ed83a05bc9b7c0f0370e56f84595346315e8efcd77"),
+        (64, 200, "82becf0718c5533b6fe1ee0d3eeb19f6bb35f525809bc7b00df7b13fb0a1d4c4"),
+    ],
+)
+def test_long_chain_bytes_pinned(n, a, digest):
+    # sha256 of exit code and stdout for chain from (0, a^(n-1)) at depth a;
+    # n = 64, a = 200 is the long chain: 250 states, 58 tags, 10 MB
+    doc = {**CIRCULANT_DOC, "n": n, "dims": [1] * n, "v": [0] + [a] * (n - 1), "depth": a}
+    code, out, _ = _run_cli(["--command", "chain", "--input", "-"], json.dumps(doc))
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest
 
 
 def test_tree_bytes_pinned():

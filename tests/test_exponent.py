@@ -17,6 +17,7 @@ from headorder.exponent import (
     ExponentOrder,
     HereditaryType,
     diag_conjugate,
+    diag_key,
     equal_up_to_diag,
     equal_up_to_diag_and_rotation,
     glued_chain,
@@ -525,6 +526,39 @@ def test_equal_up_to_diag_and_rotation():
     P = (1, 0, 2, 3)
     swap = tuple(tuple(A[P[i]][P[j]] for j in range(n)) for i in range(n))
     assert not equal_up_to_diag_and_rotation(A, swap)
+
+
+def test_diag_key_decides_diagonal_conjugacy():
+    # random matrices, with and without zero diagonal, against their
+    # diagonal conjugates, their rotations, a perturbed copy and a stranger;
+    # entries are small so that unrelated pairs are sometimes conjugate
+    rng = random.Random(23)
+    seen = set()
+    for trial in range(400):
+        n = rng.randint(1, 5)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if trial % 2:
+            for i in range(n):
+                A[i][i] = 0
+        A = tuple(map(tuple, A))
+        t = [rng.randint(-4, 4) for _ in range(n)]
+        bump = [list(r) for r in A]
+        bump[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1))
+        stranger = tuple(tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(n))
+        others = [
+            A,
+            diag_conjugate(ExponentOrder((1,) * n, A), t).M,
+            exponent._rotate(A, rng.randrange(n)),
+            tuple(map(tuple, bump)),
+            stranger,
+        ]
+        for B in others:
+            same = exponent._diag_shift(A, B) is not None
+            assert (diag_key(A) == diag_key(B)) == same, (A, B)
+            seen.add(same)
+    assert seen == {True, False}
+    # the key of an order has column 0 zero
+    assert all(row[0] == 0 for row in diag_key(scaled_hereditary((1, 2, 1), 3).M))
 
 
 def reference_unreduced_classes(M):

@@ -1,13 +1,17 @@
-"""Round trips and schema validation for the JSON documents."""
+"""Round trips and schema validation for the JSON documents, and the renderer."""
+
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headorder.amalgam import GluingConstraint, validate_amalgam
 from headorder.brauer import PlanarBrauerTree, validate_tree
 from headorder.circulant import CirculantState
 from headorder.errors import SchemaError
 from headorder.exponent import scaled_hereditary, standard_hereditary
-from headorder.serialize import dumps, from_document, loads, to_document
+from headorder.serialize import dumps, from_document, loads, render, to_document
 
 
 def sample_tree():
@@ -120,3 +124,31 @@ def test_amalgam_kinds_default():
 def test_invalid_json_text():
     with pytest.raises(SchemaError):
         loads("{not json")
+
+
+# the value shapes that reports and documents hold: str-keyed dicts, lists and
+# tuples (empty ones too), ints of any size and sign, bools among ints, None,
+# and strings with non-ASCII, control and quote characters
+STRINGS = st.text() | st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f a\u00e9\u2603\U0001d11e')
+INTS = st.integers() | st.integers(min_value=-(10**60), max_value=10**60)
+INT_LISTS = st.lists(INTS) | st.lists(INTS | st.booleans())
+LEAVES = st.none() | st.booleans() | INTS | STRINGS | INT_LISTS
+VALUES = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(STRINGS, children),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(VALUES)
+def test_render_is_json_dumps(value):
+    assert render(value) == json.dumps(value, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, {1: 2}, {"a": [1, 2.0]}, [{"b": {None: 1}}]])
+def test_render_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        render(value)
