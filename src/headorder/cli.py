@@ -27,7 +27,7 @@ from .circulant import (
     head_order_w,
     simple_module_match,
 )
-from .errors import HeadOrderError, SchemaError
+from .errors import HeadOrderError, SchemaError, StepBudgetExceeded
 from .exponent import (
     ExponentOrder,
     diag_key,
@@ -184,9 +184,12 @@ def cmd_tree(args):
     return head_order_report(value), 0
 
 
-def _verify_cell(n: int, a: int, oracle: bool):
+def _verify_cell(n: int, a: int, oracle: bool, max_steps: int | None):
     start = scaled_hereditary((1,) * n, a)
-    chain = glued_chain(start, a)
+    try:
+        chain = glued_chain(start, a, max_steps)
+    except StepBudgetExceeded as exc:
+        raise SchemaError("--max-steps", f"cell n = {n}, a = {a}: {exc}") from exc
     ok = certify_cell(n, a, chain)
     detail = {}
     b = a % n
@@ -212,7 +215,7 @@ def _verify_cell(n: int, a: int, oracle: bool):
 
 def cmd_verify(args):
     n, a, _ = _params_from_input(args)
-    ok, detail = _verify_cell(n, a, args.oracle == "on")
+    ok, detail = _verify_cell(n, a, args.oracle == "on", args.max_steps)
     report = {"n": n, "a": a, "agree": ok}
     report.update(detail)
     return report, 0 if ok else 1
@@ -243,7 +246,7 @@ def cmd_sweep(args):
     cells = 0
     for n in range(nlo, nhi + 1):
         for a in range(alo, ahi + 1):
-            ok, _ = _verify_cell(n, a, args.oracle == "on")
+            ok, _ = _verify_cell(n, a, args.oracle == "on", args.max_steps)
             cells += 1
             if not ok:
                 disagreements.append({"n": n, "a": a})
@@ -293,7 +296,9 @@ PARSER = argparse.ArgumentParser(
 )
 PARSER.add_argument("--command", required=True, choices=HANDLERS)
 PARSER.add_argument("--input", help="path to a JSON document, or - for stdin")
-PARSER.add_argument("--max-steps", type=int, default=None, help="move budget (chain, head)")
+PARSER.add_argument(
+    "--max-steps", type=int, default=None, help="move budget (chain, head, each verify/sweep cell)"
+)
 PARSER.add_argument("--oracle", choices=("on", "off"), default="off")
 PARSER.add_argument("--grid", help="n=<lo..hi>,a=<lo..hi> (sweep)")
 PARSER.add_argument("--format", choices=("json", "pretty"), default="json")
@@ -302,10 +307,11 @@ PARSER.add_argument("--format", choices=("json", "pretty"), default="json")
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
-        if args.max_steps is not None and args.command not in ("chain", "head"):
-            raise SchemaError("--max-steps", "only chain and head take a step budget")
-        if args.max_steps is not None and args.max_steps < 0:
-            raise SchemaError("--max-steps", "need an integer >= 0")
+        if args.max_steps is not None:
+            if args.command not in ("chain", "head", "verify", "sweep"):
+                raise SchemaError("--max-steps", f"{args.command} takes no step budget")
+            if args.max_steps < 0:
+                raise SchemaError("--max-steps", "need an integer >= 0")
         report, code = HANDLERS[args.command](args)
     except (HeadOrderError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)

@@ -8,8 +8,8 @@ vector is carried along but never influences the exponent computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass
+from itertools import accumulate, repeat
 from operator import add, indexOf, neg, sub
 
 from .errors import DiagonalNonzero, StepBudgetExceeded, TriangleViolation
@@ -44,22 +44,11 @@ class ExponentOrder:
         return _unreduced_classes(self.M) == list(range(self.n))
 
 
-# ExponentIdeal.shift of an ideal whose rotation symmetry is not yet known
-_UNCHECKED = object()
-
-
 @dataclass(frozen=True)
 class ExponentIdeal:
-    """Exponent matrix of a full two-sided ideal inside an ExponentOrder.
-
-    ``shift`` is the rotation shift of N (see _rotation_shift) when it is
-    already known: glued_chain sets the one its states inherit from the
-    start on each step's ideal.  Any other ideal is checked when an
-    idealizer needs it.
-    """
+    """Exponent matrix of a full two-sided ideal inside an ExponentOrder."""
 
     N: Matrix
-    shift: object = field(default=_UNCHECKED, init=False, repr=False, compare=False)
 
 
 def validate_order(M, dims, ram: int = 1) -> ExponentOrder:
@@ -222,42 +211,40 @@ def glued_idealizer(order: ExponentOrder, ideal: ExponentIdeal, depths) -> Expon
     m[i][j] >= N[i][i] - N[j][i] and N[i][i] >= 0 for an ideal of the
     order.  The result always contains the order.
 
-    Equivariance: when N[i+1][j+1] = N[i][j] - s[i] + s[j] for all i, j
-    (indices mod n), as on every state of the Lambda(v) chains, reindexing
-    k -> k+1 in either maximum gives G[i+1][j+1] = G[i][j] - s[i] + s[j]
-    with the same s, and so does the depth bound when every depth is
-    equal.  That condition is checked exactly on N (see _rotation_shift),
-    unless the ideal already carries its shift, so row 0 determines G and
-    the rest is filled in O(n^2) by exact integer shifts; on any other N,
-    or with unequal depths, every row is computed.
+    With every depth equal, and N[i+1][j+1] = N[i][j] - s[i] + s[j] for
+    all i, j (indices mod n; checked exactly, see _rotation_shift), as on
+    every state of the Lambda(v) chains, one row of n entries determines G
+    and costs O(n^2); see _twisted for the coordinates and
+    _idealizer_row for the row.  Equivariance: conjugating N by a
+    diagonal t shifts both maxima and the depth bound f - N[j][i] by
+    t[i] - t[j], as it does m_ij, and reindexing k -> k+1 in either
+    maximum gives G[i+1][j+1] = G[i][j] - s[i] + s[j] with the same s.
+    So G conjugated by -P is T(g, sigma), with g its row 0, which
+    _idealizer_row computes from the row of N.  On any other N, or with
+    unequal depths, every row is computed.
     """
     depths = [int(x) for x in depths]
     n = order.n
     if len(depths) != n:
         raise ValueError("depths must have length n")
     N = ideal.N
-    s = None
     if depths.count(depths[0]) == n:
-        s = ideal.shift
-        if s is _UNCHECKED:
-            s = _rotation_shift(N)
+        s = _rotation_shift(N)
+        if s is not None:
+            u, sigma, P = _twisted(N, s)
+            G = _untwist(_idealizer_row(u, sigma, depths[0]), sigma, P)
+            return ExponentOrder(order.dims, G, order.ram)
+    return _maxplus_idealizer(order, N, depths)
+
+
+def _maxplus_idealizer(order: ExponentOrder, N: Matrix, depths) -> ExponentOrder:
+    """glued_idealizer on every row: the max-plus product and the depth bound."""
     cols = list(zip(*N))
-    if s is None:
-        A = [row + tuple(map(neg, col)) for row, col in zip(N, cols)]
-        rows = ([max(map(sub, Ai, Aj)) for Aj in A] for Ai in A)
-    else:
-        # the left maximum runs over N[0] - N[j], the right one over
-        # column j minus column 0
-        row0, col0 = N[0], cols[0]
-        rows = [
-            [
-                max(max(map(sub, row0, Nj)), max(map(sub, colj, col0)))
-                for Nj, colj in zip(N, cols)
-            ]
-        ]
-    glued = any(depths)
+    A = [row + tuple(map(neg, col)) for row, col in zip(N, cols)]
     G = []
-    for i, row in enumerate(rows):
+    glued = any(depths)
+    for i, Ai in enumerate(A):
+        row = [max(map(sub, Ai, Aj)) for Aj in A]
         if glued:
             # max(d_i, d_j) - N[j][i] is the larger of d_i - N[j][i] and
             # d_j - N[j][i]; column i of N holds N[j][i]
@@ -267,14 +254,90 @@ def glued_idealizer(order: ExponentOrder, ideal: ExponentIdeal, depths) -> Expon
             )
             row[i] = 0
         G.append(tuple(row))
-    if s is not None:
-        row = G[0]
-        s_prev = s[-1:] + s[:-1]
-        for si in s[:-1]:
-            # G[i+1][j] = G[i][j-1] - s[i] + s[j-1]
-            row = tuple(map(sub, map(add, row[-1:] + row[:-1], s_prev), repeat(si)))
-            G.append(row)
     return ExponentOrder(order.dims, tuple(G), order.ram)
+
+
+def _twisted(N: Matrix, s) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """(u, sigma, P): N in the coordinates where its rotation symmetry is a shift.
+
+    s is N's rotation shift, N[i+1][j+1] = N[i][j] - s[i] + s[j] (indices
+    mod n), P its prefix sums (P[0] = 0, P[i] = s[0] + ... + s[i-1]) and
+    sigma = s[0] + ... + s[n-1].  N conjugated by -P, entry (i, j) equal
+    to N[i][j] + P[i] - P[j], is the twisted circulant T(u, sigma) of its
+    row 0, u[j] = N[0][j] - P[j]:
+
+        T(u, sigma)[i][j] = u[(j - i) % n] + sigma * [j < i].
+
+    Proof: N'[i+1][j+1] = N'[i][j] for i, j < n - 1, since
+    P[i+1] - P[i] = s[i] cancels the -s[i] of the shift and likewise for
+    j; and N'[i+1][0] = N[i][n-1] - s[i] + s[n-1] + P[i+1] = N'[i][n-1]
+    + sigma, since P[n-1] + s[n-1] = sigma.  Walking from (i, j) back along
+    its diagonal to row 0 ends at (0, (j - i) % n) and crosses from column
+    0 to column n - 1 once when j < i and never otherwise.
+    """
+    acc = tuple(accumulate(s))
+    P = (0,) + acc[:-1]
+    return tuple(map(sub, N[0], P)), acc[-1], P
+
+
+def _untwist(u, sigma: int, P) -> Matrix:
+    """T(u, sigma) conjugated back by P: the inverse of _twisted.
+
+    Row i of T(u, sigma) is w[n-i:] + u[:n-i] with w = u + sigma: its
+    columns j < i are u[n-i+j] + sigma and its columns j >= i are u[j-i].
+    """
+    n = len(u)
+    w = tuple(map(add, u, repeat(sigma)))
+    rows = [w[n - i:] + u[: n - i] for i in range(n)]
+    if any(P):
+        return tuple(tuple(map(sub, map(add, row, P), repeat(p))) for row, p in zip(rows, P))
+    return tuple(rows)
+
+
+def _radical_row(u, sigma: int) -> tuple[int, ...]:
+    """Row 0 of the radical of the order T(u, sigma), in the same coordinates.
+
+    Conjugation leaves m_ij + m_ji alone, and on T(u, sigma) with
+    d = (j - i) % n it is 2 u_0 = 0 at d = 0 and u_d + u_(n-d) + sigma
+    otherwise (exactly one of j < i and i < j holds).  So the class
+    indicator depends on d alone, and the radical, M plus that indicator
+    (see radical), is T(r, sigma) with r_d = u_d + [u_d + u_(n-d) + sigma
+    * [d > 0] = 0]: O(n).
+    """
+    twist = (0,) + (sigma,) * (len(u) - 1)
+    return tuple(
+        x + (x + y + t == 0) for x, y, t in zip(u, u[:1] + u[:0:-1], twist)
+    )
+
+
+def _idealizer_row(N, sigma: int, f: int) -> tuple[int, ...]:
+    """Row 0 of the glued idealizer of T(N, sigma) at depth f on every block.
+
+    G_0 = 0.  For j >= 1, row j of T = T(N, sigma) is the slice
+    E[n - j : 2n - j] of E = (N + sigma) ++ N, since
+    E[n - j + k] = N[(k - j) % n] + sigma * [k < j].  So the left maximum
+    is G_j = max_k (N_k - E[n - j + k]): one slice and one map.  When f is
+    nonzero the depth bound is f - T[j][0] = f - E[n - j].
+
+    The right maximum, max_k (T[k][j] - T[k][0]), is not computed: it
+    equals the left one term by term.  Its term at k is
+    N[(j - k) % n] + sigma * [j < k] - N[(-k) % n] - sigma * [k > 0].  Put
+    k' = (j - k) % n, so N[(-k) % n] = N[(k' - j) % n]; the left term at k'
+    is N[k'] - N[(k' - j) % n] - sigma * [k' < j], and the sigma terms
+    agree: k = 0 gives k' = j and 0 on both sides; 0 < k <= j gives
+    k' = j - k < j and -sigma on both sides; k > j gives k' = n + j - k > j
+    and sigma - sigma = 0 against 0.  (In the coordinates of the caller the
+    prefix sums of _twisted, extended by P(i + n) = P(i) + sigma, cancel
+    the same way: P(j + n - k) - P(n) - P(j - k) + P(0) = 0.)  So G_j is
+    the idealizer's entry (0, j), and _untwist gives the whole matrix.
+    """
+    n = len(N)
+    E = tuple(map(add, N, repeat(sigma))) + N
+    # k = n - j for j = 1, ..., n - 1
+    G = [max(map(sub, N, E[k : k + n])) for k in range(n - 1, 0, -1)]
+    if f:
+        G = map(max, G, map(sub, repeat(f), E[n - 1 : 0 : -1]))
+    return (0, *G)
 
 
 def fixed_point_chain(step, start, max_steps: int):
@@ -316,22 +379,41 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
     rotation maps the unreduced classes onto each other and the radical, M
     plus the class indicator, has the same shift s.  By the equivariance of
     glued_idealizer, the uniform-depth idealizer of the radical has shift s too,
-    and by induction so has every state.  Each step's ideal carries s, so
-    its row fill runs with no check on N.  A start without the
-    symmetry runs the general path on every step, also on states that
-    happen to be symmetric later; both paths give the same matrix.
+    and by induction so has every state.
+
+    So on a symmetric start every state is T(u, sigma) in the start's
+    coordinates (see _twisted; circulant.expand(Lambda(v)) is
+    T(v, -v_(n-1)) with P = 0), and the chain iterates the pair (u, depth)
+    alone: _radical_row, then _idealizer_row, O(n^2) per step.  Two states
+    are equal iff their rows are, so fixed_point_chain stops and counts
+    moves as on the matrices.  The states are built from their rows after
+    the loop (_untwist); the first is the caller's object.  A start without
+    the symmetry runs the radical and the max-plus idealizer on every step,
+    also on states that happen to be symmetric later; both paths give the
+    same matrix.
     """
     if max_steps is None:
         max_steps = default_step_budget(order) + depth
     s = _rotation_shift(order.M)
+    if s is None:
 
-    def step(state):
-        current, f = state
-        ideal = radical(current)
-        object.__setattr__(ideal, "shift", s)
-        return glued_idealizer(current, ideal, [f] * current.n), max(f - 1, 0)
+        def step(state):
+            current, f = state
+            N = radical(current).N
+            return _maxplus_idealizer(current, N, [f] * current.n), max(f - 1, 0)
 
-    return fixed_point_chain(step, (order, depth), max_steps)
+        return fixed_point_chain(step, (order, depth), max_steps)
+    u, sigma, P = _twisted(order.M, s)
+
+    def row_step(state):
+        row, f = state
+        return _idealizer_row(_radical_row(row, sigma), sigma, f), max(f - 1, 0)
+
+    rows = fixed_point_chain(row_step, (u, depth), max_steps)
+    dims, ram = order.dims, order.ram
+    return [(order, depth)] + [
+        (ExponentOrder(dims, _untwist(row, sigma, P), ram), f) for row, f in rows[1:]
+    ]
 
 
 def idealizer_chain(order: ExponentOrder, max_steps: int | None = None):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import headorder
 from headorder.cli import main
 from headorder.serialize import dumps
-from headorder.exponent import scaled_hereditary, standard_hereditary, validate_order
+from headorder.exponent import glued_chain, scaled_hereditary, standard_hereditary, validate_order
 from headorder.circulant import CirculantState
 
 
@@ -331,10 +331,10 @@ AMALGAM_DOC = {
         ("check", None, "$"),
         # a flag after the command name: a negative step budget
         ("head --max-steps -1", H2_DOC, "--max-steps"),
-        # only chain and head take a step budget
+        # a verify or sweep cell over its budget; tree takes none
         ("verify --max-steps 0", {"n": 7, "a": 10}, "--max-steps"),
         ("tree --max-steps 0", TREE_DOC, "--max-steps"),
-        ("sweep --grid n=2..3,a=1..2 --max-steps 5", None, "--max-steps"),
+        ("sweep --grid n=2..3,a=1..2 --max-steps 0", None, "--max-steps"),
         # an empty range, an unknown key and a repeated key
         ("sweep --grid n=5..2,a=1..3", None, "--grid"),
         ("sweep --grid n=2..3,a=1..2,x=7", None, "--grid"),
@@ -554,6 +554,36 @@ def test_max_steps_counts_moves(tmp_path, capsys):
     code, out, _ = run(capsys, ["--command", "head", "--input", path, "--max-steps", "0"])
     assert code == 0
     assert json.loads(out)["steps"] == 0
+
+
+def test_max_steps_bounds_each_cell(capsys, monkeypatch):
+    # verify and sweep pass the budget to every cell's chain; within it the
+    # report is the one without the flag
+    cell = json.dumps({"n": 7, "a": 10})
+    _, plain, _ = run(capsys, ["--command", "verify", "--input", "-"], cell, monkeypatch)
+    steps = json.loads(plain)["steps"]
+    argv = ["--command", "verify", "--input", "-", "--max-steps"]
+    assert run(capsys, argv + [str(steps)], cell, monkeypatch) == (0, plain, "")
+    code, out, err = run(capsys, argv + [str(steps - 1)], cell, monkeypatch)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == (
+        f"--max-steps: cell n = 7, a = 10: no idealizer fixed point within {steps - 1} steps"
+    )
+    # a in the thousands stops at the budget instead of running every move
+    huge = json.dumps({"n": 3, "a": 10_000})
+    assert run(capsys, argv + ["5"], huge, monkeypatch)[0] == 2
+
+    grid = ["--command", "sweep", "--grid", "n=2..4,a=1..9"]
+    _, plain, _ = run(capsys, grid)
+    longest = max(
+        len(glued_chain(scaled_hereditary((1,) * n, a), a)) - 1
+        for n in range(2, 5)
+        for a in range(1, 10)
+    )
+    assert run(capsys, grid + ["--max-steps", str(longest)]) == (0, plain, "")
+    code, out, err = run(capsys, grid + ["--max-steps", str(longest - 1)])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].startswith("--max-steps: cell n = ")
 
 
 def test_closed_form_bytes_pinned():

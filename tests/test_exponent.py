@@ -183,13 +183,17 @@ def _random_order(rng, n):
     return diag_conjugate(order, [rng.randint(-3, 3) for _ in range(n)])
 
 
-def _random_rotation_symmetric(rng, n):
-    """An integer matrix with N[i+1][j+1] = N[i][j] - s[i] + s[j]: a random
-    circulant conjugated by diag(t), which gives s[i] = t[i+1] - t[i]."""
+def _random_rotation_symmetric(rng, n, sigma=0):
+    """An integer matrix with N[i+1][j+1] = N[i][j] - s[i] + s[j]: the
+    twisted circulant c[(j - i) % n] + sigma * [j < i] of random c,
+    conjugated by diag(t), which gives s[i] = t[i+1] - t[i] (indices mod n)
+    plus sigma at i = n - 1.  s is unique up to a constant, so the s with
+    s[0] = 0 sums to sigma modulo n."""
     c = [rng.randint(-2, 4) for _ in range(n)]
     t = [rng.randint(-3, 3) for _ in range(n)]
     return tuple(
-        tuple(c[(j - i) % n] - t[i] + t[j] for j in range(n)) for i in range(n)
+        tuple(c[(j - i) % n] + sigma * (j < i) - t[i] + t[j] for j in range(n))
+        for i in range(n)
     )
 
 
@@ -282,6 +286,43 @@ def test_idealizer_matches_maxplus_reference(monkeypatch):
     assert shifts == [None]
 
 
+def test_rotation_symmetric_left_maximum_is_the_right_one():
+    # on a rotation-symmetric N the left maximum of the idealizer equals the
+    # right one entry by entry, so one row of one maximum determines G
+    rng = random.Random(21)
+    twisted = prefixed = 0
+    for n in range(1, 13):
+        for _ in range(12):
+            sigma = rng.choice([-3, -2, -1, 1, 2, 3])
+            N = _random_rotation_symmetric(rng, n, sigma)
+            s = exponent._rotation_shift(N)
+            assert s is not None and (sum(s) - sigma) % n == 0
+            twisted += sum(s) != 0
+            prefixed += any(s[:-1])
+            rng_n = range(n)
+            for i in rng_n:
+                for j in rng_n:
+                    left = max(N[i][k] - N[j][k] for k in rng_n)
+                    right = max(N[k][j] - N[k][i] for k in rng_n)
+                    assert left == right
+            order, ideal = ExponentOrder((1,) * n, N), ExponentIdeal(N)
+            u, sig, P = exponent._twisted(N, s)
+            assert exponent._untwist(u, sig, P) == N
+            for f in range(4):
+                row = exponent._idealizer_row(u, sig, f)
+                got = ExponentOrder(order.dims, exponent._untwist(row, sig, P))
+                # at depth 0 no bound is applied: it is vacuous on an ideal,
+                # whose diagonal is >= 0, and these diagonals may be negative
+                want = (
+                    maxplus_glued_idealizer(order, ideal, [f] * n)
+                    if f
+                    else maxplus_idealizer(order, ideal)
+                )
+                assert got == want == glued_idealizer(order, ideal, [f] * n)
+    # sum(s) is the sigma of _twisted; P are the prefix sums of s
+    assert twisted > 100 and prefixed > 100
+
+
 def test_glued_idealizer_depth_zero_is_bare():
     order = scaled_hereditary((1, 1, 1), 2)
     bare = idealizer(order, radical(order))
@@ -339,6 +380,15 @@ def test_glued_chain_depth_counts_down():
     assert depths[-1] == 0
 
 
+# a start without rotation symmetry: glued_chain takes the max-plus path
+_ASYMMETRIC = validate_order([[0, 4, 8, 9], [0, 0, 4, 8], [0, 0, 0, 4], [0, 0, 0, 0]], (1,) * 4)
+
+
+def test_budget_start_is_asymmetric():
+    assert exponent._rotation_shift(_ASYMMETRIC.M) is None
+    assert len(glued_chain(_ASYMMETRIC, 2)) > 3
+
+
 def _glued_pair():
     comp = scaled_hereditary((1, 1, 1), 9)
     return validate_amalgam(
@@ -367,9 +417,10 @@ def test_step_budget_exceeded(run):
     [
         lambda s: idealizer_chain(scaled_hereditary((1, 1, 1), 9), max_steps=s),
         lambda s: glued_chain(scaled_hereditary((1, 1, 1), 9), 9, max_steps=s),
+        lambda s: glued_chain(_ASYMMETRIC, 2, max_steps=s),
         lambda s: amalgam_chain(_glued_pair(), max_steps=s),
     ],
-    ids=["idealizer_chain", "glued_chain", "amalgam_chain"],
+    ids=["idealizer_chain", "glued_chain", "glued_chain_asymmetric", "amalgam_chain"],
 )
 def test_step_budget_counts_moves(run):
     # the application that only confirms the fixed point is not a move
@@ -433,7 +484,7 @@ def test_chain_matches_maxplus_reference(monkeypatch):
 
     # Lambda(v) starts conjugated by random diagonals: nonzero shifts
     nonzero = 0
-    for n in range(2, 8):
+    for n in range(1, 8):
         for a in range(1, 3 * n + 2, 2):
             t = [rng.randint(-4, 4) for _ in range(n)]
             start = diag_conjugate(scaled_hereditary((1,) * n, a), t)
@@ -444,17 +495,21 @@ def test_chain_matches_maxplus_reference(monkeypatch):
 
     # chains through unreduced states: the b = 0 cells, whose head is the
     # maximal order, and circulant orders with some c_k = c_(n-k) = 0
-    unreduced = 0
-    for n in range(2, 8):
+    # (unreduced, with nonzero prefix sums P of the shift: see _twisted)
+    unreduced = prefixed = 0
+    for n in range(1, 8):
         for a in (n, 2 * n):
             t = [rng.randint(-4, 4) for _ in range(n)]
             start = diag_conjugate(scaled_hereditary((1,) * n, a), t)
             assert check(start, a) is not None
-        for _ in range(4):
+        for _ in range(4 if n < 3 else 12):
             start = _random_circulant_order(rng, n)
-            assert check(start, rng.randint(0, 4)) is not None
+            s = check(start, rng.randint(0, 4))
+            assert s is not None
+            prefixed += any(s[:-1])
             unreduced += sum(not o.is_reduced() for o in idealizer_chain(start))
-    assert unreduced > 20
+    assert unreduced > 60
+    assert prefixed > 50
 
     # random orders, with negative and unreduced entries, take the general path
     asymmetric = 0
