@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add, indexOf, neg, sub
+from typing import NamedTuple
 
 from .errors import DiagonalNonzero, StepBudgetExceeded, TriangleViolation
 
@@ -49,6 +50,23 @@ class ExponentIdeal:
     """Exponent matrix of a full two-sided ideal inside an ExponentOrder."""
 
     N: Matrix
+
+
+class TwistedCirculant(NamedTuple):
+    """An order or ideal whose exponent matrix is T(u, sigma), stored as row u.
+
+    T(u, sigma)[i][j] = u[(j - i) % n] + sigma * [j < i] (see _twisted).
+    radical and glued_idealizer (with one depth on every block) take and
+    return this form in O(n) and O(n^2); glued_chain runs every
+    rotation-symmetric chain on it and builds the matrices afterwards.
+    """
+
+    u: tuple[int, ...]
+    sigma: int
+
+    @property
+    def n(self) -> int:
+        return len(self.u)
 
 
 def validate_order(M, dims, ram: int = 1) -> ExponentOrder:
@@ -108,13 +126,17 @@ def _unreduced_classes(M: Matrix) -> list[int]:
     return [indexOf(map(add, row, col), 0) for row, col in zip(M, zip(*M))]
 
 
-def radical(order: ExponentOrder) -> ExponentIdeal:
+def radical(order: ExponentOrder | TwistedCirculant) -> ExponentIdeal | TwistedCirculant:
     """Jacobson radical of the order.
 
     Indices with m[i][j] + m[j][i] = 0 belong to one matrix-ring factor of
     the semisimple quotient, so the radical raises exponents by one on the
-    whole class block; on a reduced order that is just the diagonal.
+    whole class block; on a reduced order that is just the diagonal.  An
+    ExponentOrder gets an ExponentIdeal; a TwistedCirculant gets its
+    radical in the same form (see _radical_row).
     """
+    if isinstance(order, TwistedCirculant):
+        return TwistedCirculant(_radical_row(order.u, order.sigma), order.sigma)
     M = order.M
     root = _unreduced_classes(M)
     if root == list(range(len(M))):
@@ -194,7 +216,9 @@ def idealizer(order: ExponentOrder, ideal: ExponentIdeal) -> ExponentOrder:
     return glued_idealizer(order, ideal, [0] * order.n)
 
 
-def glued_idealizer(order: ExponentOrder, ideal: ExponentIdeal, depths) -> ExponentOrder:
+def glued_idealizer(
+    order: ExponentOrder | TwistedCirculant, ideal: ExponentIdeal | TwistedCirculant, depths
+) -> ExponentOrder | TwistedCirculant:
     """Idealizer of an ideal when diagonal blocks carry congruence constraints.
 
     The left condition (x N inside N) forces m[i][j] >= N[i][k] - N[j][k] for
@@ -221,14 +245,21 @@ def glued_idealizer(order: ExponentOrder, ideal: ExponentIdeal, depths) -> Expon
     maximum gives G[i+1][j+1] = G[i][j] - s[i] + s[j] with the same s.
     So G conjugated by -P is T(g, sigma), with g its row 0, which
     _idealizer_row computes from the row of N.  On any other N, or with
-    unequal depths, every row is computed.
+    unequal depths, every row is computed.  An ideal given as a
+    TwistedCirculant needs equal depths and gets T(g, sigma) itself; its
+    order only supplies n.
     """
-    depths = [int(x) for x in depths]
+    depths = list(map(int, depths))
     n = order.n
     if len(depths) != n:
         raise ValueError("depths must have length n")
+    uniform = depths.count(depths[0]) == n
+    if isinstance(ideal, TwistedCirculant):
+        if not uniform:
+            raise ValueError("a TwistedCirculant ideal needs one depth on every block")
+        return TwistedCirculant(_idealizer_row(ideal.u, ideal.sigma, depths[0]), ideal.sigma)
     N = ideal.N
-    if depths.count(depths[0]) == n:
+    if uniform:
         s = _rotation_shift(N)
         if s is not None:
             u, sigma, P = _twisted(N, s)
@@ -383,14 +414,15 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
 
     So on a symmetric start every state is T(u, sigma) in the start's
     coordinates (see _twisted; circulant.expand(Lambda(v)) is
-    T(v, -v_(n-1)) with P = 0), and the chain iterates the pair (u, depth)
-    alone: _radical_row, then _idealizer_row, O(n^2) per step.  Two states
-    are equal iff their rows are, so fixed_point_chain stops and counts
-    moves as on the matrices.  The states are built from their rows after
-    the loop (_untwist); the first is the caller's object.  A start without
-    the symmetry runs the radical and the max-plus idealizer on every step,
-    also on states that happen to be symmetric later; both paths give the
-    same matrix.
+    T(v, -v_(n-1)) with P = 0), and the chain iterates the pair
+    (TwistedCirculant(u, sigma), depth) alone: radical and glued_idealizer
+    on that form run _radical_row, then _idealizer_row, O(n^2) per step.
+    Two states are equal iff their rows are, so fixed_point_chain stops and
+    counts moves as on the matrices.  The states are built from their rows
+    after the loop (_untwist); the first is the caller's object.  A start
+    without the symmetry runs the radical and the max-plus idealizer on
+    every step, also on states that happen to be symmetric later; both
+    paths give the same matrix.
     """
     if max_steps is None:
         max_steps = default_step_budget(order) + depth
@@ -404,15 +436,16 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
 
         return fixed_point_chain(step, (order, depth), max_steps)
     u, sigma, P = _twisted(order.M, s)
+    n = order.n
 
-    def row_step(state):
-        row, f = state
-        return _idealizer_row(_radical_row(row, sigma), sigma, f), max(f - 1, 0)
+    def twisted_step(state):
+        T, f = state
+        return glued_idealizer(T, radical(T), [f] * n), max(f - 1, 0)
 
-    rows = fixed_point_chain(row_step, (u, depth), max_steps)
+    states = fixed_point_chain(twisted_step, (TwistedCirculant(u, sigma), depth), max_steps)
     dims, ram = order.dims, order.ram
     return [(order, depth)] + [
-        (ExponentOrder(dims, _untwist(row, sigma, P), ram), f) for row, f in rows[1:]
+        (ExponentOrder(dims, _untwist(T.u, sigma, P), ram), f) for T, f in states[1:]
     ]
 
 

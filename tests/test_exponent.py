@@ -16,6 +16,7 @@ from headorder.exponent import (
     ExponentIdeal,
     ExponentOrder,
     HereditaryType,
+    TwistedCirculant,
     diag_conjugate,
     diag_key,
     equal_up_to_diag,
@@ -308,8 +309,10 @@ def test_rotation_symmetric_left_maximum_is_the_right_one():
             order, ideal = ExponentOrder((1,) * n, N), ExponentIdeal(N)
             u, sig, P = exponent._twisted(N, s)
             assert exponent._untwist(u, sig, P) == N
+            T = TwistedCirculant(u, sig)
             for f in range(4):
                 row = exponent._idealizer_row(u, sig, f)
+                assert glued_idealizer(T, T, [f] * n) == TwistedCirculant(row, sig)
                 got = ExponentOrder(order.dims, exponent._untwist(row, sig, P))
                 # at depth 0 no bound is applied: it is vacuous on an ideal,
                 # whose diagonal is >= 0, and these diagonals may be negative
@@ -321,6 +324,53 @@ def test_rotation_symmetric_left_maximum_is_the_right_one():
                 assert got == want == glued_idealizer(order, ideal, [f] * n)
     # sum(s) is the sigma of _twisted; P are the prefix sums of s
     assert twisted > 100 and prefixed > 100
+
+
+def test_twisted_radical_is_the_radical():
+    # radical on a TwistedCirculant is the radical of the matrix it stands for,
+    # reduced (conjugated a * H_n) or not (circulant orders with some
+    # c_k = c_(n-k) = 0)
+    rng = random.Random(22)
+    starts = [
+        diag_conjugate(scaled_hereditary((1,) * n, a), [rng.randint(-4, 4) for _ in range(n)])
+        for n in range(1, 9)
+        for a in (1, n, 2 * n + 1)
+    ] + [_random_circulant_order(rng, n) for n in range(1, 9) for _ in range(8)]
+    unreduced = 0
+    for order in starts:
+        u, sigma, P = exponent._twisted(order.M, exponent._rotation_shift(order.M))
+        J = radical(TwistedCirculant(u, sigma))
+        assert J.sigma == sigma
+        assert exponent._untwist(J.u, sigma, P) == radical(order).N
+        unreduced += not order.is_reduced()
+    assert unreduced > 20
+
+
+def test_twisted_ideal_needs_one_depth():
+    T = TwistedCirculant((0, 1, 1), -1)
+    with pytest.raises(ValueError):
+        glued_idealizer(T, radical(T), [0, 1, 1])
+    with pytest.raises(ValueError):
+        glued_idealizer(T, radical(T), [1, 1])
+
+
+def test_symmetric_chain_steps_through_radical_and_glued_idealizer(monkeypatch):
+    # every step of a rotation-symmetric chain, also the one that confirms the
+    # fixed point, is one radical and one glued_idealizer call on its row
+    calls = []
+    for name in ("radical", "glued_idealizer"):
+        fn = getattr(exponent, name)
+
+        def spy(*args, fn=fn, name=name):
+            calls.append((name, type(args[0])))
+            return fn(*args)
+
+        monkeypatch.setattr(exponent, name, spy)
+    chain = glued_chain(scaled_hereditary((1,) * 6, 9), 9)
+    assert len(chain) > 2
+    assert calls == [
+        ("radical", TwistedCirculant), ("glued_idealizer", TwistedCirculant)
+    ] * len(chain)
 
 
 def test_glued_idealizer_depth_zero_is_bare():
