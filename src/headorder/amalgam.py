@@ -24,12 +24,20 @@ and gluing depths only fall and vanish, so its depths stay zero; with
 zero depths the step is Id(J(.)), and the component is already its own
 Id(J(.)).  A one-block component, ((0,),), is the maximal order and
 settled from the start.  The chain steps no settled component.
+
+Once every component of a state is settled, each later step keeps the
+components and lowers every gluing depth by one, so the chain ends D moves
+later, D the largest depth left, in the same components with no gluings.
+amalgam_chain steps only up to that state and makes the D countdown
+states when they are read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+from .errors import StepBudgetExceeded
 from .exponent import (
     ExponentOrder,
     HereditaryType,
@@ -169,22 +177,72 @@ def amalgam_idealizer_step(B: AmalgamBlock) -> AmalgamBlock:
                 elif not any(depths[c]):
                     settled |= {c}
         components.append(comp)
+    return _lowered(B, tuple(components), settled, 1)
+
+
+def _lowered(B: AmalgamBlock, components, settled, by: int) -> AmalgamBlock:
+    """B with these components and settled set, every gluing depth lowered
+    by ``by`` and the gluings it exhausts dropped."""
     gluings = tuple(
-        GluingConstraint(g.left, g.right, g.depth - 1, g.kinds)
+        GluingConstraint(g.left, g.right, g.depth - by, g.kinds)
         for g in B.gluings
-        if g.depth > 1
+        if g.depth > by
     )
-    stepped = AmalgamBlock(tuple(components), gluings, B.params)
-    object.__setattr__(stepped, "settled", settled)
-    return stepped
+    lowered = AmalgamBlock(components, gluings, B.params)
+    object.__setattr__(lowered, "settled", settled)
+    return lowered
 
 
-def amalgam_chain(B: AmalgamBlock, max_steps: int | None = None):
-    """Iterate amalgam steps until exponents and gluings both stop moving."""
+class AmalgamChain(Sequence):
+    """The states of an amalgam chain: the stepped ones, up to the first
+    state whose components are all settled, then ``countdown`` more that
+    only lower its gluing depths (module docstring), made when read."""
+
+    def __init__(self, stepped, countdown: int):
+        self._stepped = stepped
+        self._len = len(stepped) + countdown
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k: int) -> AmalgamBlock:
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError("amalgam chain index out of range")
+        last = len(self._stepped) - 1
+        if k <= last:
+            return self._stepped[k]
+        end = self._stepped[last]
+        return _lowered(end, end.components, end.settled, k - last)
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    __hash__ = None
+
+
+def amalgam_chain(B: AmalgamBlock, max_steps: int | None = None) -> AmalgamChain:
+    """Iterate amalgam steps until exponents and gluings both stop moving.
+
+    Steps run up to the first state whose components are all settled; the
+    chain then makes as many more moves as its largest gluing depth (module
+    docstring).  Raises StepBudgetExceeded if the moves exceed max_steps.
+    """
     if max_steps is None:
         max_steps = max(default_step_budget(c) for c in B.components)
         max_steps += max((g.depth for g in B.gluings), default=0)
-    return fixed_point_chain(amalgam_idealizer_step, B, max_steps)
+
+    def step(state):
+        if len(state.settled) == len(state.components):
+            return state
+        return amalgam_idealizer_step(state)
+
+    stepped = fixed_point_chain(step, B, max_steps)
+    countdown = max((g.depth for g in stepped[-1].gluings), default=0)
+    if len(stepped) - 1 + countdown > max_steps:
+        raise StepBudgetExceeded(max_steps)
+    return AmalgamChain(stepped, countdown)
 
 
 def terminal_types(terminal: AmalgamBlock) -> tuple[HereditaryType, ...]:

@@ -28,18 +28,26 @@ def _echelon(work, pivot_cols: int, p: int, K: int):
 
     Returns (pivots, rest): pivots lists (column, valuation, row) with the
     pivot entry normalized to p^valuation, and every row of rest vanishes
-    on the pivoted columns.
+    on the pivoted columns.  The pivot of a column is the first row of
+    least valuation there; each candidate's valuation is taken once, and
+    none after the first unit.
     """
     m = p**K
     pivots = []
     for j in range(pivot_cols):
-        cand = [r for r in work if r[j]]
-        rest = [r for r in work if not r[j]]
+        cand, rest = [], []
+        for r in work:
+            (cand if r[j] else rest).append(r)
         if not cand:
             continue
-        pivot = min(cand, key=lambda r: val(r[j], p, K))
-        cand.remove(pivot)
-        v = val(pivot[j], p, K)
+        best, v = 0, K
+        for t, r in enumerate(cand):
+            w = val(r[j], p, K)
+            if w < v:
+                best, v = t, w
+                if not w:
+                    break
+        pivot = cand.pop(best)
         inv = pow(pivot[j] // p**v, -1, m)
         pivot = [(x * inv) % m for x in pivot]
         for r in cand:

@@ -7,6 +7,13 @@ polynomial conditions, no exponent formulas involved), idealizers from
 solving x J <= J and J x <= J as linear systems in the ambient truncation.
 Exponents are then read back off valuations and compared with the
 closed-form predictions.
+
+Work whose result is known to be zero is skipped.  Ambient.mul, the one
+ambient product, forms only the terms of nonzero entries, from an index
+of each factor made once.  radical_modp takes no characteristic
+polynomial of a nilpotent product z: it is x^R, and L_z is nilpotent iff
+z^(2^k) = 0 for the first 2^k >= R, because L_{z^m} = L_z^m and
+z^m = L_z^m(1) for the unit 1.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ class Ambient:
     def dim(self) -> int:
         return sum(d * d for d in self.sizes)
 
-    @property
+    @cached_property
     def modulus(self) -> int:
         return self.p**self.K
 
@@ -60,36 +67,52 @@ class Ambient:
                 one[self.pos(s, i, i)] = 1
         return one
 
-    def mul(self, x, y):
-        """The product x * y; a zero entry x[i][k] or zero block costs no work."""
-        m = self.modulus
-        out = [0] * self.dim
-        off = 0
-        for d in self.sizes:
-            start, off = off, off + d * d
-            if not (any(x[start:off]) and any(y[start:off])):
-                continue
-            for i in range(start, off, d):
-                acc = None
-                for k, a in enumerate(x[i : i + d]):
-                    if a:
-                        r = start + k * d
-                        if acc is None:
-                            acc = [a * b for b in y[r : r + d]]
-                        else:
-                            acc = [u + a * b for u, b in zip(acc, y[r : r + d])]
-                if acc is not None:
-                    out[i : i + d] = [u % m for u in acc]
-        return out
+    def index(self, x, transpose: bool = False):
+        """The nonzero entries of x, indexed once for mul.
 
-    def transpose(self, x):
-        """x with the block of each summand transposed."""
+        Per summand a pair (columns, rows) of dicts: columns[k] lists the
+        (i, x_ik) and rows[k] the (j, x_kj) with a nonzero entry.  The
+        columns of x^T are the rows of x, so transpose swaps the two.
+        """
         out = []
         off = 0
         for d in self.sizes:
             start, off = off, off + d * d
-            for j in range(start, start + d):
-                out.extend(x[j:off:d])
+            cols, rows = {}, {}
+            for t, a in enumerate(x[start:off]):
+                if a:
+                    i, j = divmod(t, d)
+                    cols.setdefault(j, []).append((i, a))
+                    rows.setdefault(i, []).append((j, a))
+            out.append((rows, cols) if transpose else (cols, rows))
+        return out
+
+    def mul(self, xs, ys):
+        """The product x * y of two indexed elements, or None when it is 0.
+
+        Per summand x y is the sum over k of column k of x times row k of
+        y, over the k where both are nonzero; only the positions those
+        terms touch are accumulated.
+        """
+        acc = {}
+        off = 0
+        for d, (xcols, _), (_, yrows) in zip(self.sizes, xs, ys):
+            for k, col in xcols.items():
+                row = yrows.get(k)
+                if row:
+                    for i, a in col:
+                        base = off + i * d
+                        for j, b in row:
+                            acc[base + j] = acc.get(base + j, 0) + a * b
+            off += d * d
+        m = self.modulus
+        out = None
+        for pos, v in acc.items():
+            v %= m
+            if v:
+                if out is None:
+                    out = [0] * self.dim
+                out[pos] = v
         return out
 
 
@@ -124,8 +147,9 @@ def _close_basis(ambient: Ambient, basis) -> FiniteAlgebraModel:
     R = len(basis)
     if R > RANK_CAP:
         raise OracleCapExceeded(f"rank {R} exceeds cap {RANK_CAP}")
-    prods = [ambient.mul(bi, bj) for bi in basis for bj in basis]
-    nonzero = [t for t, prod in enumerate(prods) if any(prod)]
+    indexed = [ambient.index(b) for b in basis]
+    prods = [ambient.mul(x, y) for x in indexed for y in indexed]
+    nonzero = [t for t, prod in enumerate(prods) if prod]
     (unit_rem, _), *reduced = reduce_against(
         [ambient.unit()] + [prods[t] for t in nonzero], basis, p, K
     )
@@ -157,9 +181,10 @@ def radical_modp(mult, p: int):
     L_x L_y = L_{xy}.  At j = 0, c_1 = -Tr and Tr(L_{b_a b_c}) =
     sum_t mult[a][c][t] Tr(L_{b_t}), so the conditions are the trace form.
     Above it the matrix is symmetric (charpoly(AB) = charpoly(BA)) and its
-    entry vanishes where xy = 0 (charpoly(0) = x^R), so only the nonzero
-    products of pairs a <= b need a characteristic polynomial.  Products
-    and traces are read off the nonzero constants only.
+    entry vanishes where z = xy is nilpotent (charpoly x^R), which k
+    squarings of z decide (module docstring).  So only the pairs a <= b
+    whose product is not nilpotent need a characteristic polynomial.
+    Products and traces are read off the nonzero constants only.
     """
     R = len(mult)
     if R == 0:
@@ -178,6 +203,16 @@ def radical_modp(mult, p: int):
                     out[k] += uv * c
         return [v % p for v in out]
 
+    def nilpotent(z):
+        m = 1
+        while any(z):
+            if m >= R:
+                return False
+            s = [(i, v) for i, v in enumerate(z) if v]
+            z = product(s, s)
+            m *= 2
+        return True
+
     def lmat(x):
         # left multiplication by sum x_t b_t as a matrix acting on columns
         L = [[0] * R for _ in range(R)]
@@ -195,7 +230,7 @@ def radical_modp(mult, p: int):
         for b, sb in enumerate(supps):
             for a in range(b + 1):
                 xy = product(sb, supps[a])
-                if any(xy):
+                if not nilpotent(xy):
                     conds[a][b] = conds[b][a] = charpoly_modp(lmat(xy), p)[target]
         return conds
 
@@ -244,17 +279,18 @@ def oracle_idealizer(model: FiniteAlgebraModel, jbasis):
     annihilator of J, and likewise for g x.  Both are linear in x: with
     g^T transposing each summand's block, c . (x g) = <c g^T, x> and
     c . (g x) = <g^T c, x>, so the condition rows are the ambient products
-    c g^T and g^T c.
+    c g^T and g^T c.  The rows of g^T are the columns of g, so the index
+    of g^T is g's with rows and columns swapped.
     """
     amb = model.ambient
     p, K = amb.p, amb.K
-    ann = annihilator(jbasis, p, K)
+    ann = [amb.index(c) for c in annihilator(jbasis, p, K)]
     conds = {}
     for g in jbasis:
-        gt = amb.transpose(g)
+        gt = amb.index(g, transpose=True)
         for c in ann:
             for row in (amb.mul(c, gt), amb.mul(gt, c)):
-                if any(row):
+                if row:
                     conds[tuple(row)] = None
     # with no condition left (J = p * ambient) every x idealizes J
     return right_kernel(list(conds) or [[0] * amb.dim], p, K)

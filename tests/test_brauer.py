@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 
-from headorder.amalgam import WHOLE, amalgam_chain
+from headorder.amalgam import WHOLE, amalgam_chain, amalgam_idealizer_step
 from headorder.brauer import (
     PSI12,
     PlanarBrauerTree,
@@ -18,6 +18,7 @@ from headorder.brauer import (
     validate_tree,
 )
 from headorder.errors import BadRotation, NotATree, NotCoprime
+from headorder.exponent import fixed_point_chain
 
 
 def star(e, p, a, exceptional=0):
@@ -315,6 +316,47 @@ def test_report_matches_chain_terminal():
     report = head_order_report(t)
     chain = amalgam_chain(build_block(t))
     assert report["chain_length"] == len(chain) - 1
+
+
+def _star_cases():
+    # star trees, the exceptional vertex at the centre and at a leaf, for
+    # p <= 11, every e | p - 1 and p^(a-1) <= 10^4
+    for p in (2, 3, 5, 7, 11):
+        for e in range(1, p):
+            if (p - 1) % e == 0:
+                a = 1
+                while p ** (a - 1) <= 10**4:
+                    yield star(e, p, a, 0)
+                    yield star(e, p, a, 1)
+                    a += 1
+
+
+def test_chain_counts_settled_states_down_like_the_listing():
+    # the chain made from its first all-settled state equals the listing
+    # of one amalgam step per move, state by state, and so does the report
+    cases = list(_star_cases())
+    assert len(cases) == 172
+    for t in cases:
+        B = build_block(t)
+        listed = fixed_point_chain(amalgam_idealizer_step, B, 10**5)
+        chain = amalgam_chain(B)
+        assert len(chain) == len(listed)
+        assert chain == listed
+        assert head_order_report(t)["chain_length"] == len(listed) - 1
+    k = len(chain)
+    assert chain[-1] == listed[-1] and chain[-k] == listed[0]
+    for bad in (k, -k - 1):
+        with pytest.raises(IndexError):
+            chain[bad]
+
+
+def test_report_of_a_deep_stack_lists_no_state():
+    # the one-edge tree moves p^(a-1) - 1 times, nearly all of them
+    # countdown moves that the report counts without making the states
+    t0 = time.perf_counter()
+    report = head_order_report(star(1, 3, 40))
+    assert time.perf_counter() - t0 < 1
+    assert report["chain_length"] == 3**39 - 1
 
 
 def test_report_validates_tree_once(monkeypatch):

@@ -165,10 +165,18 @@ def dense_radical_modp(mult, p):
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
-def test_radical_modp_matches_dense_reference(p):
+def test_radical_modp_matches_dense_reference(p, monkeypatch):
     # every order with n <= 3 and entries in [0, 2], every state of the
     # criterion-4 amalgam chains, and the hand-built algebras above; in
-    # the group algebra products rarely vanish
+    # the group algebra products rarely vanish.  No characteristic
+    # polynomial is taken of a nilpotent matrix, whose polynomial is x^R.
+    seen = []
+
+    def recording(mat, p):
+        seen.append(charpoly_modp(mat, p))
+        return seen[-1]
+
+    monkeypatch.setattr(oracle, "charpoly_modp", recording)
     mults = [
         model_from_exponent(order, p, truncation_for(2)).mult
         for n in (1, 2, 3)
@@ -186,6 +194,9 @@ def test_radical_modp_matches_dense_reference(p):
         mults.append(struct_constants(mats, p))
     for mult in mults:
         assert radical_modp(mult, p) == dense_radical_modp(mult, p)
+    # at p = 5 every level-1 product of these algebras is nilpotent
+    assert seen or p == 5
+    assert not any(cp == [1] + [0] * (len(cp) - 1) for cp in seen)
 
 
 def _blockdiag(*blocks):
@@ -230,11 +241,15 @@ def test_radical_modp_matches_dense_reference_in_mixed_bases(p):
 
 def check_associativity(model):
     amb = model.ambient
+
+    def mul(x, y):
+        return amb.mul(amb.index(x), amb.index(y)) or [0] * amb.dim
+
     for x in model.basis:
         for y in model.basis:
-            xy = amb.mul(x, y)
+            xy = mul(x, y)
             for z in model.basis:
-                if amb.mul(xy, z) != amb.mul(x, amb.mul(y, z)):
+                if mul(xy, z) != mul(x, mul(y, z)):
                     return False
     return True
 
@@ -708,6 +723,57 @@ def dense_mul(amb, x, y):
                     acc += x[off + i * d + k] * y[off + k * d + j]
                 out[off + i * d + j] = acc % m
     return out
+
+
+def dense_transpose(amb, x):
+    """x with the block of each summand transposed."""
+    out = list(x)
+    for s, d in enumerate(amb.sizes):
+        for i in range(d):
+            for j in range(d):
+                out[amb.pos(s, i, j)] = x[amb.pos(s, j, i)]
+    return out
+
+
+def _random_element(rng, amb):
+    """A vector of amb with whole zero summands, zero rows, multiples of p
+    and entries at or above p^K, each about one time in four."""
+    p, m = amb.p, amb.modulus
+    x = [0] * amb.dim
+    for s, d in enumerate(amb.sizes):
+        if rng.random() < 0.25:
+            continue
+        for i in range(d):
+            if rng.random() < 0.25:
+                continue
+            for j in range(d):
+                x[amb.pos(s, i, j)] = rng.choice(
+                    (0, rng.randrange(1, m), p * rng.randrange(m), rng.randrange(m, 3 * m))
+                )
+    return x
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_ambient_mul_matches_dense_reference(p):
+    # x y, x^T y and x y^T from the indexes of x and y; None for exactly
+    # the products that vanish mod p^K
+    amb = Ambient((1, 3, 2), p, 3)
+    zero = [0] * amb.dim
+    rng = random.Random(p)
+    vanished = 0
+    for _ in range(500):
+        x, y = _random_element(rng, amb), _random_element(rng, amb)
+        xt, yt = dense_transpose(amb, x), dense_transpose(amb, y)
+        assert amb.index(x, transpose=True) == amb.index(xt)
+        for got, want in (
+            (amb.mul(amb.index(x), amb.index(y)), dense_mul(amb, x, y)),
+            (amb.mul(amb.index(x, transpose=True), amb.index(y)), dense_mul(amb, xt, y)),
+            (amb.mul(amb.index(x), amb.index(y, transpose=True)), dense_mul(amb, x, yt)),
+        ):
+            assert (got is None) == (want == zero)
+            assert (got or zero) == want
+            vanished += got is None
+    assert 100 <= vanished <= 1400
 
 
 def dense_reduce_against(vec, basis, p, K):
