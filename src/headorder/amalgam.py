@@ -17,32 +17,35 @@ uniformizer.  Two congruence flavors appear:
 Both flavors lose exactly one level of depth per idealizer step and the
 constraint disappears at depth 0, splitting the components.
 
-Settling: a component that one step leaves unchanged while none of its
-diagonal blocks carries a depth is left unchanged by every later step.
-Proof: a block's depth is the largest depth of the diagonal gluings at it,
-and gluing depths only fall and vanish, so its depths stay zero; with
-zero depths the step is Id(J(.)), and the component is already its own
-Id(J(.)).  A one-block component, ((0,),), is the maximal order and
-settled from the start.  The chain steps no settled component.
-
-Once every component of a state is settled, each later step keeps the
-components and lowers every gluing depth by one, so the chain ends D moves
-later, D the largest depth left, in the same components with no gluings.
-amalgam_chain steps only up to that state and makes the D countdown
-states when they are read.
+The components never interact.  A step moves component c to
+glued_idealizer(c, J(c), depths), depths[q] the largest depth of the
+diagonal gluings at block q (0 if none), then lowers every gluing depth by
+one.  So after k moves gluing g is at depth g.depth - k while that is
+positive, gone afterwards, and block q carries max(D_q - k, 0), D_q its
+largest diagonal gluing depth at the start: a function of the start and k
+alone.  Hence component c moves as the chain of (order, depths) pairs that
+steps the order at its depths and lowers each depth by one, floored at 0,
+and is at its move min(k, L_c) after k moves of the amalgam, L_c the moves
+of that chain.  A state equals its successor iff it has no gluing left and
+each component stays; once the depths are 0 a component that stays, stays.
+So the amalgam chain makes max(G, max L_c) moves, G the largest gluing
+depth, and its state k is each component at move min(k, L_c) with the
+start's gluings lowered by k.  amalgam_chain runs one chain per distinct
+(component, depths) and makes a state when it is read.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import StepBudgetExceeded
 from .exponent import (
     ExponentOrder,
     HereditaryType,
+    LazyChain,
     default_step_budget,
     fixed_point_chain,
+    glued_chain,
     glued_idealizer,
     is_hereditary,
     radical,
@@ -78,20 +81,11 @@ class GluingConstraint:
 
 @dataclass(frozen=True)
 class AmalgamBlock:
-    """Components glued by congruences.
-
-    ``settled`` holds the indices of components that no later step moves
-    (see the module docstring).  amalgam_idealizer_step sets it on the
-    blocks it returns; any other block has it empty and is stepped in
-    full.
-    """
+    """Components glued by congruences."""
 
     components: tuple[ExponentOrder, ...]
     gluings: tuple[GluingConstraint, ...]
     params: tuple | None = None
-    settled: frozenset = field(
-        default=frozenset(), init=False, repr=False, compare=False
-    )
 
 
 def validate_amalgam(components, gluings, params=None) -> AmalgamBlock:
@@ -157,92 +151,70 @@ def _depth_vectors(B: AmalgamBlock) -> list[list[int]]:
 def amalgam_idealizer_step(B: AmalgamBlock) -> AmalgamBlock:
     """One idealizer-of-radical step of the whole amalgam.
 
-    Components step through their constraint-aware idealizer using the
-    depth each diagonal block currently carries; afterwards every gluing
-    depth drops by one and exhausted gluings disappear.  Settled
-    components are returned as they are, and the returned block records
-    which components are settled.
+    Every component steps through its constraint-aware idealizer at the
+    depth each diagonal block currently carries (a one-block component is
+    the maximal order, which every step keeps); then every gluing depth
+    drops by one and exhausted gluings disappear.  amalgam_chain makes the
+    same states without it (module docstring).
     """
-    depths = _depth_vectors(B)
-    settled = B.settled
-    components = []
-    for c, comp in enumerate(B.components):
-        if c not in settled:
-            if comp.n == 1:
-                settled |= {c}
-            else:
-                nxt = glued_idealizer(comp, radical(comp), depths[c])
-                if nxt != comp:
-                    comp = nxt
-                elif not any(depths[c]):
-                    settled |= {c}
-        components.append(comp)
-    return _lowered(B, tuple(components), settled, 1)
+    components = tuple(
+        comp if comp.n == 1 else glued_idealizer(comp, radical(comp), depths)
+        for comp, depths in zip(B.components, _depth_vectors(B))
+    )
+    return _lowered(B, components, 1)
 
 
-def _lowered(B: AmalgamBlock, components, settled, by: int) -> AmalgamBlock:
-    """B with these components and settled set, every gluing depth lowered
-    by ``by`` and the gluings it exhausts dropped."""
+def _lowered(B: AmalgamBlock, components, by: int) -> AmalgamBlock:
+    """B with these components, every gluing depth lowered by ``by`` and
+    the gluings it exhausts dropped."""
     gluings = tuple(
         GluingConstraint(g.left, g.right, g.depth - by, g.kinds)
         for g in B.gluings
         if g.depth > by
     )
-    lowered = AmalgamBlock(components, gluings, B.params)
-    object.__setattr__(lowered, "settled", settled)
-    return lowered
+    return AmalgamBlock(components, gluings, B.params)
 
 
-class AmalgamChain(Sequence):
-    """The states of an amalgam chain: the stepped ones, up to the first
-    state whose components are all settled, then ``countdown`` more that
-    only lower its gluing depths (module docstring), made when read."""
+def _component_chain(comp: ExponentOrder, depths: tuple[int, ...], max_steps: int):
+    """The (order, depths) chain of one component (module docstring)."""
+    if comp.n == 1:
+        return [(comp, depths)]  # the maximal order: every step keeps it
+    if depths.count(depths[0]) == comp.n:
+        return glued_chain(comp, depths[0], max_steps)
 
-    def __init__(self, stepped, countdown: int):
-        self._stepped = stepped
-        self._len = len(stepped) + countdown
+    def step(state):
+        order, ds = state
+        return glued_idealizer(order, radical(order), ds), tuple(max(d - 1, 0) for d in ds)
 
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, k: int) -> AmalgamBlock:
-        if k < 0:
-            k += self._len
-        if not 0 <= k < self._len:
-            raise IndexError("amalgam chain index out of range")
-        last = len(self._stepped) - 1
-        if k <= last:
-            return self._stepped[k]
-        end = self._stepped[last]
-        return _lowered(end, end.components, end.settled, k - last)
-
-    def __eq__(self, other):
-        return isinstance(other, Sequence) and list(self) == list(other)
-
-    __hash__ = None
+    return fixed_point_chain(step, (comp, depths), max_steps)
 
 
-def amalgam_chain(B: AmalgamBlock, max_steps: int | None = None) -> AmalgamChain:
+def amalgam_chain(B: AmalgamBlock, max_steps: int | None = None) -> LazyChain:
     """Iterate amalgam steps until exponents and gluings both stop moving.
 
-    Steps run up to the first state whose components are all settled; the
-    chain then makes as many more moves as its largest gluing depth (module
-    docstring).  Raises StepBudgetExceeded if the moves exceed max_steps.
+    Runs one chain per distinct (component, depths) and makes each state
+    when it is read (module docstring).  Raises StepBudgetExceeded if the
+    moves exceed max_steps.
     """
     if max_steps is None:
         max_steps = max(default_step_budget(c) for c in B.components)
         max_steps += max((g.depth for g in B.gluings), default=0)
-
-    def step(state):
-        if len(state.settled) == len(state.components):
-            return state
-        return amalgam_idealizer_step(state)
-
-    stepped = fixed_point_chain(step, B, max_steps)
-    countdown = max((g.depth for g in stepped[-1].gluings), default=0)
-    if len(stepped) - 1 + countdown > max_steps:
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    keys = list(zip(B.components, map(tuple, _depth_vectors(B))))
+    chains = {key: _component_chain(*key, max_steps) for key in dict.fromkeys(keys)}
+    runs = [chains[key] for key in keys]
+    # a gluing of depth <= 0 (validate_amalgam drops them) goes at move 1
+    moves = max([max(g.depth, 1) for g in B.gluings] + [len(r) - 1 for r in runs])
+    if moves > max_steps:
         raise StepBudgetExceeded(max_steps)
-    return AmalgamChain(stepped, countdown)
+
+    def state(k):
+        if k == 0:
+            return B
+        return _lowered(B, tuple(r[min(k, len(r) - 1)][0] for r in runs), k)
+
+    return LazyChain(moves + 1, state)
 
 
 def terminal_types(terminal: AmalgamBlock) -> tuple[HereditaryType, ...]:

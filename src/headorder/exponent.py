@@ -8,7 +8,9 @@ vector is carried along but never influences the exponent computations.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, repeat
 from operator import add, indexOf, neg, sub
 from typing import NamedTuple
@@ -58,7 +60,7 @@ class TwistedCirculant(NamedTuple):
     T(u, sigma)[i][j] = u[(j - i) % n] + sigma * [j < i] (see _twisted).
     radical and glued_idealizer (with one depth on every block) take and
     return this form in O(n) and O(n^2); glued_chain runs every
-    rotation-symmetric chain on it and builds the matrices afterwards.
+    rotation-symmetric chain on it and builds a state's matrix when it is read.
     """
 
     u: tuple[int, ...]
@@ -371,6 +373,41 @@ def _idealizer_row(N, sigma: int, f: int) -> tuple[int, ...]:
     return (0, *G)
 
 
+class LazyChain(Sequence):
+    """A chain of ``length`` states whose state k is make(k), made when read.
+
+    It takes negative indices and slices, equals any sequence with the same
+    states, and chain + list is a list.
+    """
+
+    def __init__(self, length: int, make):
+        self._len = length
+        self._make = make
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return map(self._make, range(self._len))
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._make(i) for i in range(*k.indices(self._len))]
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError("chain index out of range")
+        return self._make(k)
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    __hash__ = None
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+
 def fixed_point_chain(step, start, max_steps: int):
     """[start, step(start), ...] up to the first state that step leaves equal.
 
@@ -401,8 +438,9 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
     """Chain of Id(J(.)) steps for a uniformly amalgamated component.
 
     Every diagonal block is glued at the same depth, which drops by one per
-    step.  Returns the list of (order, depth) pairs from the start to the
-    first exponent-and-depth fixed point.
+    step.  Returns the (order, depth) pairs from the start to the first
+    exponent-and-depth fixed point: a list, or on a rotation-symmetric
+    start a LazyChain.
 
     The rotation symmetry of _rotation_shift is checked once, on the start,
     and every state inherits it.  If M[i+1][j+1] = M[i][j] - s[i] + s[j],
@@ -418,11 +456,11 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
     (TwistedCirculant(u, sigma), depth) alone: radical and glued_idealizer
     on that form run _radical_row, then _idealizer_row, O(n^2) per step.
     Two states are equal iff their rows are, so fixed_point_chain stops and
-    counts moves as on the matrices.  The states are built from their rows
-    after the loop (_untwist); the first is the caller's object.  A start
-    without the symmetry runs the radical and the max-plus idealizer on
-    every step, also on states that happen to be symmetric later; both
-    paths give the same matrix.
+    counts moves as on the matrices.  The chain keeps the rows and builds
+    state k from its row (_untwist) when it is first read, then keeps it;
+    state 0 is the caller's object.  A start without the symmetry runs the
+    radical and the max-plus idealizer on every step, also on states that
+    happen to be symmetric later; both paths give the same matrix.
     """
     if max_steps is None:
         max_steps = default_step_budget(order) + depth
@@ -443,10 +481,15 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
         return glued_idealizer(T, radical(T), [f] * n), max(f - 1, 0)
 
     states = fixed_point_chain(twisted_step, (TwistedCirculant(u, sigma), depth), max_steps)
-    dims, ram = order.dims, order.ram
-    return [(order, depth)] + [
-        (ExponentOrder(dims, _untwist(T.u, sigma, P), ram), f) for T, f in states[1:]
-    ]
+
+    @cache
+    def state(k):
+        if k == 0:
+            return order, depth
+        T, f = states[k]
+        return ExponentOrder(order.dims, _untwist(T.u, sigma, P), order.ram), f
+
+    return LazyChain(len(states), state)
 
 
 def idealizer_chain(order: ExponentOrder, max_steps: int | None = None):

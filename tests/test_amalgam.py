@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from headorder import amalgam
 from headorder.amalgam import (
     WHOLE,
     AmalgamBlock,
@@ -17,9 +18,8 @@ from headorder.amalgam import (
 from headorder.brauer import PlanarBrauerTree, build_block
 from headorder.errors import StepBudgetExceeded
 from headorder.exponent import (
+    ExponentOrder,
     fixed_point_chain,
-    glued_idealizer,
-    radical,
     scaled_hereditary,
     standard_hereditary,
 )
@@ -151,21 +151,6 @@ def test_params_round_along_chain():
     assert amalgam_idealizer_step(B).params == (3, 1, 2)
 
 
-def _step_every_component(B):
-    """The amalgam step with no component skipped, rebuilt through
-    AmalgamBlock(...) so that no settled set is carried."""
-    components = tuple(
-        glued_idealizer(comp, radical(comp), depths)
-        for comp, depths in zip(B.components, _depth_vectors(B))
-    )
-    gluings = tuple(
-        GluingConstraint(g.left, g.right, g.depth - 1, g.kinds)
-        for g in B.gluings
-        if g.depth > 1
-    )
-    return AmalgamBlock(components, gluings, B.params)
-
-
 def _equivalence_blocks():
     trees = list(c6_trees((1, 2, 3)))
     blocks = [build_block(t) for t in trees]
@@ -178,34 +163,34 @@ def _equivalence_blocks():
 
 
 def test_chain_equals_chain_stepping_every_component():
-    # settled components are skipped without changing any state
+    # the chains of the distinct components give the states of the
+    # one-step listing, which steps every component on every move
     for B in _equivalence_blocks():
         chain = amalgam_chain(B)
-        assert chain == fixed_point_chain(_step_every_component, B, len(chain) - 1)
+        assert chain == fixed_point_chain(amalgam_idealizer_step, B, len(chain) - 1)
 
 
-def test_settled_set_is_outside_equality():
+def test_chain_states_compare_and_hash_by_structure():
     tree = PlanarBrauerTree(
         exceptional=1, edges=((0, 1), (0, 2)), dims=(1, 1),
         rotations=((0, 1), (0,), (1,)), p=5, a=2,
     )
-    # the step that confirms the fixed point finds every component settled
-    last = amalgam_chain(build_block(tree))[-1]
-    assert last.settled == {0, 1, 3}
-    last = amalgam_idealizer_step(last)
-    assert last.settled == frozenset(range(4))
+    chain = amalgam_chain(build_block(tree))
+    last = chain[-1]
+    assert amalgam_idealizer_step(last) == last
     rebuilt = [
         AmalgamBlock(last.components, last.gluings, last.params),
         validate_amalgam(last.components, last.gluings, last.params),
         replace(last),
         loads(dumps(last)),
+        amalgam_chain(build_block(tree))[-1],
     ]
     for block in rebuilt:
-        assert block.settled == frozenset()
         assert block == last and hash(block) == hash(last)
+    assert chain[-2] != last
 
 
-def test_settled_components_count_every_move():
+def test_gluing_countdown_counts_every_move():
     # the one-edge tree with p = 7, a = 3 moves 48 times, most of them
     # only counting gluing depths down
     tree = PlanarBrauerTree(
@@ -215,3 +200,47 @@ def test_settled_components_count_every_move():
     with pytest.raises(StepBudgetExceeded) as info:
         amalgam_chain(build_block(tree), max_steps=47)
     assert info.value.max_steps == 47
+
+
+def test_equal_components_run_one_chain(monkeypatch):
+    # the path with 4 edges, exceptional at a leaf: three equal a H_2 with
+    # depth a on both blocks, whose chain runs once, and one-block
+    # components, which run none
+    calls = []
+    real = amalgam.glued_chain
+    monkeypatch.setattr(
+        amalgam, "glued_chain", lambda *args: calls.append(args[:2]) or real(*args)
+    )
+    tree = PlanarBrauerTree(
+        exceptional=0, edges=((0, 1), (1, 2), (2, 3), (3, 4)), dims=(1,) * 4,
+        rotations=((0,), (0, 1), (1, 2), (2, 3), (3,)), p=5, a=3,
+    )
+    B = build_block(tree)
+    assert B.components.count(scaled_hereditary((1, 1), 3)) == 3
+    chain = amalgam_chain(B)
+    assert calls == [(scaled_hereditary((1, 1), 3), 3)]
+    assert chain == fixed_point_chain(amalgam_idealizer_step, B, len(chain) - 1)
+
+
+def test_unequal_depths_on_one_component():
+    # two equal a H_2, one glued at depth 2 on block 0 only: their chains
+    # step the depth vectors (2, 0) and (0, 0), and the chain is the
+    # one-step listing
+    ah2 = scaled_hereditary((1, 1), 2)
+    B = validate_amalgam(
+        [ah2, ah2, ExponentOrder((1,), ((0,),))], [GluingConstraint((0, 0), (2, 0), 2)]
+    )
+    assert _depth_vectors(B) == [[2, 0], [0, 0], [2]]
+    chain = amalgam_chain(B)
+    assert chain == fixed_point_chain(amalgam_idealizer_step, B, len(chain) - 1)
+    assert chain[1].components[0] != chain[1].components[1]
+
+
+def test_depth_zero_gluing_goes_at_move_one():
+    # validate_amalgam drops such a gluing; a block made without it still
+    # has it at move 0 and not at move 1, as in the one-step listing
+    h2 = standard_hereditary((1, 1))
+    B = AmalgamBlock((h2, h2), (GluingConstraint((0, 0), (1, 0), 0),))
+    chain = amalgam_chain(B)
+    assert len(chain) == 2 and chain[0] is B and chain[1].gluings == ()
+    assert chain == fixed_point_chain(amalgam_idealizer_step, B, 1)

@@ -331,8 +331,8 @@ def _star_cases():
                     a += 1
 
 
-def test_chain_counts_settled_states_down_like_the_listing():
-    # the chain made from its first all-settled state equals the listing
+def test_chain_of_component_chains_equals_the_listing():
+    # the chain made from the chains of its components equals the listing
     # of one amalgam step per move, state by state, and so does the report
     cases = list(_star_cases())
     assert len(cases) == 172

@@ -667,6 +667,22 @@ def test_tree_bytes_pinned():
     assert h.hexdigest() == "05d23bc13a9e4df39f7bab677a330eb121ac7d8625091fae8ef15995fccf0a02"
 
 
+def test_amalgam_bytes_pinned():
+    # sha256 of exit code and stdout, document by document, for chain and
+    # head on the distinct build_block documents of every criterion-6 tree
+    # with a = 1, 2, 3, one non-unit-dims variant per planar shape and the
+    # hand-built amalgams, some with unequal depths on one component
+    from test_amalgam import _equivalence_blocks
+
+    h = hashlib.sha256()
+    for block in _equivalence_blocks():
+        doc = dumps(block)
+        for command in ("chain", "head"):
+            code, out, _ = _run_cli(["--command", command, "--input", "-"], doc)
+            h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == "2a4893f9950f09934c934cbdf5429c858a94167e7e792caad418fd6499a3424c"
+
+
 # ---------------------------------------------------------------------------
 # fuzzing the CLI boundary with mutated documents
 

@@ -510,6 +510,63 @@ def _reference_glued_chain(order, depth):
         chain.append(state)
 
 
+def _rotation_symmetric_order(rng, n, sigma):
+    """An order drawn from _random_rotation_symmetric: a zero diagonal and
+    the min-plus closure keep the symmetry; a draw with a negative cycle
+    (a negative diagonal after the closure) is drawn again."""
+    while True:
+        M = [list(row) for row in _random_rotation_symmetric(rng, n, sigma)]
+        for i in range(n):
+            M[i][i] = 0
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    M[i][j] = min(M[i][j], M[i][k] + M[k][j])
+        if all(M[i][i] == 0 for i in range(n)):
+            return validate_order(M, (1,) * n)
+
+
+def test_lazy_chain_is_the_eager_listing():
+    rng = random.Random(23)
+    starts = [(_ASYMMETRIC, 2), (_ASYMMETRIC, 0)]
+    for n in range(1, 9):
+        for sigma in (0, 1, 3, 6):
+            start = _rotation_symmetric_order(rng, n, sigma)
+            assert exponent._rotation_shift(start.M) is not None
+            starts.append((start, rng.randint(0, 4)))
+    for start, depth in starts:
+        chain = glued_chain(start, depth)
+        want = _reference_glued_chain(start, depth)
+        assert list(chain) == want
+        k = len(want)
+        assert chain[-1] == want[-1] and chain[-k] == want[0]
+        assert chain[1:3] == want[1:3] and chain[::-2] == want[::-2]
+        for bad in (k, -k - 1):
+            with pytest.raises(IndexError):
+                chain[bad]
+        assert chain == want and want == chain
+        # the asymmetric start's chain is a list; a lazy one equals any sequence
+        assert type(chain) is list or chain == tuple(want)
+        assert chain != want[:-1] and chain != want + want[-1:]
+        extended = chain + [(start, 0)]
+        assert type(extended) is list and extended == want + [(start, 0)]
+
+
+def test_reading_the_head_untwists_one_state(monkeypatch):
+    calls = []
+    untwist = exponent._untwist
+    monkeypatch.setattr(
+        exponent, "_untwist", lambda *args: calls.append(args) or untwist(*args)
+    )
+    start = scaled_hereditary((1,) * 64, 200)
+    chain = glued_chain(start, 200)
+    assert len(chain) == 250 and calls == []
+    head, depth = chain[-1]
+    assert chain[-1][0] is head and chain[0] == (start, 200)
+    assert len(calls) == 1 and depth == 0
+    assert is_hereditary(merge_unreduced(head)) is not None
+
+
 def test_chain_matches_maxplus_reference(monkeypatch):
     calls = []
 
