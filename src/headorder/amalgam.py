@@ -31,7 +31,8 @@ each component stays; once the depths are 0 a component that stays, stays.
 So the amalgam chain makes max(G, max L_c) moves, G the largest gluing
 depth, and its state k is each component at move min(k, L_c) with the
 start's gluings lowered by k.  amalgam_chain runs one chain per distinct
-(component, depths) and makes a state when it is read.
+(dims, exponent matrix, depths), since a component's ram enters no exponent
+computation, and makes a state when it is read.
 """
 
 from __future__ import annotations
@@ -192,17 +193,22 @@ def _component_chain(comp: ExponentOrder, depths: tuple[int, ...], max_steps: in
 def amalgam_chain(B: AmalgamBlock, max_steps: int | None = None) -> LazyChain:
     """Iterate amalgam steps until exponents and gluings both stop moving.
 
-    Runs one chain per distinct (component, depths) and makes each state
-    when it is read (module docstring).  Raises StepBudgetExceeded if the
-    moves exceed max_steps.
+    Runs one chain per distinct (dims, exponent matrix, depths) and makes
+    each state when it is read (module docstring).  Raises
+    StepBudgetExceeded if the moves exceed max_steps.
     """
     if max_steps is None:
         max_steps = max(default_step_budget(c) for c in B.components)
         max_steps += max((g.depth for g in B.gluings), default=0)
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    keys = list(zip(B.components, map(tuple, _depth_vectors(B))))
-    chains = {key: _component_chain(*key, max_steps) for key in dict.fromkeys(keys)}
+    # components that differ in ram alone share a chain; each gets its ram
+    # back when a state is read
+    keys = [(c.dims, c.M, tuple(d)) for c, d in zip(B.components, _depth_vectors(B))]
+    chains = {}
+    for key, comp in zip(keys, B.components):
+        if key not in chains:
+            chains[key] = _component_chain(comp, key[2], max_steps)
     runs = [chains[key] for key in keys]
     # a gluing of depth <= 0 (validate_amalgam drops them) goes at move 1
     moves = max([max(g.depth, 1) for g in B.gluings] + [len(r) - 1 for r in runs])
@@ -212,7 +218,11 @@ def amalgam_chain(B: AmalgamBlock, max_steps: int | None = None) -> LazyChain:
     def state(k):
         if k == 0:
             return B
-        return _lowered(B, tuple(r[min(k, len(r) - 1)][0] for r in runs), k)
+        components = []
+        for comp, r in zip(B.components, runs):
+            c = r[min(k, len(r) - 1)][0]
+            components.append(c if c.ram == comp.ram else ExponentOrder(c.dims, c.M, comp.ram))
+        return _lowered(B, tuple(components), k)
 
     return LazyChain(moves + 1, state)
 

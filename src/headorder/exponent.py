@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, repeat
-from operator import add, indexOf, neg, sub
+from operator import add, getitem, indexOf, neg, sub
 from typing import NamedTuple
 
 from .errors import DiagonalNonzero, StepBudgetExceeded, TriangleViolation
@@ -59,8 +59,12 @@ class TwistedCirculant(NamedTuple):
 
     T(u, sigma)[i][j] = u[(j - i) % n] + sigma * [j < i] (see _twisted).
     radical and glued_idealizer (with one depth on every block) take and
-    return this form in O(n) and O(n^2); glued_chain runs every
-    rotation-symmetric chain on it and builds a state's matrix when it is read.
+    return this form in O(n) and at worst O(n^2).  On the radical of the
+    order, checked in O(n), entry j of the idealizer's row is u[j] or
+    u[j] - 1, and its search stops at the first term equal to u[j]; any
+    other ideal takes the max-plus maximum (see _idealizer_row).
+    glued_chain runs every rotation-symmetric chain on this form and builds
+    a state's matrix when it is read.
     """
 
     u: tuple[int, ...]
@@ -139,7 +143,16 @@ def radical(order: ExponentOrder | TwistedCirculant) -> ExponentIdeal | TwistedC
     """
     if isinstance(order, TwistedCirculant):
         return TwistedCirculant(_radical_row(order.u, order.sigma), order.sigma)
-    M = order.M
+    return ExponentIdeal(_radical_matrix(order.M))
+
+
+@lru_cache(maxsize=1)
+def _radical_matrix(M: Matrix) -> Matrix:
+    """The exponent matrix of the radical of the order M (see radical).
+
+    The last result is kept: a chain step asks for the same matrix twice,
+    in radical and in the check of _maxplus_idealizer.
+    """
     root = _unreduced_classes(M)
     if root == list(range(len(M))):
         # reduced: every class is one index, only the diagonal rises
@@ -148,7 +161,7 @@ def radical(order: ExponentOrder | TwistedCirculant) -> ExponentIdeal | TwistedC
             row = list(row)
             row[i] += 1
             N.append(tuple(row))
-        return ExponentIdeal(tuple(N))
+        return tuple(N)
     members = {}
     for j, r in enumerate(root):
         members.setdefault(r, []).append(j)
@@ -158,7 +171,12 @@ def radical(order: ExponentOrder | TwistedCirculant) -> ExponentIdeal | TwistedC
         for j in members[r]:
             row[j] += 1
         N.append(tuple(row))
-    return ExponentIdeal(tuple(N))
+    return tuple(N)
+
+
+def _is_radical(M: Matrix, N: Matrix) -> bool:
+    """True if M has a zero diagonal and N is its radical: O(n^2)."""
+    return not any(map(getitem, M, range(len(M)))) and N == _radical_matrix(M)
 
 
 # Old name of the general radical.  perfbench/ calls it in its oracle set-up
@@ -227,7 +245,12 @@ def glued_idealizer(
     all k, the right condition forces m[i][j] >= N[k][j] - N[k][i]; the
     idealizer is cut out by both.  With A_i the row N[i] followed by minus
     column i of N, both maxima are the one max-plus product
-    G[i][j] = max_k (A_i[k] - A_j[k]): O(n^3).
+    G[i][j] = max_k (A_i[k] - A_j[k]): O(n^3).  When N is the radical of
+    the order, each entry is m_ij or m_ij - 1 and the search for a term
+    equal to m_ij stops at the first one found (proof in
+    _maxplus_idealizer).  Both kernels that chain steps reach check this:
+    _maxplus_idealizer, and _idealizer_row on the TwistedCirculant form;
+    any other ideal takes the maximum.
 
     depths[q] is the congruence depth amalgamating diagonal block q to a
     partner outside this component.  Multiplication into a glued diagonal
@@ -246,10 +269,11 @@ def glued_idealizer(
     t[i] - t[j], as it does m_ij, and reindexing k -> k+1 in either
     maximum gives G[i+1][j+1] = G[i][j] - s[i] + s[j] with the same s.
     So G conjugated by -P is T(g, sigma), with g its row 0, which
-    _idealizer_row computes from the row of N.  On any other N, or with
-    unequal depths, every row is computed.  An ideal given as a
-    TwistedCirculant needs equal depths and gets T(g, sigma) itself; its
-    order only supplies n.
+    _idealizer_row computes from the row of N as a maximum.  On any other
+    N, or with unequal depths, every row is computed.  An ideal given as a
+    TwistedCirculant needs equal depths and an order given the same way,
+    with a row of its length and its sigma, and gets T(g, sigma) itself,
+    two-valued when it is the radical of that order.
     """
     depths = list(map(int, depths))
     n = order.n
@@ -259,7 +283,11 @@ def glued_idealizer(
     if isinstance(ideal, TwistedCirculant):
         if not uniform:
             raise ValueError("a TwistedCirculant ideal needs one depth on every block")
-        return TwistedCirculant(_idealizer_row(ideal.u, ideal.sigma, depths[0]), ideal.sigma)
+        same_form = isinstance(order, TwistedCirculant) and order.sigma == ideal.sigma
+        if not same_form or order.n != ideal.n:
+            raise ValueError("a TwistedCirculant ideal needs an order of its n and sigma")
+        row = _idealizer_row(ideal.u, ideal.sigma, depths[0], order.u)
+        return TwistedCirculant(row, ideal.sigma)
     N = ideal.N
     if uniform:
         s = _rotation_shift(N)
@@ -271,13 +299,33 @@ def glued_idealizer(
 
 
 def _maxplus_idealizer(order: ExponentOrder, N: Matrix, depths) -> ExponentOrder:
-    """glued_idealizer on every row: the max-plus product and the depth bound."""
+    """glued_idealizer on every row: each entry of the maximum, then the depth bound.
+
+    If the order M has a zero diagonal and N is its radical (_is_radical,
+    O(n^2)), entry (i, j) of the maximum is m_ij when m_ij is one of its
+    terms and m_ij - 1 otherwise; on any other N it is the max-plus
+    maximum.  Both give the same matrix.  Write c_ij = [m_ij + m_ji = 0],
+    so N = M + C.  N is a two-sided ideal of M: m_ij + N_jk >= N_ik is the
+    triangle inequality unless c_ik = 1 and c_jk = 0; then i and j are in
+    different classes (the classes are transitive, see _unreduced_classes),
+    so m_ij >= 1 - m_ji >= 1 - m_jk - m_ki = 1 - m_jk + m_ik, as m_ki =
+    -m_ik.  The right side, N_ki + m_ij >= N_kj, is the same with the
+    transpose.  So every term N_ik - N_jk and N_kj - N_ki is at most m_ij.
+    The term k = j is N_ij - N_jj = m_ij + c_ij - 1, since N_jj = 1: the
+    maximum is at least m_ij - 1, and it is m_ij iff some term is (the
+    term k = j is, when c_ij = 1).  The search stops at the first such
+    term: O(n^3) at worst, as the maximum.
+    """
     cols = list(zip(*N))
     A = [row + tuple(map(neg, col)) for row, col in zip(N, cols)]
+    two_valued = _is_radical(order.M, N)
     G = []
     glued = any(depths)
     for i, Ai in enumerate(A):
-        row = [max(map(sub, Ai, Aj)) for Aj in A]
+        if two_valued:
+            row = [m if m in map(sub, Ai, Aj) else m - 1 for m, Aj in zip(order.M[i], A)]
+        else:
+            row = [max(map(sub, Ai, Aj)) for Aj in A]
         if glued:
             # max(d_i, d_j) - N[j][i] is the larger of d_i - N[j][i] and
             # d_j - N[j][i]; column i of N holds N[j][i]
@@ -327,6 +375,7 @@ def _untwist(u, sigma: int, P) -> Matrix:
     return tuple(rows)
 
 
+@lru_cache(maxsize=1)
 def _radical_row(u, sigma: int) -> tuple[int, ...]:
     """Row 0 of the radical of the order T(u, sigma), in the same coordinates.
 
@@ -335,7 +384,8 @@ def _radical_row(u, sigma: int) -> tuple[int, ...]:
     otherwise (exactly one of j < i and i < j holds).  So the class
     indicator depends on d alone, and the radical, M plus that indicator
     (see radical), is T(r, sigma) with r_d = u_d + [u_d + u_(n-d) + sigma
-    * [d > 0] = 0]: O(n).
+    * [d > 0] = 0]: O(n).  The last result is kept: a chain step asks for
+    the same row twice, in radical and in the check of _idealizer_row.
     """
     twist = (0,) + (sigma,) * (len(u) - 1)
     return tuple(
@@ -343,14 +393,24 @@ def _radical_row(u, sigma: int) -> tuple[int, ...]:
     )
 
 
-def _idealizer_row(N, sigma: int, f: int) -> tuple[int, ...]:
+def _idealizer_row(N, sigma: int, f: int, u=None) -> tuple[int, ...]:
     """Row 0 of the glued idealizer of T(N, sigma) at depth f on every block.
 
-    G_0 = 0.  For j >= 1, row j of T = T(N, sigma) is the slice
-    E[n - j : 2n - j] of E = (N + sigma) ++ N, since
+    u, when given, is the row of the order T(u, sigma) that T(N, sigma) is
+    an ideal of.  G_0 = 0.  For j >= 1, row j of T = T(N, sigma) is the
+    slice E[n - j : 2n - j] of E = (N + sigma) ++ N, since
     E[n - j + k] = N[(k - j) % n] + sigma * [k < j].  So the left maximum
     is G_j = max_k (N_k - E[n - j + k]): one slice and one map.  When f is
     nonzero the depth bound is f - T[j][0] = f - E[n - j].
+
+    If u[0] = 0 and N is _radical_row(u, sigma), O(n) to check, then
+    T(N, sigma) is the radical of the order T(u, sigma), and G_j is u_j
+    when u_j is one of the terms and u_j - 1 otherwise; the search stops at
+    the first such term.  This is the maximum: entry (0, j) of the order is
+    u_j, and by the proof in _maxplus_idealizer every term is at most u_j
+    and the term k = j, N_j - N_0 = N_j - 1, is at least u_j - 1 (the
+    terms of the right maximum are those of the left one, see below).
+    Without u, or if the check fails, G_j is the maximum itself.
 
     The right maximum, max_k (T[k][j] - T[k][0]), is not computed: it
     equals the left one term by term.  Its term at k is
@@ -367,7 +427,13 @@ def _idealizer_row(N, sigma: int, f: int) -> tuple[int, ...]:
     n = len(N)
     E = tuple(map(add, N, repeat(sigma))) + N
     # k = n - j for j = 1, ..., n - 1
-    G = [max(map(sub, N, E[k : k + n])) for k in range(n - 1, 0, -1)]
+    if u is not None and u[0] == 0 and N == _radical_row(u, sigma):
+        G = [
+            m if m in map(sub, N, E[k : k + n]) else m - 1
+            for m, k in zip(u[1:], range(n - 1, 0, -1))
+        ]
+    else:
+        G = [max(map(sub, N, E[k : k + n])) for k in range(n - 1, 0, -1)]
     if f:
         G = map(max, G, map(sub, repeat(f), E[n - 1 : 0 : -1]))
     return (0, *G)

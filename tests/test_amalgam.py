@@ -222,6 +222,24 @@ def test_equal_components_run_one_chain(monkeypatch):
     assert chain == fixed_point_chain(amalgam_idealizer_step, B, len(chain) - 1)
 
 
+def test_components_differing_in_ram_run_one_chain(monkeypatch):
+    # ram enters no exponent computation: 3 H_3 over three base rings, glued
+    # at depth 2 to a fourth, runs one chain per depth vector, and every
+    # state gives each component its own ram
+    calls = []
+    real = amalgam._component_chain
+    monkeypatch.setattr(
+        amalgam, "_component_chain", lambda *args: calls.append(args[:2]) or real(*args)
+    )
+    comps = [scaled_hereditary((1, 1, 1), 3, ram) for ram in (1, 2, 4, 2)]
+    B = validate_amalgam(comps, [GluingConstraint((2, 0), (3, 0), 2)])
+    chain = amalgam_chain(B)
+    assert calls == [(comps[0], (0, 0, 0)), (comps[2], (2, 0, 0))]
+    assert chain == fixed_point_chain(amalgam_idealizer_step, B, len(chain) - 1)
+    for state in chain:
+        assert [c.ram for c in state.components] == [1, 2, 4, 2]
+
+
 def test_unequal_depths_on_one_component():
     # two equal a H_2, one glued at depth 2 on block 0 only: their chains
     # step the depth vectors (2, 0) and (0, 0), and the chain is the

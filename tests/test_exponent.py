@@ -354,6 +354,22 @@ def test_twisted_ideal_needs_one_depth():
         glued_idealizer(T, radical(T), [1, 1])
 
 
+def test_twisted_ideal_needs_a_matching_order():
+    # the order's row bounds the result, so the order must be a twisted
+    # circulant of the ideal's length and sigma
+    T = TwistedCirculant((0, 1, 1), -1)
+    H3 = ExponentOrder((1, 1, 1), exponent._untwist(T.u, T.sigma, (0, 0, 0)))
+    for order, ideal in [
+        (T, TwistedCirculant((1, 1), -1)),
+        (TwistedCirculant((0, 1), -1), radical(T)),
+        (TwistedCirculant((0, 1, 1), 0), radical(T)),
+        (H3, radical(T)),
+    ]:
+        with pytest.raises(ValueError):
+            glued_idealizer(order, ideal, [0] * order.n)
+    assert glued_idealizer(T, radical(T), [0] * 3) == T
+
+
 def test_symmetric_chain_steps_through_radical_and_glued_idealizer(monkeypatch):
     # every step of a rotation-symmetric chain, also the one that confirms the
     # fixed point, is one radical and one glued_idealizer call on its row
@@ -437,6 +453,99 @@ _ASYMMETRIC = validate_order([[0, 4, 8, 9], [0, 0, 4, 8], [0, 0, 0, 4], [0, 0, 0
 def test_budget_start_is_asymmetric():
     assert exponent._rotation_shift(_ASYMMETRIC.M) is None
     assert len(glued_chain(_ASYMMETRIC, 2)) > 3
+
+
+def _min_plus_square(N):
+    rng = range(len(N))
+    return tuple(tuple(min(N[i][k] + N[k][j] for k in rng) for j in rng) for i in rng)
+
+
+def _not_radicals(order):
+    """Ideals of the order that are not its radical J: the order itself,
+    J J by min-plus, and J with one entry raised by one."""
+    J = radical(order).N
+    yield order.M
+    yield _min_plus_square(J)
+    for i, row in enumerate(J):
+        for j in range(len(row)):
+            yield J[:i] + (row[:j] + (row[j] + 1,) + row[j + 1 :],) + J[i + 1 :]
+
+
+def test_idealizer_of_a_radical_is_two_valued():
+    # on the radical J of an order, every entry of the max-plus maximum is
+    # m_ij or m_ij - 1, and both kernels pick the same one as the maximum;
+    # an ideal that is not the radical gets the maximum itself
+    def check(order, ideal, depths):
+        bare = maxplus_idealizer(order, ideal).M
+        if ideal.N == radical(order).N:
+            assert all(
+                g in (m - 1, m) for grow, mrow in zip(bare, order.M) for g, m in zip(grow, mrow)
+            )
+        want = maxplus_glued_idealizer(order, ideal, depths).M
+        assert glued_idealizer(order, ideal, depths).M == want
+        return want
+
+    def check_twisted(order, ideal, f):
+        n = order.n
+        s = exponent._rotation_shift(order.M)
+        u, sigma, P = exponent._twisted(order.M, s)
+        v, sigma_v, P_v = exponent._twisted(ideal.N, s)
+        assert (sigma_v, P_v) == (sigma, P)
+        G = glued_idealizer(TwistedCirculant(u, sigma), TwistedCirculant(v, sigma), [f] * n)
+        assert exponent._untwist(G.u, sigma, P) == check(order, ideal, [f] * n)
+
+    # the twisted form: every state of the Lambda(v) chains with n <= 12
+    # and a <= 40
+    states = 0
+    for n in range(2, 13):
+        for a in range(1, 41):
+            for order, f in glued_chain(scaled_hereditary((1,) * n, a), a):
+                check_twisted(order, radical(order), f)
+                states += 1
+    assert states == 10166
+
+    # the matrix form: the chains of random, random circulant and
+    # asymmetric starts at depths 0..3, and unequal depths on the starts
+    rng = random.Random(24)
+    starts = [_ASYMMETRIC]
+    for n in range(1, 9):
+        starts += [_random_order(rng, n) for _ in range(6)]
+        starts += [_random_circulant_order(rng, n) for _ in range(6)]
+    steps = 0
+    for start in starts:
+        n = start.n
+        depths = [rng.randint(0, 3) for _ in range(n)]
+        check(start, radical(start), depths)
+        for f in range(4):
+            for order, g in glued_chain(start, f):
+                assert exponent._is_radical(order.M, radical(order).N)
+                check(order, radical(order), [g] * n)
+                steps += 1
+    assert steps > 1000
+
+    # ideals that are not the radical take the max-plus path, on both forms
+    others = 0
+    for start in starts[:40]:
+        for N in _not_radicals(start):
+            assert not exponent._is_radical(start.M, N)
+            for f in (0, 2):
+                check(start, ExponentIdeal(N), [f] * start.n)
+            others += 1
+    for n in range(2, 8):
+        for order, f in glued_chain(scaled_hereditary((1,) * n, 2 * n), 2 * n):
+            J = radical(order).N
+            for N in (order.M, _min_plus_square(J)):
+                check_twisted(order, ExponentIdeal(N), f)
+                others += 1
+            for d in range(n):
+                # raise every entry (i, i + d): the twisted row's entry d
+                N = tuple(
+                    tuple(x + ((j - i) % n == d) for j, x in enumerate(row))
+                    for i, row in enumerate(J)
+                )
+                check_twisted(order, ExponentIdeal(N), f)
+                others += 1
+    assert others > 500
 
 
 def _glued_pair():
