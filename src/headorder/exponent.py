@@ -59,12 +59,14 @@ class TwistedCirculant(NamedTuple):
 
     T(u, sigma)[i][j] = u[(j - i) % n] + sigma * [j < i] (see _twisted).
     radical and glued_idealizer (with one depth on every block) take and
-    return this form in O(n) and at worst O(n^2).  On the radical of the
-    order, checked in O(n), entry j of the idealizer's row is u[j] or
-    u[j] - 1, and its search stops at the first term equal to u[j]; any
-    other ideal takes the max-plus maximum (see _idealizer_row).
-    glued_chain runs every rotation-symmetric chain on this form and builds
-    a state's matrix when it is read.
+    return this form in O(n) and at worst O(n^2); glued_idealizer needs the
+    order in this form too.  On the radical of the order, checked in O(n),
+    entry j of the idealizer's row is u[j] or u[j] - 1, and its search stops
+    at the first term equal to u[j]; any other ideal takes the max-plus
+    maximum (see _idealizer_row).  Chains reach this form through
+    glued_chain, which runs every rotation-symmetric chain on it and builds
+    a state's matrix when it is read; a matrix order and ideal take the
+    matrix kernel, _maxplus_idealizer.
     """
 
     u: tuple[int, ...]
@@ -150,28 +152,15 @@ def radical(order: ExponentOrder | TwistedCirculant) -> ExponentIdeal | TwistedC
 def _radical_matrix(M: Matrix) -> Matrix:
     """The exponent matrix of the radical of the order M (see radical).
 
-    The last result is kept: a chain step asks for the same matrix twice,
-    in radical and in the check of _maxplus_idealizer.
+    Entry (i, j) is m_ij + [m_ij + m_ji = 0], the rule of _radical_row: on
+    an order the relation m_ij + m_ji = 0 is transitive (see
+    _unreduced_classes), so it is the class relation itself.  The last
+    result is kept: a chain step asks for the same matrix twice, in radical
+    and in the check of _maxplus_idealizer.
     """
-    root = _unreduced_classes(M)
-    if root == list(range(len(M))):
-        # reduced: every class is one index, only the diagonal rises
-        N = []
-        for i, row in enumerate(M):
-            row = list(row)
-            row[i] += 1
-            N.append(tuple(row))
-        return tuple(N)
-    members = {}
-    for j, r in enumerate(root):
-        members.setdefault(r, []).append(j)
-    N = []
-    for row, r in zip(M, root):
-        row = list(row)
-        for j in members[r]:
-            row[j] += 1
-        N.append(tuple(row))
-    return tuple(N)
+    return tuple(
+        tuple(x + (x + y == 0) for x, y in zip(row, col)) for row, col in zip(M, zip(*M))
+    )
 
 
 def _is_radical(M: Matrix, N: Matrix) -> bool:
@@ -248,9 +237,8 @@ def glued_idealizer(
     G[i][j] = max_k (A_i[k] - A_j[k]): O(n^3).  When N is the radical of
     the order, each entry is m_ij or m_ij - 1 and the search for a term
     equal to m_ij stops at the first one found (proof in
-    _maxplus_idealizer).  Both kernels that chain steps reach check this:
-    _maxplus_idealizer, and _idealizer_row on the TwistedCirculant form;
-    any other ideal takes the maximum.
+    _maxplus_idealizer); each kernel checks this itself, and any other
+    ideal takes the maximum.
 
     depths[q] is the congruence depth amalgamating diagonal block q to a
     partner outside this component.  Multiplication into a glued diagonal
@@ -260,42 +248,29 @@ def glued_idealizer(
     m[i][j] >= N[i][i] - N[j][i] and N[i][i] >= 0 for an ideal of the
     order.  The result always contains the order.
 
-    With every depth equal, and N[i+1][j+1] = N[i][j] - s[i] + s[j] for
-    all i, j (indices mod n; checked exactly, see _rotation_shift), as on
-    every state of the Lambda(v) chains, one row of n entries determines G
-    and costs O(n^2); see _twisted for the coordinates and
-    _idealizer_row for the row.  Equivariance: conjugating N by a
-    diagonal t shifts both maxima and the depth bound f - N[j][i] by
-    t[i] - t[j], as it does m_ij, and reindexing k -> k+1 in either
-    maximum gives G[i+1][j+1] = G[i][j] - s[i] + s[j] with the same s.
-    So G conjugated by -P is T(g, sigma), with g its row 0, which
-    _idealizer_row computes from the row of N as a maximum.  On any other
-    N, or with unequal depths, every row is computed.  An ideal given as a
-    TwistedCirculant needs equal depths and an order given the same way,
-    with a row of its length and its sigma, and gets T(g, sigma) itself,
-    two-valued when it is the radical of that order.
+    There is one kernel per form, and the order and the ideal must be in
+    the same one, with the same n.  An ExponentOrder and an ExponentIdeal
+    take the matrix kernel, _maxplus_idealizer, at any depths.  A
+    TwistedCirculant order and ideal, with one sigma, take the row kernel,
+    _idealizer_row, at one depth on every block, and get T(g, sigma): one
+    row of n entries, O(n^2).  Chains reach the row form through
+    glued_chain, which twists a rotation-symmetric start once.
     """
     depths = list(map(int, depths))
     n = order.n
     if len(depths) != n:
         raise ValueError("depths must have length n")
-    uniform = depths.count(depths[0]) == n
-    if isinstance(ideal, TwistedCirculant):
-        if not uniform:
-            raise ValueError("a TwistedCirculant ideal needs one depth on every block")
-        same_form = isinstance(order, TwistedCirculant) and order.sigma == ideal.sigma
-        if not same_form or order.n != ideal.n:
-            raise ValueError("a TwistedCirculant ideal needs an order of its n and sigma")
-        row = _idealizer_row(ideal.u, ideal.sigma, depths[0], order.u)
-        return TwistedCirculant(row, ideal.sigma)
-    N = ideal.N
-    if uniform:
-        s = _rotation_shift(N)
-        if s is not None:
-            u, sigma, P = _twisted(N, s)
-            G = _untwist(_idealizer_row(u, sigma, depths[0]), sigma, P)
-            return ExponentOrder(order.dims, G, order.ram)
-    return _maxplus_idealizer(order, N, depths)
+    if isinstance(order, TwistedCirculant) != isinstance(ideal, TwistedCirculant):
+        raise ValueError("the order and the ideal must both be TwistedCirculant or neither")
+    if not isinstance(ideal, TwistedCirculant):
+        if len(ideal.N) != n:
+            raise ValueError("an ideal needs one row per block of the order")
+        return _maxplus_idealizer(order, ideal.N, depths)
+    if depths.count(depths[0]) != n:
+        raise ValueError("a TwistedCirculant ideal needs one depth on every block")
+    if order.sigma != ideal.sigma or order.n != ideal.n:
+        raise ValueError("a TwistedCirculant ideal needs an order of its n and sigma")
+    return TwistedCirculant(_idealizer_row(ideal.u, ideal.sigma, depths[0], order.u), ideal.sigma)
 
 
 def _maxplus_idealizer(order: ExponentOrder, N: Matrix, depths) -> ExponentOrder:
@@ -393,11 +368,11 @@ def _radical_row(u, sigma: int) -> tuple[int, ...]:
     )
 
 
-def _idealizer_row(N, sigma: int, f: int, u=None) -> tuple[int, ...]:
+def _idealizer_row(N, sigma: int, f: int, u) -> tuple[int, ...]:
     """Row 0 of the glued idealizer of T(N, sigma) at depth f on every block.
 
-    u, when given, is the row of the order T(u, sigma) that T(N, sigma) is
-    an ideal of.  G_0 = 0.  For j >= 1, row j of T = T(N, sigma) is the
+    u is the row of the order T(u, sigma) that T(N, sigma) is an ideal
+    of.  G_0 = 0.  For j >= 1, row j of T = T(N, sigma) is the
     slice E[n - j : 2n - j] of E = (N + sigma) ++ N, since
     E[n - j + k] = N[(k - j) % n] + sigma * [k < j].  So the left maximum
     is G_j = max_k (N_k - E[n - j + k]): one slice and one map.  When f is
@@ -410,7 +385,7 @@ def _idealizer_row(N, sigma: int, f: int, u=None) -> tuple[int, ...]:
     u_j, and by the proof in _maxplus_idealizer every term is at most u_j
     and the term k = j, N_j - N_0 = N_j - 1, is at least u_j - 1 (the
     terms of the right maximum are those of the left one, see below).
-    Without u, or if the check fails, G_j is the maximum itself.
+    If the check fails, G_j is the maximum itself.
 
     The right maximum, max_k (T[k][j] - T[k][0]), is not computed: it
     equals the left one term by term.  Its term at k is
@@ -419,15 +394,13 @@ def _idealizer_row(N, sigma: int, f: int, u=None) -> tuple[int, ...]:
     is N[k'] - N[(k' - j) % n] - sigma * [k' < j], and the sigma terms
     agree: k = 0 gives k' = j and 0 on both sides; 0 < k <= j gives
     k' = j - k < j and -sigma on both sides; k > j gives k' = n + j - k > j
-    and sigma - sigma = 0 against 0.  (In the coordinates of the caller the
-    prefix sums of _twisted, extended by P(i + n) = P(i) + sigma, cancel
-    the same way: P(j + n - k) - P(n) - P(j - k) + P(0) = 0.)  So G_j is
-    the idealizer's entry (0, j), and _untwist gives the whole matrix.
+    and sigma - sigma = 0 against 0.  So G_j is the idealizer's entry
+    (0, j).
     """
     n = len(N)
     E = tuple(map(add, N, repeat(sigma))) + N
     # k = n - j for j = 1, ..., n - 1
-    if u is not None and u[0] == 0 and N == _radical_row(u, sigma):
+    if u[0] == 0 and N == _radical_row(u, sigma):
         G = [
             m if m in map(sub, N, E[k : k + n]) else m - 1
             for m, k in zip(u[1:], range(n - 1, 0, -1))
@@ -506,15 +479,20 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
     Every diagonal block is glued at the same depth, which drops by one per
     step.  Returns the (order, depth) pairs from the start to the first
     exponent-and-depth fixed point: a list, or on a rotation-symmetric
-    start a LazyChain.
+    start a LazyChain.  Every step is step((T, f)) = (glued_idealizer(T,
+    radical(T), [f] * n), max(f - 1, 0)); only the start state depends on
+    the symmetry, and glued_idealizer picks the kernel of its form.
 
     The rotation symmetry of _rotation_shift is checked once, on the start,
     and every state inherits it.  If M[i+1][j+1] = M[i][j] - s[i] + s[j],
     then m_ij + m_ji is invariant under i -> i+1 (the s terms cancel), so
-    rotation maps the unreduced classes onto each other and the radical, M
-    plus the class indicator, has the same shift s.  By the equivariance of
-    glued_idealizer, the uniform-depth idealizer of the radical has shift s too,
-    and by induction so has every state.
+    rotation maps the unreduced classes onto each other and the radical N,
+    M plus the class indicator, has the same shift s.  So has the idealizer
+    G of N at one depth f on every block, by equivariance: conjugating N by
+    a diagonal t shifts both maxima of glued_idealizer and the depth bound
+    f - N[j][i] by t[i] - t[j], as it does m_ij, and reindexing k -> k+1 in
+    either maximum gives G[i+1][j+1] = G[i][j] - s[i] + s[j].  By induction
+    so has every state.
 
     So on a symmetric start every state is T(u, sigma) in the start's
     coordinates (see _twisted; circulant.expand(Lambda(v)) is
@@ -524,29 +502,24 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
     Two states are equal iff their rows are, so fixed_point_chain stops and
     counts moves as on the matrices.  The chain keeps the rows and builds
     state k from its row (_untwist) when it is first read, then keeps it;
-    state 0 is the caller's object.  A start without the symmetry runs the
-    radical and the max-plus idealizer on every step, also on states that
-    happen to be symmetric later; both paths give the same matrix.
+    state 0 is the caller's object.  A start without the symmetry iterates
+    the matrices, and glued_idealizer runs the max-plus kernel on every
+    step, also on states that happen to be symmetric later; both kernels
+    give the same matrix.
     """
     if max_steps is None:
         max_steps = default_step_budget(order) + depth
-    s = _rotation_shift(order.M)
-    if s is None:
-
-        def step(state):
-            current, f = state
-            N = radical(current).N
-            return _maxplus_idealizer(current, N, [f] * current.n), max(f - 1, 0)
-
-        return fixed_point_chain(step, (order, depth), max_steps)
-    u, sigma, P = _twisted(order.M, s)
     n = order.n
 
-    def twisted_step(state):
+    def step(state):
         T, f = state
         return glued_idealizer(T, radical(T), [f] * n), max(f - 1, 0)
 
-    states = fixed_point_chain(twisted_step, (TwistedCirculant(u, sigma), depth), max_steps)
+    s = _rotation_shift(order.M)
+    if s is None:
+        return fixed_point_chain(step, (order, depth), max_steps)
+    u, sigma, P = _twisted(order.M, s)
+    states = fixed_point_chain(step, (TwistedCirculant(u, sigma), depth), max_steps)
 
     @cache
     def state(k):

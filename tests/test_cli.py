@@ -683,6 +683,30 @@ def test_amalgam_bytes_pinned():
     assert h.hexdigest() == "2a4893f9950f09934c934cbdf5429c858a94167e7e792caad418fd6499a3424c"
 
 
+def test_exponent_bytes_pinned():
+    # sha256 of exit code and stdout, document by document, for chain, head
+    # and radical on exponent documents: the asymmetric start and random
+    # orders and circulant orders, conjugated, n = 1..8; 43 of the 161 have
+    # no rotation symmetry and 106 are unreduced, so both idealizer kernels
+    # and both radicals are pinned
+    import random
+
+    from test_exponent import _ASYMMETRIC, _random_circulant_order, _random_order
+
+    rng = random.Random(25)
+    orders = [_ASYMMETRIC]
+    for n in range(1, 9):
+        orders += [_random_order(rng, n) for _ in range(10)]
+        orders += [_random_circulant_order(rng, n) for _ in range(10)]
+    h = hashlib.sha256()
+    for order in orders:
+        doc = dumps(order)
+        for command in ("chain", "head", "radical"):
+            code, out, _ = _run_cli(["--command", command, "--input", "-"], doc)
+            h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == "cba38fdea9c717d12b402ddbdb4c05055ada512f9ea8298178426659252b25b5"
+
+
 # ---------------------------------------------------------------------------
 # fuzzing the CLI boundary with mutated documents
 

@@ -224,36 +224,24 @@ def _star_amalgam():
     return validate_amalgam((c, c, c), gl)
 
 
-def test_idealizer_matches_maxplus_reference(monkeypatch):
-    shifts = []
-
-    def spy(N):
-        s = rotation_shift(N)
-        shifts.append(s)
-        return s
-
-    rotation_shift = exponent._rotation_shift
-    monkeypatch.setattr(exponent, "_rotation_shift", spy)
-
+def test_idealizer_matches_maxplus_reference():
     def check(order, ideal, depths=None):
         assert idealizer(order, ideal) == maxplus_idealizer(order, ideal)
         if depths is not None:
             got = glued_idealizer(order, ideal, depths)
             assert got == maxplus_glued_idealizer(order, ideal, depths)
 
-    # every state of the Lambda(v) chains takes the row path
+    # every state of the Lambda(v) chains, as a matrix
     states = 0
     for n in range(2, 12):
         for a in range(1, 40):
             for order, f in glued_chain(scaled_hereditary((1,) * n, a), a):
-                shifts.clear()
                 check(order, radical(order), [f] * n)
-                assert shifts and all(s is not None for s in shifts)
                 states += 1
     assert states == 8714
 
-    # random orders, with negative and unreduced entries, take the general
-    # path; random rotation-symmetric matrices the row path
+    # random orders, with negative and unreduced entries, and random
+    # rotation-symmetric matrices
     rng = random.Random(20)
     for n in range(1, 9):
         for _ in range(25):
@@ -261,9 +249,7 @@ def test_idealizer_matches_maxplus_reference(monkeypatch):
             depths = [rng.randint(0, 3) for _ in range(n)]
             check(order, radical(order), depths)
             N = _random_rotation_symmetric(rng, n)
-            shifts.clear()
             check(ExponentOrder((1,) * n, N), ExponentIdeal(N), [2] * n)
-            assert n == 1 or (shifts and all(s is not None for s in shifts))
 
     # n = 1 and n = 2
     for M in ([[0]], [[0, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 2], [-1, 0]]):
@@ -280,11 +266,9 @@ def test_idealizer_matches_maxplus_reference(monkeypatch):
                         depths[q] = max(depths[q], g.depth)
             check(comp, radical(comp), depths)
 
-    # an asymmetric order takes the general path
+    # an asymmetric order
     order = validate_order([[0, 1, 2], [0, 0, 1], [0, 0, 0]], (1, 1, 1))
-    shifts.clear()
     check(order, radical(order))
-    assert shifts == [None]
 
 
 def test_rotation_symmetric_left_maximum_is_the_right_one():
@@ -311,7 +295,7 @@ def test_rotation_symmetric_left_maximum_is_the_right_one():
             assert exponent._untwist(u, sig, P) == N
             T = TwistedCirculant(u, sig)
             for f in range(4):
-                row = exponent._idealizer_row(u, sig, f)
+                row = exponent._idealizer_row(u, sig, f, u)
                 assert glued_idealizer(T, T, [f] * n) == TwistedCirculant(row, sig)
                 got = ExponentOrder(order.dims, exponent._untwist(row, sig, P))
                 # at depth 0 no bound is applied: it is vacuous on an ideal,
@@ -356,23 +340,46 @@ def test_twisted_ideal_needs_one_depth():
 
 def test_twisted_ideal_needs_a_matching_order():
     # the order's row bounds the result, so the order must be a twisted
-    # circulant of the ideal's length and sigma
+    # circulant of the ideal's length and sigma; a TwistedCirculant order
+    # needs an ideal in its form, and a matrix order an ideal of its n
     T = TwistedCirculant((0, 1, 1), -1)
     H3 = ExponentOrder((1, 1, 1), exponent._untwist(T.u, T.sigma, (0, 0, 0)))
+    H2 = scaled_hereditary((1, 1), 1)
     for order, ideal in [
         (T, TwistedCirculant((1, 1), -1)),
         (TwistedCirculant((0, 1), -1), radical(T)),
         (TwistedCirculant((0, 1, 1), 0), radical(T)),
         (H3, radical(T)),
+        (T, radical(H3)),
+        (T, ExponentIdeal(H3.M)),
+        (H3, radical(H2)),
+        (H2, radical(H3)),
     ]:
+        for depths in ([0] * order.n, [1] + [0] * (order.n - 1)):
+            with pytest.raises(ValueError):
+                glued_idealizer(order, ideal, depths)
+    for order, ideal in [(T, radical(H3)), (H2, radical(H3))]:
         with pytest.raises(ValueError):
-            glued_idealizer(order, ideal, [0] * order.n)
+            idealizer(order, ideal)
     assert glued_idealizer(T, radical(T), [0] * 3) == T
 
 
-def test_symmetric_chain_steps_through_radical_and_glued_idealizer(monkeypatch):
-    # every step of a rotation-symmetric chain, also the one that confirms the
-    # fixed point, is one radical and one glued_idealizer call on its row
+# a start without rotation symmetry: glued_chain runs the max-plus kernel
+_ASYMMETRIC = validate_order([[0, 4, 8, 9], [0, 0, 4, 8], [0, 0, 0, 4], [0, 0, 0, 0]], (1,) * 4)
+
+
+@pytest.mark.parametrize(
+    "start, depth, form",
+    [
+        (scaled_hereditary((1,) * 6, 9), 9, TwistedCirculant),
+        (_ASYMMETRIC, 2, ExponentOrder),
+    ],
+    ids=["symmetric", "asymmetric"],
+)
+def test_chain_steps_through_radical_and_glued_idealizer(monkeypatch, start, depth, form):
+    # every step of a chain, also the one that confirms the fixed point, is
+    # one radical and one glued_idealizer call: on its row when the start is
+    # rotation-symmetric (9 H_6), on its matrix otherwise (_ASYMMETRIC)
     calls = []
     for name in ("radical", "glued_idealizer"):
         fn = getattr(exponent, name)
@@ -382,11 +389,9 @@ def test_symmetric_chain_steps_through_radical_and_glued_idealizer(monkeypatch):
             return fn(*args)
 
         monkeypatch.setattr(exponent, name, spy)
-    chain = glued_chain(scaled_hereditary((1,) * 6, 9), 9)
+    chain = glued_chain(start, depth)
     assert len(chain) > 2
-    assert calls == [
-        ("radical", TwistedCirculant), ("glued_idealizer", TwistedCirculant)
-    ] * len(chain)
+    assert calls == [("radical", form), ("glued_idealizer", form)] * len(chain)
 
 
 def test_glued_idealizer_depth_zero_is_bare():
@@ -444,10 +449,6 @@ def test_glued_chain_depth_counts_down():
     assert depths[0] == 2
     assert all(x == max(y - 1, 0) for y, x in zip(depths, depths[1:]))
     assert depths[-1] == 0
-
-
-# a start without rotation symmetry: glued_chain takes the max-plus path
-_ASYMMETRIC = validate_order([[0, 4, 8, 9], [0, 0, 4, 8], [0, 0, 0, 4], [0, 0, 0, 0]], (1,) * 4)
 
 
 def test_budget_start_is_asymmetric():
@@ -904,7 +905,13 @@ def test_classes_and_types_match_reference():
             orders.append(blown)
     hereditary = unreduced = 0
     for order in orders:
-        assert exponent._unreduced_classes(order.M) == reference_unreduced_classes(order.M)
+        root = reference_unreduced_classes(order.M)
+        assert exponent._unreduced_classes(order.M) == root
+        # the radical raises m_ij by one exactly when i and j share a class
+        assert radical(order).N == tuple(
+            tuple(m + (root[i] == root[j]) for j, m in enumerate(row))
+            for i, row in enumerate(order.M)
+        )
         ht = is_hereditary(order)
         assert ht == reference_is_hereditary(order)
         assert ht == is_hereditary(merge_unreduced(order))
