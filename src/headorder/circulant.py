@@ -14,7 +14,7 @@ from math import gcd
 from operator import sub
 
 from .errors import NotACycle, OutOfRange
-from .exponent import ExponentOrder, HereditaryType, Matrix, diag_key
+from .exponent import ExponentOrder, HereditaryType, Matrix, checked_dims, diag_key, twisted_matrix
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,8 @@ class CirculantState:
 
 
 def expand(state: CirculantState) -> ExponentOrder:
-    """Exponent matrix m_ij = v_{j-i} above, v_{n+j-i} - v_{n-1} below."""
-    v = state.v
-    n = state.n
-    # g[n - 1 + k] is the entry at j - i = k
-    g = tuple(x - v[-1] for x in v[1:]) + v
-    M = tuple(g[n - 1 - i : 2 * n - 1 - i] for i in range(n))
-    return ExponentOrder(state.dims, M, state.ram)
+    """Exponent matrix m_ij = v_{j-i} above, v_{n+j-i} - v_{n-1} below: T(v, -v_{n-1})."""
+    return ExponentOrder(state.dims, twisted_matrix(state.v, -state.v[-1]), state.ram)
 
 
 def _split(n: int, b: int):
@@ -190,16 +185,15 @@ def head_order_f(n: int, a: int, dims=None) -> ExponentOrder:
     """Head order as the matrix m_ij = f(j - i), straight from the a-grading.
 
     f is _grading(n, b) with b = a mod n.  Defined for 0 < b < n (including
-    b | n, where x = 0 and f(j) = 1 + floor((j - 1) / l)).
+    b | n, where x = 0 and f(j) = 1 + floor((j - 1) / l)).  It is
+    T((f(0), ..., f(n-1)), -b), since f(j - n) = f(j) - b (see head_order_w).
     """
     b = a % n
     if not 0 < b < n:
         raise OutOfRange(f"a mod n = {b}: no head formula (maximal order)")
-    dims = (1,) * n if dims is None else tuple(dims)
+    dims = (1,) * n if dims is None else checked_dims(dims, n)
     f = _grading(n, b)
-    g = tuple(f(k) for k in range(1 - n, n))
-    M = tuple(g[n - 1 - i : 2 * n - 1 - i] for i in range(n))
-    return ExponentOrder(dims, M)
+    return ExponentOrder(dims, twisted_matrix(tuple(map(f, range(n))), -b))
 
 
 @dataclass(frozen=True)

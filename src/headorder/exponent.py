@@ -57,7 +57,8 @@ class ExponentIdeal:
 class TwistedCirculant(NamedTuple):
     """An order or ideal whose exponent matrix is T(u, sigma), stored as row u.
 
-    T(u, sigma)[i][j] = u[(j - i) % n] + sigma * [j < i] (see _twisted).
+    T(u, sigma)[i][j] = u[(j - i) % n] + sigma * [j < i]; twisted_matrix builds
+    it and _twisted finds it.
     radical and glued_idealizer (with one depth on every block) take and
     return this form in O(n) and at worst O(n^2); glued_idealizer needs the
     order in this form too.  On the radical of the order, checked in O(n),
@@ -85,16 +86,10 @@ def validate_order(M, dims, ram: int = 1) -> ExponentOrder:
     negative; only zero diagonal and the triangle inequality are enforced.
     """
     M = _freeze(M)
-    dims = tuple(int(d) for d in dims)
     n = len(M)
     if n == 0 or any(len(row) != n for row in M):
         raise ValueError("M must be square and nonempty")
-    if len(dims) != n:
-        raise ValueError("dims must have one entry per block")
-    if any(d <= 0 for d in dims):
-        raise ValueError("dims must be positive")
-    if ram < 1:
-        raise ValueError("need ram >= 1")
+    dims = checked_dims(dims, n, ram)
     for i in range(n):
         if M[i][i] != 0:
             raise DiagonalNonzero(i, M[i][i])
@@ -106,19 +101,27 @@ def validate_order(M, dims, ram: int = 1) -> ExponentOrder:
     return ExponentOrder(dims, M, ram)
 
 
+def checked_dims(dims, n: int, ram: int = 1) -> tuple[int, ...]:
+    """dims as ints, checked: n positive entries (callers have n >= 1), and ram >= 1."""
+    dims = tuple(map(int, dims))
+    if len(dims) != n:
+        raise ValueError("dims must have one entry per block")
+    if min(dims) <= 0:
+        raise ValueError("dims must be positive")
+    if ram < 1:
+        raise ValueError("need ram >= 1")
+    return dims
+
+
 def standard_hereditary(dims, ram: int = 1) -> ExponentOrder:
     """The basic hereditary order: exponent 1 strictly above the diagonal."""
     return scaled_hereditary(dims, 1, ram)
 
 
 def scaled_hereditary(dims, a: int, ram: int = 1) -> ExponentOrder:
-    """a * H_n: exponent ``a`` strictly above the diagonal."""
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    if n == 0:
-        raise ValueError("dims must be nonempty")
-    M = tuple(tuple(a if j > i else 0 for j in range(n)) for i in range(n))
-    return ExponentOrder(dims, M, ram)
+    """a * H_n: exponent ``a`` strictly above the diagonal, T((0, a, ..., a), -a)."""
+    M = twisted_matrix((0,) + (a,) * (len(dims) - 1), -a)
+    return ExponentOrder(checked_dims(dims, len(M), ram), M, ram)
 
 
 def _unreduced_classes(M: Matrix) -> list[int]:
@@ -206,8 +209,12 @@ def diag_key(M: Matrix) -> Matrix:
     which cancel in the key; and if the keys are equal, then
     a_ij - b_ij = s_i - s_j with s_i = a_i0 - b_i0.
     """
-    col = [row[0] for row in M]
-    return tuple(tuple(map(sub, map(add, row, col), repeat(c))) for row, c in zip(M, col))
+    return conjugate_matrix(M, [row[0] for row in M])
+
+
+def conjugate_matrix(M: Matrix, t) -> Matrix:
+    """M conjugated by diag(pi^t): entry (i, j) is m_ij - t_i + t_j."""
+    return tuple(tuple(map(sub, map(add, row, t), repeat(ti))) for row, ti in zip(M, t))
 
 
 def _rotation_shift(N: Matrix) -> tuple[int, ...] | None:
@@ -336,18 +343,21 @@ def _twisted(N: Matrix, s) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     return tuple(map(sub, N[0], P)), acc[-1], P
 
 
-def _untwist(u, sigma: int, P) -> Matrix:
-    """T(u, sigma) conjugated back by P: the inverse of _twisted.
+def twisted_matrix(u, sigma: int) -> Matrix:
+    """The matrix T(u, sigma)[i][j] = u[(j - i) % n] + sigma * [j < i] of a tuple u.
 
-    Row i of T(u, sigma) is w[n-i:] + u[:n-i] with w = u + sigma: its
-    columns j < i are u[n-i+j] + sigma and its columns j >= i are u[j-i].
+    Row i is w[n-i:] + u[:n-i] with w = u + sigma: its columns j < i are
+    u[n-i+j] + sigma and its columns j >= i are u[j-i].
     """
     n = len(u)
     w = tuple(map(add, u, repeat(sigma)))
-    rows = [w[n - i:] + u[: n - i] for i in range(n)]
-    if any(P):
-        return tuple(tuple(map(sub, map(add, row, P), repeat(p))) for row, p in zip(rows, P))
-    return tuple(rows)
+    return tuple(w[n - i:] + u[: n - i] for i in range(n))
+
+
+def _untwist(u, sigma: int, P) -> Matrix:
+    """T(u, sigma) conjugated back by P: the inverse of _twisted."""
+    T = twisted_matrix(u, sigma)
+    return conjugate_matrix(T, P) if any(P) else T
 
 
 @lru_cache(maxsize=1)
@@ -495,8 +505,8 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
     so has every state.
 
     So on a symmetric start every state is T(u, sigma) in the start's
-    coordinates (see _twisted; circulant.expand(Lambda(v)) is
-    T(v, -v_(n-1)) with P = 0), and the chain iterates the pair
+    coordinates (see _twisted; circulant.expand builds Lambda(v) as
+    twisted_matrix(v, -v_(n-1)), with P = 0), and the chain iterates the pair
     (TwistedCirculant(u, sigma), depth) alone: radical and glued_idealizer
     on that form run _radical_row, then _idealizer_row, O(n^2) per step.
     Two states are equal iff their rows are, so fixed_point_chain stops and
@@ -546,12 +556,7 @@ def diag_conjugate(order: ExponentOrder, t) -> ExponentOrder:
     t = [int(x) for x in t]
     if len(t) != order.n:
         raise ValueError("t must have length n")
-    n = order.n
-    M = order.M
-    G = tuple(
-        tuple(M[i][j] - t[i] + t[j] for j in range(n)) for i in range(n)
-    )
-    return ExponentOrder(order.dims, G, order.ram)
+    return ExponentOrder(order.dims, conjugate_matrix(order.M, t), order.ram)
 
 
 @dataclass(frozen=True)

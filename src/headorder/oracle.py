@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .amalgam import WHOLE, AmalgamBlock
 from .errors import OracleCapExceeded, TruncationTooSmall
-from .exponent import ExponentOrder, diag_conjugate, idealizer, radical
+from .exponent import ExponentOrder, conjugate_matrix, diag_conjugate, idealizer, radical
 from .modular import (
     annihilator,
     charpoly_modp,
@@ -434,7 +434,7 @@ def certify_order(order: ExponentOrder, p: int) -> bool:
     noise = K - mx - 2
     model = model_from_exponent(oshift, p, K)
     J = oracle_radical(model)
-    want_J = [[N.N[i][j] - t[i] + t[j] for j in range(n)] for i in range(n)]
+    want_J = [list(r) for r in conjugate_matrix(N.N, t)]
     if read_exponents(J, model.ambient, noise)[0] != want_J:
         return False
     Id = oracle_idealizer(model, J)

@@ -7,6 +7,7 @@ import pytest
 
 from headorder.circulant import (
     CirculantState,
+    _grading,
     _split,
     anfang_state,
     certify_cell,
@@ -213,6 +214,57 @@ def test_closed_forms_are_the_last_early_form_and_the_grading():
                 assert expand(w).M == F
             else:
                 assert expand(v1).M == F
+
+
+def reference_expand(state):
+    """expand's former construction: row i is the slice g[n-1-i : 2n-1-i] of
+    g, whose entry n - 1 + k is the matrix entry at j - i = k."""
+    v, n = state.v, state.n
+    g = tuple(x - v[-1] for x in v[1:]) + v
+    return tuple(g[n - 1 - i : 2 * n - 1 - i] for i in range(n))
+
+
+def reference_head_order_f(n, a):
+    """head_order_f's former construction: slices of f(1 - n), ..., f(n - 1)."""
+    f = _grading(n, a % n)
+    g = tuple(f(k) for k in range(1 - n, n))
+    return tuple(g[n - 1 - i : 2 * n - 1 - i] for i in range(n))
+
+
+def reference_scaled_hereditary(n, a):
+    """scaled_hereditary's former comprehension."""
+    return tuple(tuple(a if j > i else 0 for j in range(n)) for i in range(n))
+
+
+def test_twisted_matrices_match_the_former_constructions():
+    # n = 1..24, a = -3..59: a * H_n, Lambda((0, a^{n-1})) and the reduced
+    # start, and for 0 < b = a mod n the f-matrix and, for b not dividing n,
+    # Lambda(w)
+    cells = 0
+    for n in range(1, 25):
+        for a in range(-3, 60):
+            cells += 1
+            assert scaled_hereditary((1,) * n, a).M == reference_scaled_hereditary(n, a)
+            if a < 1:
+                continue
+            for v in ((0,) + (a,) * (n - 1), initial_reduction(n, a)[0].v):
+                state = CirculantState((1,) * n, v)
+                assert expand(state).M == reference_expand(state)
+            b = a % n
+            if b:
+                assert head_order_f(n, a).M == reference_head_order_f(n, a)
+            if b and n % b:
+                w = head_order_w(n, b)
+                assert expand(w).M == reference_expand(w)
+    assert cells == 1512
+
+
+def test_head_order_f_checks_dims():
+    with pytest.raises(ValueError, match="dims must have one entry per block"):
+        head_order_f(3, 1, dims=(1, 2))
+    with pytest.raises(ValueError, match="dims must be positive"):
+        head_order_f(3, 1, dims=(1, 0, 2))
+    assert head_order_f(3, 1, dims=[2, 1, 3]).dims == (2, 1, 3)
 
 
 def test_head_order_f_divisor_case_hereditary():

@@ -1,7 +1,8 @@
 """Exponent-matrix orders: validation, radical, idealizer, chains."""
 
 import random
-from operator import add
+from itertools import repeat
+from operator import add, sub
 
 import pytest
 
@@ -30,6 +31,7 @@ from headorder.exponent import (
     radical,
     scaled_hereditary,
     standard_hereditary,
+    twisted_matrix,
     validate_order,
 )
 from test_brauer import DisjointSets
@@ -74,6 +76,30 @@ def test_validate_order_allows_negative_offdiagonal():
 def test_standard_and_scaled_hereditary():
     assert standard_hereditary((1, 1, 1)).M == tuple(tuple(r) for r in H3)
     assert scaled_hereditary((1, 1), 3).M == ((0, 3), (0, 0))
+
+
+@pytest.mark.parametrize(
+    "dims, ram, message",
+    [
+        ((1, 0, -1), 1, "dims must be positive"),
+        ((2, -1), 1, "dims must be positive"),
+        ((1, 1), 0, "need ram >= 1"),
+    ],
+    ids=["zero-and-negative-dim", "negative-dim", "ram-0"],
+)
+def test_builders_check_dims_and_ram(dims, ram, message):
+    # the hereditary builders reject what validate_order rejects, with its message
+    M = scaled_hereditary((1,) * len(dims), 1).M
+    for build in (
+        lambda: validate_order(M, dims, ram),
+        lambda: scaled_hereditary(dims, 2, ram),
+        lambda: standard_hereditary(dims, ram),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+    with pytest.raises(ValueError, match="dims must have one entry per block"):
+        scaled_hereditary((), 1)
+    assert scaled_hereditary([2, 1], 3, ram=2) == ExponentOrder((2, 1), ((0, 3), (0, 0)), 2)
 
 
 def test_radical_raises_diagonal():
@@ -735,6 +761,50 @@ def test_chain_matches_maxplus_reference(monkeypatch):
             s = check(_random_order(rng, n), rng.randint(0, 4))
             asymmetric += s is None
     assert asymmetric > 50
+
+
+def reference_diag_conjugate(M, t):
+    """diag_conjugate's former index loop: m_ij - t_i + t_j."""
+    n = len(M)
+    return tuple(tuple(M[i][j] - t[i] + t[j] for j in range(n)) for i in range(n))
+
+
+def reference_untwist(u, sigma, P):
+    """_untwist's former construction: the rows of T(u, sigma), then P inline."""
+    n = len(u)
+    w = tuple(map(add, u, repeat(sigma)))
+    rows = [w[n - i:] + u[: n - i] for i in range(n)]
+    if any(P):
+        return tuple(tuple(map(sub, map(add, row, P), repeat(p))) for row, p in zip(rows, P))
+    return tuple(rows)
+
+
+def test_conjugation_and_twist_match_the_former_constructions():
+    # random matrices with negative entries and negative t, random (u, sigma, P)
+    # with P = 0 in a third of the draws, and the coordinates of
+    # _random_rotation_symmetric matrices, whose P is mostly nonzero
+    rng = random.Random(26)
+    nonzero_P = 0
+    for trial in range(3000):
+        n = rng.randint(1, 8)
+        M = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+        t = [rng.randint(-4, 4) for _ in range(n)]
+        want = reference_diag_conjugate(M, t)
+        assert diag_conjugate(ExponentOrder((1,) * n, M), t).M == want
+        assert exponent.conjugate_matrix(M, t) == want
+        assert diag_key(M) == reference_diag_conjugate(M, [row[0] for row in M])
+        u = tuple(rng.randint(-3, 5) for _ in range(n))
+        sigma = rng.randint(-4, 4)
+        P = tuple(rng.randint(-3, 3) for _ in range(n)) if trial % 3 else (0,) * n
+        T = tuple(tuple(u[(j - i) % n] + sigma * (j < i) for j in range(n)) for i in range(n))
+        assert twisted_matrix(u, sigma) == T
+        assert exponent._untwist(u, sigma, P) == reference_untwist(u, sigma, P)
+        assert reference_untwist(u, sigma, P) == reference_diag_conjugate(T, P)
+        N = _random_rotation_symmetric(rng, n, sigma)
+        twist = exponent._twisted(N, exponent._rotation_shift(N))
+        assert exponent._untwist(*twist) == reference_untwist(*twist) == N
+        nonzero_P += any(twist[2])
+    assert nonzero_P > 1500
 
 
 def test_diag_conjugate_roundtrip():
