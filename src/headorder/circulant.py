@@ -14,7 +14,7 @@ from math import gcd
 from operator import sub
 
 from .errors import NotACycle, OutOfRange
-from .exponent import ExponentOrder, HereditaryType, Matrix, checked_dims, diag_key, twisted_matrix
+from .exponent import ExponentOrder, HereditaryType, checked_dims, state_key, twisted_key, twisted_matrix
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,8 @@ class Checkpoint:
 
     ``step`` indexes the chain from (0, a^{n-1}) at depth a, the start at
     step 0; the head has no step.  A state matches a checkpoint up to
-    diagonal conjugation, that is when its diag_key equals ``key``, and on
-    its depth too unless ``depth`` is None.
+    diagonal conjugation, when exponent.state_key gives ``key``, the
+    twisted_key of Lambda(v), and its depth too unless ``depth`` is None.
 
     No rotation is needed: write Lambda(v) as m_ij = g(j - i).  Its
     rotation m_(i+1)(j+1) is m_ij + t_i - t_j with t = (0, ..., 0, v_(n-1)),
@@ -215,15 +215,12 @@ class Checkpoint:
 
     tag: str
     step: int | None
-    matrix: Matrix
+    state: CirculantState
     depth: int | None
-    key: Matrix = field(init=False, compare=False, repr=False)
+    key: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "key", diag_key(self.matrix))
-
-    def matches(self, order: ExponentOrder, depth: int) -> bool:
-        return diag_key(order.M) == self.key and self.depth in (None, depth)
+        object.__setattr__(self, "key", twisted_key(self.state.v, -self.state.v[-1]))
 
 
 def chain_checkpoints(n: int, a: int) -> tuple[Checkpoint, ...]:
@@ -238,19 +235,19 @@ def chain_checkpoints(n: int, a: int) -> tuple[Checkpoint, ...]:
     red, start = initial_reduction(n, a)
     b = red.f
     if b == 0:
-        return (Checkpoint("maximal", start, expand(red).M, 0),)
-    out = [Checkpoint("reduced-start", start, expand(red).M, b)]
+        return (Checkpoint("maximal", start, red, 0),)
+    out = [Checkpoint("reduced-start", start, red, b)]
     l0, x0 = _split(n, b)
     for m in range(n - l0):
         st = anfang_state(n, b, m)
-        out.append(Checkpoint(f"early-form(m={m})", start + m + 1, expand(st).M, st.f))
+        out.append(Checkpoint(f"early-form(m={m})", start + m + 1, st, st.f))
     st1, rel = defm1_state(n, b)
-    out.append(Checkpoint("first-plateau", start + rel, expand(st1).M, None))
+    out.append(Checkpoint("first-plateau", start + rel, st1, None))
     if 0 < x0 < b:
         st2, m2 = midway_state(n, b)
-        out.append(Checkpoint(f"midway(m2={m2})", start + rel + m2, expand(st2).M, None))
+        out.append(Checkpoint(f"midway(m2={m2})", start + rel + m2, st2, None))
     if n % b:
-        out.append(Checkpoint("head", None, expand(head_order_w(n, b)).M, None))
+        out.append(Checkpoint("head", None, head_order_w(n, b), None))
     return tuple(out)
 
 
@@ -263,11 +260,13 @@ def certify_cell(n: int, a: int, chain) -> bool:
     when b = a mod n does not divide n, the first plateau v^(1) when it
     does, and the maximal order when b = 0 (the same as merging to one
     maximal block).  For b > 0 that matrix is head_order_f(n, a): see
-    head_order_w, and for b | n the grading at x = 0 is v^(1).
+    head_order_w, and for b | n the grading at x = 0 is v^(1).  States match by state_key.
     """
     checkpoints = chain_checkpoints(n, a)
-    return diag_key(chain[-1][0].M) == checkpoints[-1].key and all(
-        cp.step is None or (cp.step < len(chain) and cp.matches(*chain[cp.step]))
+    return state_key(chain, -1)[0] == checkpoints[-1].key and all(
+        cp.step is None
+        or cp.step < len(chain) and (got := state_key(chain, cp.step))[0] == cp.key
+        and cp.depth in (None, got[1])
         for cp in checkpoints
     )
 

@@ -30,11 +30,11 @@ from .circulant import (
 from .errors import HeadOrderError, SchemaError, StepBudgetExceeded
 from .exponent import (
     ExponentOrder,
-    diag_key,
     glued_chain,
     is_hereditary,
     radical,
     scaled_hereditary,
+    state_key,
 )
 
 
@@ -101,7 +101,7 @@ def cmd_chain(args):
             )
         return {"steps": steps, "length": len(chain) - 1}, 0
     chain = _chain_of(value, args.max_steps)
-    # the checkpoints of each diagonal normal form, in schedule order
+    # the checkpoints of each state key, in schedule order
     index = {}
     if isinstance(value, CirculantState):
         a = value.v[-1]
@@ -113,7 +113,7 @@ def cmd_chain(args):
         entry = {"step": k, "matrix": [list(r) for r in order.M], "depth": depth}
         # the first checkpoint the state matches by content, whatever its step
         if index:
-            candidates = index.get(diag_key(order.M), ())
+            candidates = index.get(state_key(chain, k)[0], ())
             tag = next((cp.tag for cp in candidates if cp.depth in (None, depth)), None)
             if tag:
                 entry["matches"] = tag

@@ -354,6 +354,23 @@ def twisted_matrix(u, sigma: int) -> Matrix:
     return tuple(w[n - i:] + u[: n - i] for i in range(n))
 
 
+def twisted_key(u, sigma: int) -> tuple[tuple[int, ...], int]:
+    """(u_k - k*u_1 for each k, sigma + n*u_1): equal iff the T(u, sigma) are diagonal conjugates.
+
+    Lemma (n >= 2): T(u', sigma') is T(u, sigma) plus t_j - t_i on entry
+    (i, j) iff u'_k = u_k + k*c and sigma' = sigma - n*c for one integer c.
+    Proof: the superdiagonal gives t_(i+1) - t_i = u'_1 - u_1 = c, so
+    t_i = t_0 + i*c; row 0 gives u'_k = u_k + k*c; column 0 at row i > 0
+    gives u'_(n-i) + sigma' = u_(n-i) + sigma - i*c, so sigma' = sigma - n*c.
+    Conversely t_i = i*c adds (j - i)*c to entry (i, j): k*c at k = j - i,
+    or k*c - n*c at k = n + j - i if j < i.  The key is invariant under this
+    move, and equal keys give it with c = u'_1 - u_1.  At n = 1 it drops sigma.
+    """
+    n = len(u)
+    c = u[1] if n > 1 else 0
+    return tuple(x - k * c for k, x in enumerate(u)), (sigma + n * c if n > 1 else 0)
+
+
 def _untwist(u, sigma: int, P) -> Matrix:
     """T(u, sigma) conjugated back by P: the inverse of _twisted."""
     T = twisted_matrix(u, sigma)
@@ -426,12 +443,13 @@ class LazyChain(Sequence):
     """A chain of ``length`` states whose state k is make(k), made when read.
 
     It takes negative indices and slices, equals any sequence with the same
-    states, and chain + list is a list.
+    states, and chain + list is a list.  key(k), if given, is state_key(self, k).
     """
 
-    def __init__(self, length: int, make):
+    def __init__(self, length: int, make, key=None):
         self._len = length
         self._make = make
+        self.key = key
 
     def __len__(self) -> int:
         return self._len
@@ -538,7 +556,20 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
         T, f = states[k]
         return ExponentOrder(order.dims, _untwist(T.u, sigma, P), order.ram), f
 
-    return LazyChain(len(states), state)
+    return LazyChain(len(states), state, lambda k: (twisted_key(states[k][0].u, sigma), states[k][1]))
+
+
+def state_key(chain, k: int):
+    """(twisted_key of the order of state k, its depth) in a chain of (order, depth) pairs.
+
+    O(n) from the row a glued_chain LazyChain keeps, else O(n^2) by _twisted;
+    None on a matrix without rotation symmetry, as no T(u, sigma) is conjugate to it.
+    """
+    if isinstance(chain, LazyChain) and chain.key:
+        return chain.key(k)
+    order, depth = chain[k]
+    s = _rotation_shift(order.M)
+    return (None if s is None else twisted_key(*_twisted(order.M, s)[:2])), depth
 
 
 def idealizer_chain(order: ExponentOrder, max_steps: int | None = None):

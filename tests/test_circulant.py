@@ -22,9 +22,11 @@ from headorder.circulant import (
     simple_module_match,
 )
 from headorder.errors import NotACycle, OutOfRange, TriangleViolation
+from headorder import exponent
 from headorder.exponent import (
     ExponentOrder,
     HereditaryType,
+    LazyChain,
     diag_conjugate,
     equal_up_to_diag,
     glued_chain,
@@ -101,22 +103,65 @@ def test_anfang_range_checks():
         anfang_state(5, 2, 4)  # m must stay below n - l0 = 3
 
 
+def _row_keyed(chain, picks):
+    """The states (chain[p][0], chain[p][1] + bump) for (p, bump) in picks, as
+    a LazyChain whose state keys come from the rows of the glued chain."""
+
+    def state(j):
+        p, bump = picks[j]
+        order, depth = chain[p]
+        return order, depth + bump
+
+    def key(j):
+        p, bump = picks[j]
+        row_key, depth = chain.key(p)
+        return row_key, depth + bump
+
+    return LazyChain(len(picks), state, key)
+
+
 def test_chain_hits_closed_forms_small():
     # certify_cell accepts the chain and refuses it with one thing wrong: cut
     # before the head, or at the reduced start or an early form a depth off
     # by one or the state swapped for its successor.  (8, 6) runs one step
-    # past its midway form, so only the head check sees the cut.
+    # past its midway form, so only the head check sees the cut.  Each
+    # tampered list is refused again as a LazyChain keyed by rows.
+    def refused(n, a, chain, tampered, picks):
+        row_keyed = _row_keyed(chain, picks)
+        assert row_keyed == tampered
+        return not certify_cell(n, a, tampered) and not certify_cell(n, a, row_keyed)
+
     for n, a in [(5, 3), (7, 10), (8, 6), (6, 2), (4, 8)]:
         chain = glued_chain(scaled_hereditary((1,) * n, a), a)
+        same = [(k, 0) for k in range(len(chain))]
         assert certify_cell(n, a, chain)
-        assert not certify_cell(n, a, chain[:-1])
+        assert certify_cell(n, a, _row_keyed(chain, same))
+        assert refused(n, a, chain, chain[:-1], same[:-1])
         z, b = divmod(a, n)
         last_early = z * n + (n - (n - 1) // b if b else 0)
         for k in range(z * n, last_early + 1):
             order, depth = chain[k]
-            assert not certify_cell(n, a, chain[:k] + [(order, depth + 1)] + chain[k + 1 :])
+            tampered = chain[:k] + [(order, depth + 1)] + chain[k + 1 :]
+            assert refused(n, a, chain, tampered, same[:k] + [(k, 1)] + same[k + 1 :])
             if k + 1 < len(chain):
-                assert not certify_cell(n, a, chain[:k] + [chain[k + 1]] + chain[k + 1 :])
+                tampered = chain[:k] + [chain[k + 1]] + chain[k + 1 :]
+                assert refused(n, a, chain, tampered, same[:k] + [(k + 1, 0)] + same[k + 1 :])
+
+
+def test_certify_cell_keys_rows_and_matrices_alike(monkeypatch):
+    # every cell of n = 2..12, a = 1..36 certifies from the rows of its glued
+    # chain, making no state, and from the list of its states, whose keys
+    # come from their matrices
+    untwisted = []
+    untwist = exponent._untwist
+    monkeypatch.setattr(exponent, "_untwist", lambda *args: untwisted.append(1) or untwist(*args))
+    for n in range(2, 13):
+        for a in range(1, 37):
+            chain = glued_chain(scaled_hereditary((1,) * n, a), a)
+            assert certify_cell(n, a, chain), (n, a)
+            assert not untwisted, (n, a)
+            assert certify_cell(n, a, list(chain)), (n, a)
+            untwisted.clear()
 
 
 def test_midway_requires_proper_x0():
@@ -159,7 +204,7 @@ def test_checkpoints_are_diag_conjugates_of_their_rotations():
     for n in range(2, 17):
         for a in range(1, 49):
             for cp in chain_checkpoints(n, a):
-                B = cp.matrix
+                B = expand(cp.state).M
                 r = rng.randrange(n)
                 rot = tuple(tuple(B[(i + r) % n][(j + r) % n] for j in range(n)) for i in range(n))
                 t = [rng.randint(-5, 5) for _ in range(n)]

@@ -16,8 +16,14 @@ from hypothesis import strategies as st
 import headorder
 from headorder.cli import main
 from headorder.serialize import dumps
-from headorder.exponent import glued_chain, scaled_hereditary, standard_hereditary, validate_order
-from headorder.circulant import CirculantState
+from headorder.exponent import (
+    diag_key,
+    glued_chain,
+    scaled_hereditary,
+    standard_hereditary,
+    validate_order,
+)
+from headorder.circulant import CirculantState, chain_checkpoints, expand
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -71,6 +77,33 @@ def test_chain_trace_tags(tmp_path, capsys):
         assert [s.get("matches") for s in report["steps"]] == want
         assert report["steps"][-1]["hereditary"] is not None
         assert all("depth" in s and "matrix" in s for s in report["steps"])
+
+
+def reference_chain_tags(n, a):
+    """The chain tags of the start (0, a^(n-1)) at depth a from the diag_key
+    index of the checkpoint matrices, the matching that state keys replaced."""
+    index = {}
+    for cp in chain_checkpoints(n, a):
+        index.setdefault(diag_key(expand(cp.state).M), []).append(cp)
+    tags = []
+    for order, depth in glued_chain(scaled_hereditary((1,) * n, a), a):
+        candidates = index.get(diag_key(order.M), ())
+        tags.append(next((cp.tag for cp in candidates if cp.depth in (None, depth)), None))
+    return tags
+
+
+def test_chain_tags_match_the_diag_key_index(tmp_path, capsys):
+    path = tmp_path / "start.json"
+    tagged = 0
+    for n in range(2, 11):
+        for a in range(1, 31):
+            path.write_text(dumps(CirculantState((1,) * n, (0,) + (a,) * (n - 1), f=a)))
+            code, out, _ = run(capsys, ["--command", "chain", "--input", str(path)])
+            assert code == 0
+            got = [s.get("matches") for s in json.loads(out)["steps"]]
+            assert got == reference_chain_tags(n, a), (n, a)
+            tagged += len(got) - got.count(None)
+    assert tagged == 1228
 
 
 def test_head_command(tmp_path, capsys):

@@ -903,6 +903,79 @@ def test_diag_key_decides_diagonal_conjugacy():
     assert all(row[0] == 0 for row in diag_key(scaled_hereditary((1, 2, 1), 3).M))
 
 
+def _matrix_key(M):
+    """The state key of M as a list chain gives it: from M's twisted form."""
+    return exponent.state_key([(ExponentOrder((1,) * len(M), M), 0)], 0)[0]
+
+
+def test_twisted_key_decides_diagonal_conjugacy():
+    # the lemma of twisted_key against diag_key on 20,000 pairs, half of them
+    # conjugate by construction: rows (u, sigma) with u' = u + k*c and
+    # sigma' = sigma - n*c, and matrices with nonzero prefix sums P of their
+    # rotation shift (_random_rotation_symmetric) against a diagonal conjugate,
+    # possibly rotated.  The others are near misses (sigma' or one u'_k off by
+    # one) and unrelated draws with small entries.
+    rng = random.Random(27)
+    seen = {"row": set(), "matrix": set()}
+    for trial in range(20000):
+        n = rng.randint(2, 7)
+        sigma = rng.randint(-4, 4)
+        conjugate = trial % 2 == 0
+        if trial % 4 < 2:
+            route = "row"
+            u = tuple(rng.randint(-3, 5) for _ in range(n))
+            c = rng.randint(-3, 3)
+            v = [x + k * c for k, x in enumerate(u)]
+            tau = sigma - n * c
+            if not conjugate:
+                kind = rng.randrange(3)
+                if kind == 0:
+                    tau += rng.choice((-1, 1))
+                elif kind == 1:
+                    v[rng.randrange(n)] += rng.choice((-1, 1))
+                else:
+                    v = [rng.randint(-1, 1) for _ in range(n)]
+                    tau = rng.randint(-1, 1)
+            A, B = twisted_matrix(u, sigma), twisted_matrix(tuple(v), tau)
+            got = exponent.twisted_key(u, sigma) == exponent.twisted_key(tuple(v), tau)
+        else:
+            route = "matrix"
+            A = _random_rotation_symmetric(rng, n, sigma)
+            if conjugate:
+                t = [rng.randint(-5, 5) for _ in range(n)]
+                B = exponent._rotate(exponent.conjugate_matrix(A, t), rng.randrange(n))
+            else:
+                B = _random_rotation_symmetric(rng, n, rng.randint(-1, 1))
+            got = _matrix_key(A) == _matrix_key(B)
+        want = diag_key(A) == diag_key(B)
+        assert got == want, (A, B)
+        if conjugate:
+            assert want, (A, B)
+        seen[route].add(want)
+    assert seen == {"row": {True, False}, "matrix": {True, False}}
+    # n = 1: T(u, sigma) = (u_0) whatever sigma is
+    assert exponent.twisted_key((2,), 5) == exponent.twisted_key((2,), -1) == _matrix_key(((2,),))
+    assert exponent.twisted_key((2,), 5) != exponent.twisted_key((3,), 5)
+
+
+def test_matrix_key_is_none_without_rotation_symmetry():
+    # a matrix has a state key exactly when _rotation_shift finds its shift;
+    # the asymmetric start of the CI chain pin has none
+    assert _matrix_key(_ASYMMETRIC.M) is None
+    rng = random.Random(28)
+    seen = set()
+    for trial in range(2000):
+        n = rng.randint(1, 6)
+        if trial % 2:
+            M = _random_rotation_symmetric(rng, n, rng.randint(-2, 2))
+        else:
+            M = tuple(tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(n))
+        symmetric = exponent._rotation_shift(M) is not None
+        assert (_matrix_key(M) is None) == (not symmetric), M
+        seen.add(symmetric)
+    assert seen == {True, False}
+
+
 def reference_unreduced_classes(M):
     """The union-find class roots that _unreduced_classes replaced."""
     n = len(M)
