@@ -9,7 +9,7 @@ drops it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from operator import sub
 
@@ -217,10 +217,10 @@ class Checkpoint:
     step: int | None
     state: CirculantState
     depth: int | None
-    key: tuple = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "key", twisted_key(self.state.v, -self.state.v[-1]))
+    @property
+    def key(self) -> tuple:
+        return twisted_key(self.state.v, -self.state.v[-1])
 
 
 def chain_checkpoints(n: int, a: int) -> tuple[Checkpoint, ...]:

@@ -185,6 +185,7 @@ def cmd_tree(args):
 
 
 def _verify_cell(n: int, a: int, oracle: bool, max_steps: int | None):
+    """(verdict, chain, oracle detail) of the chain from a * H_n at depth a."""
     start = scaled_hereditary((1,) * n, a)
     try:
         chain = glued_chain(start, a, max_steps)
@@ -192,13 +193,6 @@ def _verify_cell(n: int, a: int, oracle: bool, max_steps: int | None):
         raise SchemaError("--max-steps", f"cell n = {n}, a = {a}: {exc}") from exc
     ok = certify_cell(n, a, chain)
     detail = {}
-    b = a % n
-    if b:
-        detail["head_f"] = [list(r) for r in head_order_f(n, a).M]
-        if n % b:
-            detail["head_v"] = list(head_order_w(n, b).v)
-    detail["iterative_head"] = [list(r) for r in chain[-1][0].M]
-    detail["steps"] = len(chain) - 1
     if oracle and n <= 3 and a <= 2:
         from .oracle import certify_order
 
@@ -210,14 +204,18 @@ def _verify_cell(n: int, a: int, oracle: bool, max_steps: int | None):
             "ran": False,
             "reason": "the oracle certifies only n <= 3 and a <= 2",
         }
-    return ok, detail
+    return ok, chain, detail
 
 
 def cmd_verify(args):
     n, a, _ = _params_from_input(args)
-    ok, detail = _verify_cell(n, a, args.oracle == "on", args.max_steps)
-    report = {"n": n, "a": a, "agree": ok}
-    report.update(detail)
+    ok, chain, detail = _verify_cell(n, a, args.oracle == "on", args.max_steps)
+    report = {"n": n, "a": a, "agree": ok, "steps": len(chain) - 1, **detail}
+    report["iterative_head"] = [list(r) for r in chain[-1][0].M]
+    if b := a % n:
+        report["head_f"] = [list(r) for r in head_order_f(n, a).M]
+        if n % b:
+            report["head_v"] = list(head_order_w(n, b).v)
     return report, 0 if ok else 1
 
 
@@ -246,7 +244,7 @@ def cmd_sweep(args):
     cells = 0
     for n in range(nlo, nhi + 1):
         for a in range(alo, ahi + 1):
-            ok, _ = _verify_cell(n, a, args.oracle == "on", args.max_steps)
+            ok, _, _ = _verify_cell(n, a, args.oracle == "on", args.max_steps)
             cells += 1
             if not ok:
                 disagreements.append({"n": n, "a": a})

@@ -57,17 +57,12 @@ class ExponentIdeal:
 class TwistedCirculant(NamedTuple):
     """An order or ideal whose exponent matrix is T(u, sigma), stored as row u.
 
-    T(u, sigma)[i][j] = u[(j - i) % n] + sigma * [j < i]; twisted_matrix builds
-    it and _twisted finds it.
-    radical and glued_idealizer (with one depth on every block) take and
-    return this form in O(n) and at worst O(n^2); glued_idealizer needs the
-    order in this form too.  On the radical of the order, checked in O(n),
-    entry j of the idealizer's row is u[j] or u[j] - 1, and its search stops
-    at the first term equal to u[j]; any other ideal takes the max-plus
-    maximum (see _idealizer_row).  Chains reach this form through
-    glued_chain, which runs every rotation-symmetric chain on it and builds
-    a state's matrix when it is read; a matrix order and ideal take the
-    matrix kernel, _maxplus_idealizer.
+    T(u, sigma)[i][j] = u[(j - i) % n] + sigma * [j < i]; twisted_matrix
+    builds it, and _twisted_form finds it in a diagonal conjugate.  radical
+    and glued_idealizer (at one depth on every block, with the order in
+    this form too) take and return it in O(n) and O(n^2): see _radical_row
+    and _idealizer_row.  glued_chain runs every rotation-symmetric chain on
+    this form and builds a state's matrix when it is read.
     """
 
     u: tuple[int, ...]
@@ -183,21 +178,14 @@ def _rotate(N: Matrix, r: int) -> Matrix:
 
 
 def _diag_shift(A: Matrix, B: Matrix) -> tuple[int, ...] | None:
-    """t with A[i][j] - B[i][j] = t[i] - t[j] for all i, j and t[0] = 0, or None.
+    """t with conjugate_matrix(A, t) = B and t[0] = 0, or None.
 
-    That is, A = diag_conjugate(B, -t).  Column 0 fixes the only
-    candidate, t[i] = A[i][0] - B[i][0], and it is checked row by row,
-    stopping at the first row that fails.
+    Column 0 fixes the only candidate, t[i] = A[i][0] - B[i][0].
     """
-    n = len(A)
-    if len(B) != n:
+    if len(A) != len(B):
         return None
     t = tuple(a[0] - b[0] for a, b in zip(A, B))
-    for a, b, ti in zip(A, B, t):
-        # A[i][j] - B[i][j] + t[j] must be t[i] for every j
-        if tuple(map(add, map(sub, a, b), t)).count(ti) != n:
-            return None
-    return t
+    return t if conjugate_matrix(A, t) == B else None
 
 
 def diag_key(M: Matrix) -> Matrix:
@@ -215,16 +203,6 @@ def diag_key(M: Matrix) -> Matrix:
 def conjugate_matrix(M: Matrix, t) -> Matrix:
     """M conjugated by diag(pi^t): entry (i, j) is m_ij - t_i + t_j."""
     return tuple(tuple(map(sub, map(add, row, t), repeat(ti))) for row, ti in zip(M, t))
-
-
-def _rotation_shift(N: Matrix) -> tuple[int, ...] | None:
-    """s with N[i+1][j+1] = N[i][j] - s[i] + s[j] for all i, j mod n, or None.
-
-    That is, N is invariant under the index rotation i -> i+1 up to
-    conjugation by diag(pi^s): s, with s[0] = 0, is the diagonal witness of
-    (N, rotated N), which is minus that of (rotated N, N).
-    """
-    return _diag_shift(N, _rotate(N, 1))
 
 
 def idealizer(order: ExponentOrder, ideal: ExponentIdeal) -> ExponentOrder:
@@ -320,29 +298,6 @@ def _maxplus_idealizer(order: ExponentOrder, N: Matrix, depths) -> ExponentOrder
     return ExponentOrder(order.dims, tuple(G), order.ram)
 
 
-def _twisted(N: Matrix, s) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """(u, sigma, P): N in the coordinates where its rotation symmetry is a shift.
-
-    s is N's rotation shift, N[i+1][j+1] = N[i][j] - s[i] + s[j] (indices
-    mod n), P its prefix sums (P[0] = 0, P[i] = s[0] + ... + s[i-1]) and
-    sigma = s[0] + ... + s[n-1].  N conjugated by -P, entry (i, j) equal
-    to N[i][j] + P[i] - P[j], is the twisted circulant T(u, sigma) of its
-    row 0, u[j] = N[0][j] - P[j]:
-
-        T(u, sigma)[i][j] = u[(j - i) % n] + sigma * [j < i].
-
-    Proof: N'[i+1][j+1] = N'[i][j] for i, j < n - 1, since
-    P[i+1] - P[i] = s[i] cancels the -s[i] of the shift and likewise for
-    j; and N'[i+1][0] = N[i][n-1] - s[i] + s[n-1] + P[i+1] = N'[i][n-1]
-    + sigma, since P[n-1] + s[n-1] = sigma.  Walking from (i, j) back along
-    its diagonal to row 0 ends at (0, (j - i) % n) and crosses from column
-    0 to column n - 1 once when j < i and never otherwise.
-    """
-    acc = tuple(accumulate(s))
-    P = (0,) + acc[:-1]
-    return tuple(map(sub, N[0], P)), acc[-1], P
-
-
 def twisted_matrix(u, sigma: int) -> Matrix:
     """The matrix T(u, sigma)[i][j] = u[(j - i) % n] + sigma * [j < i] of a tuple u.
 
@@ -372,9 +327,33 @@ def twisted_key(u, sigma: int) -> tuple[tuple[int, ...], int]:
 
 
 def _untwist(u, sigma: int, P) -> Matrix:
-    """T(u, sigma) conjugated back by P: the inverse of _twisted."""
+    """T(u, sigma) conjugated back by P: the inverse of _twisted_form."""
     T = twisted_matrix(u, sigma)
     return conjugate_matrix(T, P) if any(P) else T
+
+
+def _twisted_form(N: Matrix) -> tuple[tuple[int, ...], int, tuple[int, ...]] | None:
+    """(u, sigma, P) with N conjugated by -P equal to T(u, sigma), or None.
+
+    N conjugated by -P is N[i][j] + P[i] - P[j], and T(u, sigma) has the
+    constant superdiagonal u[1]; so with P[0] = P[1] = 0, P[k+1] = P[k] +
+    N[k][k+1] - N[0][1], u = N[0] - P, and entry (1, 0) gives sigma.  One
+    comparison checks the form.  It is unique: two valid P differ by k*c
+    (the lemma of twisted_key), and P[1] = 0 forces c = 0.
+
+    None exactly when N has no rotation symmetry, N[i+1][j+1] = N[i][j] -
+    s[i] + s[j] (indices mod n): T(u, sigma) has it with s = (0, ..., 0,
+    sigma), and conjugation keeps it.  Conversely, take s[0] = 0 (s is
+    fixed up to a constant) and Q[k] = s[0] + ... + s[k-1].  Entry
+    (i+1, j+1) of N conjugated by -Q is entry (i, j) for i < n - 1, plus
+    s[0] + ... + s[n-1] when j = n - 1; so it is T(its row 0, that sum),
+    and Q = P since Q[0] = Q[1] = 0.
+    """
+    P = (0, *accumulate(N[k][k + 1] - N[0][1] for k in range(len(N) - 1)))
+    u = tuple(map(sub, N[0], P))
+    sigma = N[1][0] - u[-1] if len(N) > 1 else 0
+    T = twisted_matrix(u, sigma)
+    return (u, sigma, P) if N == (conjugate_matrix(T, P) if any(P) else T) else None
 
 
 @lru_cache(maxsize=1)
@@ -508,32 +487,25 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
     step.  Returns the (order, depth) pairs from the start to the first
     exponent-and-depth fixed point: a list, or on a rotation-symmetric
     start a LazyChain.  Every step is step((T, f)) = (glued_idealizer(T,
-    radical(T), [f] * n), max(f - 1, 0)); only the start state depends on
-    the symmetry, and glued_idealizer picks the kernel of its form.
+    radical(T), [f] * n), max(f - 1, 0)), on the form of the start.
 
-    The rotation symmetry of _rotation_shift is checked once, on the start,
-    and every state inherits it.  If M[i+1][j+1] = M[i][j] - s[i] + s[j],
-    then m_ij + m_ji is invariant under i -> i+1 (the s terms cancel), so
-    rotation maps the unreduced classes onto each other and the radical N,
-    M plus the class indicator, has the same shift s.  So has the idealizer
-    G of N at one depth f on every block, by equivariance: conjugating N by
-    a diagonal t shifts both maxima of glued_idealizer and the depth bound
-    f - N[j][i] by t[i] - t[j], as it does m_ij, and reindexing k -> k+1 in
-    either maximum gives G[i+1][j+1] = G[i][j] - s[i] + s[j].  By induction
-    so has every state.
-
-    So on a symmetric start every state is T(u, sigma) in the start's
-    coordinates (see _twisted; circulant.expand builds Lambda(v) as
-    twisted_matrix(v, -v_(n-1)), with P = 0), and the chain iterates the pair
-    (TwistedCirculant(u, sigma), depth) alone: radical and glued_idealizer
-    on that form run _radical_row, then _idealizer_row, O(n^2) per step.
+    _twisted_form checks the rotation symmetry once, on the start M: M
+    conjugated by -P is T(u, sigma).  Radical and glued_idealizer at one
+    depth on every block commute with diagonal conjugation (it adds
+    t[j] - t[i] to m_ij, to both maxima of glued_idealizer and to its depth
+    bound f - N[j][i], and leaves m_ij + m_ji alone), so the chain of M is
+    that of T(u, sigma) conjugated by P.  They also commute with the
+    rotation i -> i+1 (reindex k -> k+1 in either maximum), so every state
+    keeps the symmetry of T(u, sigma), with shift (0, ..., 0, sigma), and
+    is T(its row 0, sigma) by the proof in _twisted_form.  So the chain
+    iterates (TwistedCirculant(u, sigma), depth) alone, O(n^2) per step
+    (circulant.expand builds Lambda(v) as T(v, -v_(n-1)), with P = 0).
     Two states are equal iff their rows are, so fixed_point_chain stops and
-    counts moves as on the matrices.  The chain keeps the rows and builds
-    state k from its row (_untwist) when it is first read, then keeps it;
-    state 0 is the caller's object.  A start without the symmetry iterates
-    the matrices, and glued_idealizer runs the max-plus kernel on every
-    step, also on states that happen to be symmetric later; both kernels
-    give the same matrix.
+    counts moves as on the matrices.  The chain builds state k from its row
+    (_untwist) when it is first read, then keeps it; state 0 is the
+    caller's object.  A start without the symmetry iterates the matrices
+    through the max-plus kernel, also on states that are symmetric later;
+    both kernels give the same matrix.
     """
     if max_steps is None:
         max_steps = default_step_budget(order) + depth
@@ -543,10 +515,10 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
         T, f = state
         return glued_idealizer(T, radical(T), [f] * n), max(f - 1, 0)
 
-    s = _rotation_shift(order.M)
-    if s is None:
+    form = _twisted_form(order.M)
+    if form is None:
         return fixed_point_chain(step, (order, depth), max_steps)
-    u, sigma, P = _twisted(order.M, s)
+    u, sigma, P = form
     states = fixed_point_chain(step, (TwistedCirculant(u, sigma), depth), max_steps)
 
     @cache
@@ -562,14 +534,14 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
 def state_key(chain, k: int):
     """(twisted_key of the order of state k, its depth) in a chain of (order, depth) pairs.
 
-    O(n) from the row a glued_chain LazyChain keeps, else O(n^2) by _twisted;
+    O(n) from the row a glued_chain LazyChain keeps, else O(n^2) by _twisted_form;
     None on a matrix without rotation symmetry, as no T(u, sigma) is conjugate to it.
     """
     if isinstance(chain, LazyChain) and chain.key:
         return chain.key(k)
     order, depth = chain[k]
-    s = _rotation_shift(order.M)
-    return (None if s is None else twisted_key(*_twisted(order.M, s)[:2])), depth
+    form = _twisted_form(order.M)
+    return (None if form is None else twisted_key(*form[:2])), depth
 
 
 def idealizer_chain(order: ExponentOrder, max_steps: int | None = None):

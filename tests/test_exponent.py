@@ -1,7 +1,7 @@
 """Exponent-matrix orders: validation, radical, idealizer, chains."""
 
 import random
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, sub
 
 import pytest
@@ -306,10 +306,10 @@ def test_rotation_symmetric_left_maximum_is_the_right_one():
         for _ in range(12):
             sigma = rng.choice([-3, -2, -1, 1, 2, 3])
             N = _random_rotation_symmetric(rng, n, sigma)
-            s = exponent._rotation_shift(N)
-            assert s is not None and (sum(s) - sigma) % n == 0
-            twisted += sum(s) != 0
-            prefixed += any(s[:-1])
+            u, sig, P = exponent._twisted_form(N)
+            assert (sig - sigma) % n == 0
+            twisted += sig != 0
+            prefixed += any(P)
             rng_n = range(n)
             for i in rng_n:
                 for j in rng_n:
@@ -317,7 +317,6 @@ def test_rotation_symmetric_left_maximum_is_the_right_one():
                     right = max(N[k][j] - N[k][i] for k in rng_n)
                     assert left == right
             order, ideal = ExponentOrder((1,) * n, N), ExponentIdeal(N)
-            u, sig, P = exponent._twisted(N, s)
             assert exponent._untwist(u, sig, P) == N
             T = TwistedCirculant(u, sig)
             for f in range(4):
@@ -332,7 +331,7 @@ def test_rotation_symmetric_left_maximum_is_the_right_one():
                     else maxplus_idealizer(order, ideal)
                 )
                 assert got == want == glued_idealizer(order, ideal, [f] * n)
-    # sum(s) is the sigma of _twisted; P are the prefix sums of s
+    # sig is the sigma of N's twisted form and P its conjugation
     assert twisted > 100 and prefixed > 100
 
 
@@ -348,7 +347,7 @@ def test_twisted_radical_is_the_radical():
     ] + [_random_circulant_order(rng, n) for n in range(1, 9) for _ in range(8)]
     unreduced = 0
     for order in starts:
-        u, sigma, P = exponent._twisted(order.M, exponent._rotation_shift(order.M))
+        u, sigma, P = exponent._twisted_form(order.M)
         J = radical(TwistedCirculant(u, sigma))
         assert J.sigma == sigma
         assert exponent._untwist(J.u, sigma, P) == radical(order).N
@@ -478,7 +477,7 @@ def test_glued_chain_depth_counts_down():
 
 
 def test_budget_start_is_asymmetric():
-    assert exponent._rotation_shift(_ASYMMETRIC.M) is None
+    assert exponent._twisted_form(_ASYMMETRIC.M) is None
     assert len(glued_chain(_ASYMMETRIC, 2)) > 3
 
 
@@ -514,9 +513,8 @@ def test_idealizer_of_a_radical_is_two_valued():
 
     def check_twisted(order, ideal, f):
         n = order.n
-        s = exponent._rotation_shift(order.M)
-        u, sigma, P = exponent._twisted(order.M, s)
-        v, sigma_v, P_v = exponent._twisted(ideal.N, s)
+        u, sigma, P = exponent._twisted_form(order.M)
+        v, sigma_v, P_v = exponent._twisted_form(ideal.N)
         assert (sigma_v, P_v) == (sigma, P)
         G = glued_idealizer(TwistedCirculant(u, sigma), TwistedCirculant(v, sigma), [f] * n)
         assert exponent._untwist(G.u, sigma, P) == check(order, ideal, [f] * n)
@@ -668,7 +666,7 @@ def test_lazy_chain_is_the_eager_listing():
     for n in range(1, 9):
         for sigma in (0, 1, 3, 6):
             start = _rotation_symmetric_order(rng, n, sigma)
-            assert exponent._rotation_shift(start.M) is not None
+            assert exponent._twisted_form(start.M) is not None
             starts.append((start, rng.randint(0, 4)))
     for start, depth in starts:
         chain = glued_chain(start, depth)
@@ -707,12 +705,12 @@ def test_chain_matches_maxplus_reference(monkeypatch):
     calls = []
 
     def spy(N):
-        s = rotation_shift(N)
-        calls.append(s)
-        return s
+        form = twisted_form(N)
+        calls.append(form)
+        return form
 
-    rotation_shift = exponent._rotation_shift
-    monkeypatch.setattr(exponent, "_rotation_shift", spy)
+    twisted_form = exponent._twisted_form
+    monkeypatch.setattr(exponent, "_twisted_form", spy)
     rng = random.Random(7)
 
     def check(start, depth):
@@ -725,20 +723,20 @@ def test_chain_matches_maxplus_reference(monkeypatch):
         assert len(calls) == 1
         return calls[0]
 
-    # Lambda(v) starts conjugated by random diagonals: nonzero shifts
+    # Lambda(v) starts conjugated by random diagonals: nonzero P
     nonzero = 0
     for n in range(1, 8):
         for a in range(1, 3 * n + 2, 2):
             t = [rng.randint(-4, 4) for _ in range(n)]
             start = diag_conjugate(scaled_hereditary((1,) * n, a), t)
-            s = check(start, rng.randint(0, a))
-            assert s is not None
-            nonzero += any(s)
+            form = check(start, rng.randint(0, a))
+            assert form is not None
+            nonzero += any(form[2])
     assert nonzero > 20
 
     # chains through unreduced states: the b = 0 cells, whose head is the
     # maximal order, and circulant orders with some c_k = c_(n-k) = 0
-    # (unreduced, with nonzero prefix sums P of the shift: see _twisted)
+    # (unreduced, with nonzero P: see _twisted_form)
     unreduced = prefixed = 0
     for n in range(1, 8):
         for a in (n, 2 * n):
@@ -747,9 +745,9 @@ def test_chain_matches_maxplus_reference(monkeypatch):
             assert check(start, a) is not None
         for _ in range(4 if n < 3 else 12):
             start = _random_circulant_order(rng, n)
-            s = check(start, rng.randint(0, 4))
-            assert s is not None
-            prefixed += any(s[:-1])
+            form = check(start, rng.randint(0, 4))
+            assert form is not None
+            prefixed += any(form[2])
             unreduced += sum(not o.is_reduced() for o in idealizer_chain(start))
     assert unreduced > 60
     assert prefixed > 50
@@ -758,8 +756,8 @@ def test_chain_matches_maxplus_reference(monkeypatch):
     asymmetric = 0
     for n in range(1, 8):
         for _ in range(15):
-            s = check(_random_order(rng, n), rng.randint(0, 4))
-            asymmetric += s is None
+            form = check(_random_order(rng, n), rng.randint(0, 4))
+            asymmetric += form is None
     assert asymmetric > 50
 
 
@@ -801,10 +799,61 @@ def test_conjugation_and_twist_match_the_former_constructions():
         assert exponent._untwist(u, sigma, P) == reference_untwist(u, sigma, P)
         assert reference_untwist(u, sigma, P) == reference_diag_conjugate(T, P)
         N = _random_rotation_symmetric(rng, n, sigma)
-        twist = exponent._twisted(N, exponent._rotation_shift(N))
+        twist = exponent._twisted_form(N)
         assert exponent._untwist(*twist) == reference_untwist(*twist) == N
         nonzero_P += any(twist[2])
     assert nonzero_P > 1500
+
+
+def reference_twisted_form(N):
+    """The former _rotation_shift, then the former _twisted: the shift s of
+    N[i+1][j+1] = N[i][j] - s[i] + s[j] (indices mod n) with s[0] = 0, the
+    witness of (N, rotated N) checked row by row, or None; then P its prefix
+    sums, sigma its sum and u = N[0] - P."""
+    R = exponent._rotate(N, 1)
+    s = tuple(a[0] - b[0] for a, b in zip(N, R))
+    for a, b, si in zip(N, R, s):
+        if tuple(map(add, map(sub, a, b), s)).count(si) != len(N):
+            return None
+    acc = tuple(accumulate(s))
+    P = (0,) + acc[:-1]
+    return tuple(map(sub, N[0], P)), acc[-1], P
+
+
+def test_twisted_form_matches_the_former_pair():
+    # 20,000 matrices with n = 1..8: rotation-symmetric ones (mostly with
+    # nonzero P), random -1..1 matrices (mostly asymmetric, with nonconstant
+    # diagonals), conjugated circulant orders, and symmetric ones with one
+    # entry moved by one
+    rng = random.Random(29)
+    found = {kind: set() for kind in ("symmetric", "random", "circulant", "perturbed")}
+    kinds = tuple(found)
+    nonzero_P = 0
+    for trial in range(20000):
+        n = rng.randint(1, 8)
+        kind = kinds[trial % 4]
+        if kind == "random":
+            N = tuple(tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(n))
+        elif kind == "circulant":
+            N = _random_circulant_order(rng, n).M
+        else:
+            N = _random_rotation_symmetric(rng, n, rng.randint(-3, 3))
+        if kind == "perturbed":
+            i, j = rng.randrange(n), rng.randrange(n)
+            N = N[:i] + (N[i][:j] + (N[i][j] + rng.choice((-1, 1)),) + N[i][j + 1 :],) + N[i + 1 :]
+        form = exponent._twisted_form(N)
+        assert form == reference_twisted_form(N), N
+        if form is not None:
+            assert exponent._untwist(*form) == N
+            nonzero_P += any(form[2])
+        found[kind].add(form is not None)
+    assert found == {
+        "symmetric": {True},
+        "random": {True, False},
+        "circulant": {True},
+        "perturbed": {True, False},
+    }
+    assert nonzero_P > 5000
 
 
 def test_diag_conjugate_roundtrip():
@@ -959,7 +1008,8 @@ def test_twisted_key_decides_diagonal_conjugacy():
 
 
 def test_matrix_key_is_none_without_rotation_symmetry():
-    # a matrix has a state key exactly when _rotation_shift finds its shift;
+    # a matrix has a state key exactly when the former pair finds its
+    # twisted form (reference_twisted_form);
     # the asymmetric start of the CI chain pin has none
     assert _matrix_key(_ASYMMETRIC.M) is None
     rng = random.Random(28)
@@ -970,7 +1020,7 @@ def test_matrix_key_is_none_without_rotation_symmetry():
             M = _random_rotation_symmetric(rng, n, rng.randint(-2, 2))
         else:
             M = tuple(tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(n))
-        symmetric = exponent._rotation_shift(M) is not None
+        symmetric = reference_twisted_form(M) is not None
         assert (_matrix_key(M) is None) == (not symmetric), M
         seen.add(symmetric)
     assert seen == {True, False}
