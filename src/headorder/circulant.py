@@ -14,7 +14,7 @@ from math import gcd
 from operator import sub
 
 from .errors import NotACycle, OutOfRange
-from .exponent import ExponentOrder, HereditaryType, checked_dims, state_key, twisted_key, twisted_matrix
+from .exponent import ExponentOrder, HereditaryType, checked_dims, state_key, twisted_matrix
 
 
 @dataclass(frozen=True)
@@ -80,30 +80,31 @@ def initial_reduction(n: int, a: int):
     return CirculantState((1,) * n, v, f=b), step
 
 
+def _staircase(n: int, mults, b: int) -> tuple[int, ...]:
+    """(0, 1^{m_1}, ..., (b-1)^{m_(b-1)}, b, ..., b) of length n, mults = (m_1, ..., m_(b-1))."""
+    v = [0]
+    for u, mult in enumerate(mults, 1):
+        v += [u] * mult
+    return tuple(v + [b] * (n - len(v)))
+
+
 def anfang_state(n: int, b: int, m: int) -> CirculantState:
     """Closed form of the chain state m+1 steps after (0_b, b^{n-1}).
 
     Valid for 0 < b < n and 0 <= m < n - l0 where n = l0*b + x0 with
-    0 < x0 <= b.  Depth is max(0, b - m - 1).
+    0 < x0 <= b.  Depth is max(0, b - m - 1).  With m = l*(b-1) + y and
+    0 <= y < b - 1 the state is (0, 1^l, ..., (b-y-1)^l, (b-y)^{l+1}, ...,
+    (b-1)^{l+1}, b, ..., b); at b = 1 it is (0, 1^{n-1}).
     """
     if not 0 < b < n:
         raise OutOfRange(f"need 0 < b < n, got b={b}, n={n}")
     l0, _ = _split(n, b)
     if not 0 <= m < n - l0:
         raise OutOfRange(f"m={m} outside [0, {n - l0})")
-    f = max(0, b - m - 1)
-    if b == 1:
-        return CirculantState((1,) * n, (0,) + (1,) * (n - 1), f=f)
-    l, y = divmod(m, b - 1)
-    v = [0]
-    for j in range(1, n):
-        if j <= (b - y - 1) * l:
-            v.append((j - 1) // l + 1)
-        elif j <= (b - 1) * l + y:
-            v.append(b - y + (j - 1 - (b - y - 1) * l) // (l + 1))
-        else:
-            v.append(b)
-    return CirculantState((1,) * n, tuple(v), f=f)
+    # b = 1 has m = 0 and no value between 0 and b
+    l, y = divmod(m, b - 1 or 1)
+    mults = [l] * (b - y - 1) + [l + 1] * y
+    return CirculantState((1,) * n, _staircase(n, mults, b), f=max(0, b - m - 1))
 
 
 def defm1_state(n: int, b: int):
@@ -125,38 +126,27 @@ def defm1_state(n: int, b: int):
 def midway_state(n: int, b: int):
     """The displayed state m2 steps past v^(1), for 0 < x0 < b.
 
-    For x0 >= b/2, m2 = b - x0 - 1 and multiplicities below z = 2b - 2x0 - 1
-    alternate l0, l0+1; for x0 <= b/2, m2 = x0 - 1 and the alternation sits
-    above z = b - 2x0 + 1.  Returns (state, m2).
+    It is (0, 1^{m_1}, ..., (b-1)^{m_(b-1)}, b^{l0}).  For x0 >= b/2,
+    m2 = b - x0 - 1 and m_u alternates l0, l0+1 up to z = 2b - 2x0 - 1 and
+    is l0+1 above; for x0 < b/2, m2 = x0 - 1, m_u is l0 up to
+    z = b - 2x0 + 1 and alternates l0+1, l0 above.  Returns (state, m2).
     """
     if not 0 < b < n:
         raise OutOfRange(f"need 0 < b < n, got b={b}, n={n}")
     l0, x0 = _split(n, b)
     if not 0 < x0 < b:
         raise OutOfRange("midway form requires 0 < x0 < b")
-    v = [0]
     if 2 * x0 >= b:
         m2 = b - x0 - 1
         z = 2 * b - 2 * x0 - 1
-        for u in range(1, b):
-            if u <= z:
-                mult = l0 if u % 2 == 1 else l0 + 1
-            else:
-                mult = l0 + 1
-            v.extend([u] * mult)
-        v.extend([b] * l0)
+        mults = [l0 + (u > z or u % 2 == 0) for u in range(1, b)]
     else:
         m2 = x0 - 1
         z = b - 2 * x0 + 1
-        for u in range(1, b):
-            if u <= z:
-                mult = l0
-            else:
-                mult = l0 + 1 if (u - z) % 2 == 1 else l0
-            v.extend([u] * mult)
-        v.extend([b] * l0)
-    assert len(v) == n, (n, b, len(v))
-    return CirculantState((1,) * n, tuple(v), f=0), m2
+        mults = [l0 + (u > z and (u - z) % 2 == 1) for u in range(1, b)]
+    v = _staircase(n, mults, b)
+    assert v.count(b) == l0, (n, b, v)
+    return CirculantState((1,) * n, v, f=0), m2
 
 
 def _grading(n: int, b: int):
@@ -202,8 +192,9 @@ class Checkpoint:
 
     ``step`` indexes the chain from (0, a^{n-1}) at depth a, the start at
     step 0; the head has no step.  A state matches a checkpoint up to
-    diagonal conjugation, when exponent.state_key gives ``key``, the
-    twisted_key of Lambda(v), and its depth too unless ``depth`` is None.
+    diagonal conjugation, when exponent.state_key gives the checkpoint's v
+    (the twisted_key of Lambda(v) is v), and its depth too unless ``depth``
+    is None.
 
     No rotation is needed: write Lambda(v) as m_ij = g(j - i).  Its
     rotation m_(i+1)(j+1) is m_ij + t_i - t_j with t = (0, ..., 0, v_(n-1)),
@@ -217,10 +208,6 @@ class Checkpoint:
     step: int | None
     state: CirculantState
     depth: int | None
-
-    @property
-    def key(self) -> tuple:
-        return twisted_key(self.state.v, -self.state.v[-1])
 
 
 def chain_checkpoints(n: int, a: int) -> tuple[Checkpoint, ...]:
@@ -263,9 +250,9 @@ def certify_cell(n: int, a: int, chain) -> bool:
     head_order_w, and for b | n the grading at x = 0 is v^(1).  States match by state_key.
     """
     checkpoints = chain_checkpoints(n, a)
-    return state_key(chain, -1)[0] == checkpoints[-1].key and all(
+    return state_key(chain, -1)[0] == checkpoints[-1].state.v and all(
         cp.step is None
-        or cp.step < len(chain) and (got := state_key(chain, cp.step))[0] == cp.key
+        or cp.step < len(chain) and (got := state_key(chain, cp.step))[0] == cp.state.v
         and cp.depth in (None, got[1])
         for cp in checkpoints
     )

@@ -107,7 +107,7 @@ def cmd_chain(args):
         a = value.v[-1]
         if value.f == a and all(x in (0, a) for x in value.v) and a > 0:
             for cp in chain_checkpoints(value.n, a):
-                index.setdefault(cp.key, []).append(cp)
+                index.setdefault(cp.state.v, []).append(cp)
     steps = []
     for k, (order, depth) in enumerate(chain):
         entry = {"step": k, "matrix": [list(r) for r in order.M], "depth": depth}

@@ -177,17 +177,6 @@ def _rotate(N: Matrix, r: int) -> Matrix:
     return tuple(row[r:] + row[:r] for row in N[r:] + N[:r])
 
 
-def _diag_shift(A: Matrix, B: Matrix) -> tuple[int, ...] | None:
-    """t with conjugate_matrix(A, t) = B and t[0] = 0, or None.
-
-    Column 0 fixes the only candidate, t[i] = A[i][0] - B[i][0].
-    """
-    if len(A) != len(B):
-        return None
-    t = tuple(a[0] - b[0] for a, b in zip(A, B))
-    return t if conjugate_matrix(A, t) == B else None
-
-
 def diag_key(M: Matrix) -> Matrix:
     """The diagonal normal form of M: entry (i, j) is m_ij - m_i0 + m_j0.
 
@@ -309,21 +298,24 @@ def twisted_matrix(u, sigma: int) -> Matrix:
     return tuple(w[n - i:] + u[: n - i] for i in range(n))
 
 
-def twisted_key(u, sigma: int) -> tuple[tuple[int, ...], int]:
-    """(u_k - k*u_1 for each k, sigma + n*u_1): equal iff the T(u, sigma) are diagonal conjugates.
+def twisted_key(u, sigma: int) -> tuple[int, ...]:
+    """The row v whose Lambda(v) = T(v, -v_(n-1)) is a diagonal conjugate of T(u, sigma).
 
-    Lemma (n >= 2): T(u', sigma') is T(u, sigma) plus t_j - t_i on entry
-    (i, j) iff u'_k = u_k + k*c and sigma' = sigma - n*c for one integer c.
-    Proof: the superdiagonal gives t_(i+1) - t_i = u'_1 - u_1 = c, so
-    t_i = t_0 + i*c; row 0 gives u'_k = u_k + k*c; column 0 at row i > 0
-    gives u'_(n-i) + sigma' = u_(n-i) + sigma - i*c, so sigma' = sigma - n*c.
-    Conversely t_i = i*c adds (j - i)*c to entry (i, j): k*c at k = j - i,
-    or k*c - n*c at k = n + j - i if j < i.  The key is invariant under this
-    move, and equal keys give it with c = u'_1 - u_1.  At n = 1 it drops sigma.
+    v_k = u_k + k*(sigma + u_(n-1)).  Two T(u, sigma) are diagonal
+    conjugates iff their keys are equal, and T(v, -v_(n-1)) has the key v.
+    Lemma: T(u', sigma') is T(u, sigma) plus t_j - t_i on entry (i, j) iff
+    u'_k = u_k + k*c and sigma' = sigma - n*c for one integer c.  Proof: at
+    n = 1 both are (u_0) and c is free.  At n >= 2 the superdiagonal gives
+    t_(i+1) - t_i = u'_1 - u_1 = c, so t_i = t_0 + i*c; row 0 gives
+    u'_k = u_k + k*c; column 0 at row i > 0 gives u'_(n-i) + sigma' =
+    u_(n-i) + sigma - i*c, so sigma' = sigma - n*c.  Conversely t_i = i*c
+    adds (j - i)*c to entry (i, j): k*c at k = j - i, or k*c - n*c at
+    k = n + j - i if j < i.  The move takes sigma + u_(n-1) to sigma +
+    u_(n-1) - c, so exactly one, c = sigma + u_(n-1), reaches a Lambda(v),
+    and conjugates reach the same one.
     """
-    n = len(u)
-    c = u[1] if n > 1 else 0
-    return tuple(x - k * c for k, x in enumerate(u)), (sigma + n * c if n > 1 else 0)
+    c = sigma + u[-1]
+    return tuple(x + k * c for k, x in enumerate(u))
 
 
 def _untwist(u, sigma: int, P) -> Matrix:
@@ -614,9 +606,10 @@ def merge_unreduced(order: ExponentOrder) -> ExponentOrder:
 
 def equal_up_to_diag(A: Matrix, B: Matrix) -> bool:
     """True if A and B differ by a diagonal conjugation t_i - t_j."""
-    return _diag_shift(A, B) is not None
+    return diag_key(A) == diag_key(B)
 
 
 def equal_up_to_diag_and_rotation(A: Matrix, B: Matrix) -> bool:
     """Equality up to diagonal conjugation and a cyclic index relabeling."""
-    return any(_diag_shift(_rotate(A, r), B) is not None for r in range(len(A)))
+    key = diag_key(B)
+    return any(diag_key(_rotate(A, r)) == key for r in range(len(A)))

@@ -210,6 +210,8 @@ def test_checkpoints_are_diag_conjugates_of_their_rotations():
                 t = [rng.randint(-5, 5) for _ in range(n)]
                 R = diag_conjugate(ExponentOrder((1,) * n, rot), t).M
                 assert equal_up_to_diag(R, B), (n, a, cp.tag, r)
+                # a checkpoint is its own state key
+                assert exponent.twisted_key(cp.state.v, -cp.state.v[-1]) == cp.state.v
                 count += 1
     assert count == 6408
 
@@ -259,6 +261,70 @@ def test_closed_forms_are_the_last_early_form_and_the_grading():
                 assert expand(w).M == F
             else:
                 assert expand(v1).M == F
+
+
+def reference_anfang_v(n, b, m):
+    """anfang_state's former row: the value at each position j, in three
+    ranges, and (0, 1^{n-1}) at b = 1."""
+    if b == 1:
+        return (0,) + (1,) * (n - 1)
+    l, y = divmod(m, b - 1)
+    v = [0]
+    for j in range(1, n):
+        if j <= (b - y - 1) * l:
+            v.append((j - 1) // l + 1)
+        elif j <= (b - 1) * l + y:
+            v.append(b - y + (j - 1 - (b - y - 1) * l) // (l + 1))
+        else:
+            v.append(b)
+    return tuple(v)
+
+
+def reference_midway(n, b):
+    """midway_state's former (row, m2): one loop over the values 1..b-1 per
+    case, then b^{l0}."""
+    l0, x0 = _split(n, b)
+    v = [0]
+    if 2 * x0 >= b:
+        m2 = b - x0 - 1
+        z = 2 * b - 2 * x0 - 1
+        for u in range(1, b):
+            if u <= z:
+                mult = l0 if u % 2 == 1 else l0 + 1
+            else:
+                mult = l0 + 1
+            v.extend([u] * mult)
+        v.extend([b] * l0)
+    else:
+        m2 = x0 - 1
+        z = b - 2 * x0 + 1
+        for u in range(1, b):
+            if u <= z:
+                mult = l0
+            else:
+                mult = l0 + 1 if (u - z) % 2 == 1 else l0
+            v.extend([u] * mult)
+        v.extend([b] * l0)
+    return tuple(v), m2
+
+
+def test_closed_forms_match_the_former_constructions():
+    # every early form and midway form of n = 2..40, as multiplicity rows,
+    # against the position formula and the loops they replaced
+    early = midway = 0
+    for n in range(2, 41):
+        for b in range(1, n):
+            l0, x0 = _split(n, b)
+            for m in range(n - l0):
+                st = anfang_state(n, b, m)
+                assert st.v == reference_anfang_v(n, b, m), (n, b, m)
+                assert st.f == max(0, b - m - 1)
+                early += 1
+            if 0 < x0 < b:
+                st, m2 = midway_state(n, b)
+                assert (st.v, m2) == reference_midway(n, b), (n, b)
+                midway += 1
+    assert (early, midway) == (18637, 662)
 
 
 def reference_expand(state):

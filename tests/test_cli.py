@@ -456,16 +456,16 @@ def test_closed_pipe_end_to_end(tmp_path):
     # headorder --command chain ... | head -2 on a 238 KB report
     path = write_doc(tmp_path, scaled_hereditary((1,) * 20, 60))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(headorder.__file__)))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "headorder.cli", "--command", "chain", "--input", path],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
-    )
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
     assert err == b""
 
 

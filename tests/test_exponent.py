@@ -919,6 +919,16 @@ def test_equal_up_to_diag_and_rotation():
     assert not equal_up_to_diag_and_rotation(A, swap)
 
 
+def _reference_diag_shift(A, B):
+    """The former witness of diagonal conjugacy: t with A conjugated by t equal
+    to B and t[0] = 0, or None.  Column 0 fixes the only candidate,
+    t[i] = A[i][0] - B[i][0]."""
+    if len(A) != len(B):
+        return None
+    t = tuple(a[0] - b[0] for a, b in zip(A, B))
+    return t if reference_diag_conjugate(A, t) == B else None
+
+
 def test_diag_key_decides_diagonal_conjugacy():
     # random matrices, with and without zero diagonal, against their
     # diagonal conjugates, their rotations, a perturbed copy and a stranger;
@@ -944,7 +954,7 @@ def test_diag_key_decides_diagonal_conjugacy():
             stranger,
         ]
         for B in others:
-            same = exponent._diag_shift(A, B) is not None
+            same = _reference_diag_shift(A, B) is not None
             assert (diag_key(A) == diag_key(B)) == same, (A, B)
             seen.add(same)
     assert seen == {True, False}
@@ -986,7 +996,11 @@ def test_twisted_key_decides_diagonal_conjugacy():
                     v = [rng.randint(-1, 1) for _ in range(n)]
                     tau = rng.randint(-1, 1)
             A, B = twisted_matrix(u, sigma), twisted_matrix(tuple(v), tau)
-            got = exponent.twisted_key(u, sigma) == exponent.twisted_key(tuple(v), tau)
+            key = exponent.twisted_key(u, sigma)
+            got = key == exponent.twisted_key(tuple(v), tau)
+            # the key is the row of the Lambda(key) conjugate to T(u, sigma)
+            assert exponent.twisted_key(key, -key[-1]) == key
+            assert diag_key(twisted_matrix(key, -key[-1])) == diag_key(A), (u, sigma)
         else:
             route = "matrix"
             A = _random_rotation_symmetric(rng, n, sigma)

@@ -56,7 +56,7 @@ def _referenced(trees) -> set[str]:
     return out
 
 
-def _public_definitions(tree):
+def _definitions(tree):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             targets = [node.name]
@@ -67,19 +67,20 @@ def _public_definitions(tree):
         else:
             continue
         for name in targets:
-            if not name.startswith("_"):
+            if not (name.startswith("__") and name.endswith("__")):
                 yield name, node
 
 
 def unreferenced_names(sources: dict, text: str) -> list[str]:
-    """Public top-level names of the modules in ``sources`` (name -> source)
-    that no other module, their own module outside the definition, nor
-    ``text`` (matched as a whole word) refers to: helpers only tests use."""
+    """Top-level names, private ones too, of the modules in ``sources`` (name
+    -> source) that no other module, their own module outside the
+    definition, nor ``text`` (matched as a whole word) refers to: helpers
+    only tests use."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     out = []
     for module, tree in trees.items():
         others = _referenced(t for m, t in trees.items() if m != module)
-        for name, node in _public_definitions(tree):
+        for name, node in _definitions(tree):
             own = _referenced(n for n in tree.body if n is not node)
             if name not in others | own and not re.search(rf"\b{name}\b", text):
                 out.append(f"{module}.{name}")
@@ -92,8 +93,8 @@ def test_unreferenced_names_are_detected():
         "b": "from .a import g\nimport c\nc.D\n",
         "c": "D = 2\nE: int = 3\ndef used(): pass\nused()\n",
     }
-    assert unreferenced_names(sources, "") == ["a.X", "a.f", "a.C", "c.E"]
-    assert unreferenced_names(sources, "see `f` and C.x, not X1") == ["a.X", "c.E"]
+    assert unreferenced_names(sources, "") == ["a.X", "a.f", "a._h", "a.C", "c.E"]
+    assert unreferenced_names(sources, "see `f` and C.x, not X1") == ["a.X", "a._h", "c.E"]
 
 
 def test_no_helper_that_only_tests_use():
