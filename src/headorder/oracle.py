@@ -13,13 +13,22 @@ ambient product, forms only the terms of nonzero entries, from an index
 of each factor made once.  radical_modp takes no characteristic
 polynomial of a nilpotent product z: it is x^R, and L_z is nilpotent iff
 z^(2^k) = 0 for the first 2^k >= R, because L_{z^m} = L_z^m and
-z^m = L_z^m(1) for the unit 1.
+z^m = L_z^m(1) for the unit 1.  It stops at the first level j >= 1 whose
+products are all nilpotent: that level's conditions are zero for every
+target p^j, so it keeps the ideal (an RREF), and every later level sees
+the same ideal and the same products.  oracle_idealizer forms no product
+c g^T or g^T c with v(c) + v(g) >= K, where v(x) is the least valuation
+of x's entries: each entry is a sum of terms c_ik g_jk of valuation at
+least v(c) + v(g), so both vanish mod p^K.  v(x) is val(gcd of x's
+entries), since val(0) = K and the gcd of nothing is 0; read_exponents
+takes each position's least valuation the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 from .amalgam import WHOLE, AmalgamBlock
 from .errors import OracleCapExceeded, TruncationTooSmall
@@ -183,8 +192,9 @@ def radical_modp(mult, p: int):
     Above it the matrix is symmetric (charpoly(AB) = charpoly(BA)) and its
     entry vanishes where z = xy is nilpotent (charpoly x^R), which k
     squarings of z decide (module docstring).  So only the pairs a <= b
-    whose product is not nilpotent need a characteristic polynomial.
-    Products and traces are read off the nonzero constants only.
+    whose product is not nilpotent need a characteristic polynomial, and
+    a level where none does is the last (module docstring).  Products and
+    traces are read off the nonzero constants only.
     """
     R = len(mult)
     if R == 0:
@@ -224,15 +234,18 @@ def radical_modp(mult, p: int):
         return L
 
     def conditions(ideal, target):
-        # entry [a][b] is c_target(L_{x_b x_a}) for x = ideal
+        # entry [a][b] is c_target(L_{x_b x_a}) for x = ideal; None when
+        # every product is nilpotent
         supps = [[(i, v) for i, v in enumerate(x) if v] for x in ideal]
         conds = [[0] * len(ideal) for _ in ideal]
+        nil = True
         for b, sb in enumerate(supps):
             for a in range(b + 1):
                 xy = product(sb, supps[a])
                 if not nilpotent(xy):
+                    nil = False
                     conds[a][b] = conds[b][a] = charpoly_modp(lmat(xy), p)[target]
-        return conds
+        return None if nil else conds
 
     traces = [sum(c for i, col in enumerate(row) for k, c in col if k == i) for row in nz]
     ideal = [[1 if t == i else 0 for t in range(R)] for i in range(R)]
@@ -245,6 +258,8 @@ def radical_modp(mult, p: int):
             ]
         else:
             conds = conditions(ideal, p**j)
+            if conds is None:
+                return ideal
         ideal = rref_modp([_combine(coeffs, ideal, p) for coeffs in nullspace_modp(conds, p)], p)
         j += 1
     return ideal
@@ -280,18 +295,21 @@ def oracle_idealizer(model: FiniteAlgebraModel, jbasis):
     g^T transposing each summand's block, c . (x g) = <c g^T, x> and
     c . (g x) = <g^T c, x>, so the condition rows are the ambient products
     c g^T and g^T c.  The rows of g^T are the columns of g, so the index
-    of g^T is g's with rows and columns swapped.
+    of g^T is g's with rows and columns swapped.  A pair with
+    v(c) + v(g) >= K gives two zero rows and is skipped (module docstring).
     """
     amb = model.ambient
     p, K = amb.p, amb.K
-    ann = [amb.index(c) for c in annihilator(jbasis, p, K)]
+    ann = [(val(gcd(*c), p, K), amb.index(c)) for c in annihilator(jbasis, p, K)]
     conds = {}
     for g in jbasis:
+        vg = val(gcd(*g), p, K)
         gt = amb.index(g, transpose=True)
-        for c in ann:
-            for row in (amb.mul(c, gt), amb.mul(gt, c)):
-                if row:
-                    conds[tuple(row)] = None
+        for vc, c in ann:
+            if vc + vg < K:
+                for row in (amb.mul(c, gt), amb.mul(gt, c)):
+                    if row:
+                        conds[tuple(row)] = None
     # with no condition left (J = p * ambient) every x idealizes J
     return right_kernel(list(conds) or [[0] * amb.dim], p, K)
 
@@ -380,14 +398,21 @@ def model_from_amalgam(block: AmalgamBlock, p: int, K: int) -> FiniteAlgebraMode
 # reading results back
 
 
+def _check_floor(noise_floor: int, K: int) -> None:
+    # above K a zero entry would read as exponent K; below 0 p^floor is a fraction
+    if not 0 <= noise_floor <= K:
+        raise ValueError(f"noise floor {noise_floor} is outside 0..{K}")
+
+
 def read_exponents(rows, ambient: Ambient, noise_floor: int):
     """Minimum valuation per matrix position across a submodule.
 
     Returns one integer matrix per ambient summand; positions whose
     valuation reaches noise_floor are reported as None (indistinguishable
-    from truncation junk).
+    from truncation junk).  Raises ValueError unless 0 <= noise_floor <= K.
     """
     p, K = ambient.p, ambient.K
+    _check_floor(noise_floor, K)
     out = []
     for s, d in enumerate(ambient.sizes):
         mat = []
@@ -395,7 +420,7 @@ def read_exponents(rows, ambient: Ambient, noise_floor: int):
             row = []
             for j in range(d):
                 pos = ambient.pos(s, i, j)
-                v = min((val(r[pos], p, K) for r in rows), default=K)
+                v = val(gcd(*(r[pos] for r in rows)), p, K)
                 row.append(v if v < noise_floor else None)
             mat.append(row)
         out.append(mat)
@@ -407,9 +432,10 @@ def spans_agree(rows_a, rows_b, ambient: Ambient, noise_floor: int) -> bool:
 
     A + p^noise * ambient and B + p^noise * ambient are equal iff A and B
     have one image mod p^noise, which their Howell forms over Z/p^noise
-    decide.
+    decide.  Raises ValueError unless 0 <= noise_floor <= K.
     """
     p = ambient.p
+    _check_floor(noise_floor, ambient.K)
     return howell(rows_a, p, noise_floor) == howell(rows_b, p, noise_floor)
 
 

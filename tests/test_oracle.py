@@ -945,3 +945,132 @@ def test_spans_agree_matches_padded_reference():
         assert got == reference_spans_agree(a, b, amb, noise)
         outcomes[got] += 1
     assert min(outcomes.values()) >= 500
+
+
+@pytest.mark.parametrize("p, levels", [(2, 1), (3, 2)])
+def test_radical_modp_stops_at_first_nil_level(p, levels, monkeypatch):
+    # 2 H_3 has rank 9: at p = 2 level 1 already sees only nilpotent
+    # products, at p = 3 level 2 does; no later level is run
+    model = model_from_exponent(scaled_hereditary((1, 1, 1), 2), p, truncation_for(2))
+    calls = []
+
+    def counting(rows, p):
+        calls.append(len(rows))
+        return nullspace_modp(rows, p)
+
+    monkeypatch.setattr(oracle, "nullspace_modp", counting)
+    assert radical_modp(model.mult, p) == dense_radical_modp(model.mult, p)
+    assert len(calls) == levels
+
+
+def test_radical_modp_matches_dense_reference_on_z2_c8():
+    # the chain of Z_2[C_8], as the Z_3[C_9] one above
+    for model, _, _ in _cyclic_chain(2, 3)[0]:
+        assert radical_modp(model.mult, 2) == dense_radical_modp(model.mult, 2)
+
+
+def _idealizer_products(model, J, monkeypatch):
+    """Run oracle_idealizer and map each (c, g) pair of an annihilator row
+    and a J row to the number of products it formed for them."""
+    index, mul_ = Ambient.index, Ambient.mul
+    made, formed = {}, {}
+
+    def spy_index(self, x, transpose=False):
+        out = index(self, x, transpose)
+        # the stored index keeps its id from being reused
+        made[id(out)] = (tuple(x), transpose, out)
+        return out
+
+    def spy_mul(self, xs, ys):
+        (x, xt, _), (y, _, _) = made[id(xs)], made[id(ys)]
+        pair = (y, x) if xt else (x, y)
+        formed[pair] = formed.get(pair, 0) + 1
+        return mul_(self, xs, ys)
+
+    with monkeypatch.context() as m:
+        m.setattr(Ambient, "index", spy_index)
+        m.setattr(Ambient, "mul", spy_mul)
+        oracle_idealizer(model, J)
+    return formed
+
+
+def test_oracle_idealizer_skips_only_zero_products(monkeypatch):
+    # a skipped pair's products c g^T and g^T c both vanish mod p^K; a
+    # formed pair forms both
+    models = [
+        model_from_exponent(order, p, truncation_for(2))
+        for p in (2, 3)
+        for n in (1, 2, 3)
+        for order in _all_orders(n, 2)
+    ]
+    models += [model for model, _, _ in _cyclic_chain(2, 3)[0]]
+    skipped = 0
+    for model in models:
+        amb = model.ambient
+        J = oracle_radical(model)
+        formed = _idealizer_products(model, J, monkeypatch)
+        assert set(formed.values()) <= {2}
+        for c in annihilator(J, amb.p, amb.K):
+            ci = amb.index(c)
+            for g in J:
+                if (tuple(c), tuple(g)) not in formed:
+                    gt = amb.index(g, transpose=True)
+                    assert amb.mul(ci, gt) is None and amb.mul(gt, ci) is None
+                    skipped += 1
+    assert skipped > 0
+    # 2 H_3 forms 54 of its 108 products
+    model = model_from_exponent(scaled_hereditary((1, 1, 1), 2), 2, truncation_for(2))
+    formed = _idealizer_products(model, oracle_radical(model), monkeypatch)
+    assert sum(formed.values()) == 54
+
+
+def test_read_back_rejects_floors_outside_0_to_K():
+    # above K the zero entries would read as exponent K and spans equal
+    # mod p^K would differ; below 0 the modulus is a fraction
+    amb = Ambient((2,), 2, 4)
+    assert read_exponents([[1, 0, 0, 1]], amb, 4) == [[[0, None], [None, 0]]]
+    assert spans_agree([[16, 0, 0, 0]], [], amb, 4)
+    for floor in (-1, 5):
+        with pytest.raises(ValueError):
+            read_exponents([[1, 0, 0, 1]], amb, floor)
+        with pytest.raises(ValueError):
+            spans_agree([[16, 0, 0, 0]], [], amb, floor)
+
+
+def reference_read_exponents(rows, ambient, noise_floor):
+    """The least valuation per position as the minimum over the rows."""
+    p, K = ambient.p, ambient.K
+    out = []
+    for s, d in enumerate(ambient.sizes):
+        mat = []
+        for i in range(d):
+            row = []
+            for j in range(d):
+                v = min((val(r[ambient.pos(s, i, j)], p, K) for r in rows), default=K)
+                row.append(v if v < noise_floor else None)
+            mat.append(row)
+        out.append(mat)
+    return out
+
+
+def test_read_exponents_gcd_matches_per_row_minimum():
+    # random rows with zero, negative and out-of-range entries, zero rows,
+    # and no rows at all
+    rng = random.Random(30)
+    for _ in range(1000):
+        sizes = rng.choice([(1,), (2,), (1, 2), (3,)])
+        p = rng.choice((2, 3, 5))
+        K = rng.randint(1, 5)
+        amb = Ambient(sizes, p, K)
+        m = amb.modulus
+        rows = [
+            [
+                rng.choice((0, 0, rng.randrange(m), p * rng.randrange(m), -rng.randrange(3 * m)))
+                for _ in range(amb.dim)
+            ]
+            for _ in range(rng.randint(0, 4))
+        ]
+        if rows and rng.random() < 0.25:
+            rows[rng.randrange(len(rows))] = [0] * amb.dim
+        floor = rng.randint(0, K)
+        assert read_exponents(rows, amb, floor) == reference_read_exponents(rows, amb, floor)
