@@ -1,10 +1,10 @@
 """The cyclically symmetric family Lambda(v) and its closed-form chain data.
 
 A CirculantState holds an exponent vector v (v_0 = 0) for which Lambda(v) is
-an order, together with an amalgamation depth f: the number of remaining
-idealizer steps before the diagonal congruences to other block components
-disappear.  The depth is side metadata; expansion to a full exponent matrix
-drops it.
+an order, checked in O(n^2) when one is made, together with an amalgamation
+depth f: the number of remaining idealizer steps before the diagonal
+congruences to other block components disappear.  expand drops the depth.
+The closed forms below are bare rows; only head_order_w makes a CirculantState.
 """
 
 from __future__ import annotations
@@ -69,15 +69,13 @@ def _split(n: int, b: int):
 def initial_reduction(n: int, a: int):
     """State after the first z*n steps: a = z*n + b reduced to (0_b, b^{n-1}).
 
-    Returns (state, step_index).  For b = 0 the state is the maximal order
-    (all exponents zero, no amalgamation left at that point beyond depth 0).
+    Returns (row, step_index); the state's depth is b.  For b = 0 the row
+    is the maximal order (all exponents zero, depth 0).
     """
     if n < 1 or a < 1:
         raise ValueError("need n >= 1 and a >= 1")
     z, b = divmod(a, n)
-    step = z * n
-    v = (0,) + (b,) * (n - 1)
-    return CirculantState((1,) * n, v, f=b), step
+    return (0,) + (b,) * (n - 1), z * n
 
 
 def _staircase(n: int, mults, b: int) -> tuple[int, ...]:
@@ -88,8 +86,8 @@ def _staircase(n: int, mults, b: int) -> tuple[int, ...]:
     return tuple(v + [b] * (n - len(v)))
 
 
-def anfang_state(n: int, b: int, m: int) -> CirculantState:
-    """Closed form of the chain state m+1 steps after (0_b, b^{n-1}).
+def anfang_state(n: int, b: int, m: int):
+    """Closed form (row, depth) of the chain state m+1 steps after (0_b, b^{n-1}).
 
     Valid for 0 < b < n and 0 <= m < n - l0 where n = l0*b + x0 with
     0 < x0 <= b.  Depth is max(0, b - m - 1).  With m = l*(b-1) + y and
@@ -104,11 +102,11 @@ def anfang_state(n: int, b: int, m: int) -> CirculantState:
     # b = 1 has m = 0 and no value between 0 and b
     l, y = divmod(m, b - 1 or 1)
     mults = [l] * (b - y - 1) + [l + 1] * y
-    return CirculantState((1,) * n, _staircase(n, mults, b), f=max(0, b - m - 1))
+    return _staircase(n, mults, b), max(0, b - m - 1)
 
 
 def defm1_state(n: int, b: int):
-    """The state v^(1) reached n - l0 steps after (0_b, b^{n-1}), with its step.
+    """The row v^(1) reached n - l0 steps after (0_b, b^{n-1}), with its step.
 
     v^(1) = (0, 1^{l0}, ..., (b-y-1)^{l0}, (b-y)^{l0+1}, ..., (b-1)^{l0+1},
     b^{l0}) with y = x0 - 1 is the last early form, m = n - l0 - 1: for
@@ -120,16 +118,16 @@ def defm1_state(n: int, b: int):
     if not 0 < b < n:
         raise OutOfRange(f"need 0 < b < n, got b={b}, n={n}")
     l0, _ = _split(n, b)
-    return anfang_state(n, b, n - l0 - 1), n - l0
+    return anfang_state(n, b, n - l0 - 1)[0], n - l0
 
 
 def midway_state(n: int, b: int):
-    """The displayed state m2 steps past v^(1), for 0 < x0 < b.
+    """The displayed row m2 steps past v^(1), for 0 < x0 < b.
 
     It is (0, 1^{m_1}, ..., (b-1)^{m_(b-1)}, b^{l0}).  For x0 >= b/2,
     m2 = b - x0 - 1 and m_u alternates l0, l0+1 up to z = 2b - 2x0 - 1 and
     is l0+1 above; for x0 < b/2, m2 = x0 - 1, m_u is l0 up to
-    z = b - 2x0 + 1 and alternates l0+1, l0 above.  Returns (state, m2).
+    z = b - 2x0 + 1 and alternates l0+1, l0 above.  Returns (row, m2), depth 0.
     """
     if not 0 < b < n:
         raise OutOfRange(f"need 0 < b < n, got b={b}, n={n}")
@@ -146,7 +144,7 @@ def midway_state(n: int, b: int):
         mults = [l0 + (u > z and (u - z) % 2 == 1) for u in range(1, b)]
     v = _staircase(n, mults, b)
     assert v.count(b) == l0, (n, b, v)
-    return CirculantState((1,) * n, v, f=0), m2
+    return v, m2
 
 
 def _grading(n: int, b: int):
@@ -155,7 +153,7 @@ def _grading(n: int, b: int):
     return lambda j: 1 + (j - 1 - (x * j) // n) // l
 
 
-def head_order_w(n: int, b: int, dims=None) -> CirculantState:
+def head_order_w(n: int, b: int) -> CirculantState:
     """Head order w = (f(0), ..., f(n-1)) for b not dividing n, f the grading.
 
     n - x = l*b gives f(j - n) = f(j) - b, and f(n - 1) = b, so the entry
@@ -166,9 +164,8 @@ def head_order_w(n: int, b: int, dims=None) -> CirculantState:
         raise OutOfRange(f"need 0 < b < n, got b={b}, n={n}")
     if n % b == 0:
         raise OutOfRange("b divides n: the defm1 state is already hereditary")
-    dims = (1,) * n if dims is None else tuple(dims)
     f = _grading(n, b)
-    return CirculantState(dims, tuple(f(j) for j in range(n)), f=0)
+    return CirculantState((1,) * n, tuple(f(j) for j in range(n)))
 
 
 def head_order_f(n: int, a: int, dims=None) -> ExponentOrder:
@@ -188,13 +185,14 @@ def head_order_f(n: int, a: int, dims=None) -> ExponentOrder:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """One closed-form state of the (n, a) chain.
+    """One closed-form state of the (n, a) chain: its row v and depth.
 
     ``step`` indexes the chain from (0, a^{n-1}) at depth a, the start at
     step 0; the head has no step.  A state matches a checkpoint up to
     diagonal conjugation, when exponent.state_key gives the checkpoint's v
     (the twisted_key of Lambda(v) is v), and its depth too unless ``depth``
-    is None.
+    is None.  v is not checked to be an order: a state keyed v is a diagonal
+    conjugate of Lambda(v), and a row that no state has never matches.
 
     No rotation is needed: write Lambda(v) as m_ij = g(j - i).  Its
     rotation m_(i+1)(j+1) is m_ij + t_i - t_j with t = (0, ..., 0, v_(n-1)),
@@ -206,7 +204,7 @@ class Checkpoint:
 
     tag: str
     step: int | None
-    state: CirculantState
+    v: tuple[int, ...]
     depth: int | None
 
 
@@ -220,21 +218,20 @@ def chain_checkpoints(n: int, a: int) -> tuple[Checkpoint, ...]:
     The last checkpoint is always the chain's terminal state.
     """
     red, start = initial_reduction(n, a)
-    b = red.f
+    b = a % n
     if b == 0:
         return (Checkpoint("maximal", start, red, 0),)
     out = [Checkpoint("reduced-start", start, red, b)]
     l0, x0 = _split(n, b)
     for m in range(n - l0):
-        st = anfang_state(n, b, m)
-        out.append(Checkpoint(f"early-form(m={m})", start + m + 1, st, st.f))
-    st1, rel = defm1_state(n, b)
-    out.append(Checkpoint("first-plateau", start + rel, st1, None))
+        out.append(Checkpoint(f"early-form(m={m})", start + m + 1, *anfang_state(n, b, m)))
+    v1, rel = defm1_state(n, b)
+    out.append(Checkpoint("first-plateau", start + rel, v1, None))
     if 0 < x0 < b:
-        st2, m2 = midway_state(n, b)
-        out.append(Checkpoint(f"midway(m2={m2})", start + rel + m2, st2, None))
+        v2, m2 = midway_state(n, b)
+        out.append(Checkpoint(f"midway(m2={m2})", start + rel + m2, v2, None))
     if n % b:
-        out.append(Checkpoint("head", None, head_order_w(n, b), None))
+        out.append(Checkpoint("head", None, head_order_w(n, b).v, None))
     return tuple(out)
 
 
@@ -247,12 +244,13 @@ def certify_cell(n: int, a: int, chain) -> bool:
     when b = a mod n does not divide n, the first plateau v^(1) when it
     does, and the maximal order when b = 0 (the same as merging to one
     maximal block).  For b > 0 that matrix is head_order_f(n, a): see
-    head_order_w, and for b | n the grading at x = 0 is v^(1).  States match by state_key.
+    head_order_w, and for b | n the grading at x = 0 is v^(1).  States match
+    by state_key.  Precondition: the chain is glued_chain of a validated order.
     """
     checkpoints = chain_checkpoints(n, a)
-    return state_key(chain, -1)[0] == checkpoints[-1].state.v and all(
+    return state_key(chain, -1)[0] == checkpoints[-1].v and all(
         cp.step is None
-        or cp.step < len(chain) and (got := state_key(chain, cp.step))[0] == cp.state.v
+        or cp.step < len(chain) and (got := state_key(chain, cp.step))[0] == cp.v
         and cp.depth in (None, got[1])
         for cp in checkpoints
     )

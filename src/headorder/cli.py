@@ -107,7 +107,7 @@ def cmd_chain(args):
         a = value.v[-1]
         if value.f == a and all(x in (0, a) for x in value.v) and a > 0:
             for cp in chain_checkpoints(value.n, a):
-                index.setdefault(cp.state.v, []).append(cp)
+                index.setdefault(cp.v, []).append(cp)
     steps = []
     for k, (order, depth) in enumerate(chain):
         entry = {"step": k, "matrix": [list(r) for r in order.M], "depth": depth}
@@ -167,7 +167,7 @@ def cmd_closed_form(args):
     if b:
         report["head_matrix"] = [list(r) for r in head_order_f(n, a, dims).M]
         if n % b:
-            report["head_v"] = list(head_order_w(n, b, dims).v)
+            report["head_v"] = list(head_order_w(n, b).v)
         report["simple_fibers"] = {
             str(j): list(f) for j, f in simple_module_match(n, a).items()
         }

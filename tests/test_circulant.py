@@ -90,10 +90,10 @@ def test_split():
 
 
 def test_initial_reduction():
-    st, step = initial_reduction(3, 7)
-    assert step == 6 and st.v == (0, 1, 1) and st.f == 1
-    st, step = initial_reduction(4, 4)
-    assert step == 4 and st.v == (0, 0, 0, 0) and st.f == 0
+    v, step = initial_reduction(3, 7)
+    assert step == 6 and v == (0, 1, 1) and chain_checkpoints(3, 7)[0].depth == 1
+    v, step = initial_reduction(4, 4)
+    assert step == 4 and v == (0, 0, 0, 0) and chain_checkpoints(4, 4)[0].depth == 0
 
 
 def test_anfang_range_checks():
@@ -164,6 +164,21 @@ def test_certify_cell_keys_rows_and_matrices_alike(monkeypatch):
             untwisted.clear()
 
 
+def test_certify_cell_builds_only_the_head_state(monkeypatch):
+    # the checkpoints are bare rows: certifying a cell makes no CirculantState
+    # but the head w, and none when b divides n
+    made = []
+    post_init = CirculantState.__post_init__
+    monkeypatch.setattr(
+        CirculantState, "__post_init__", lambda self: made.append(1) or post_init(self)
+    )
+    for n, a, want in [(7, 10, 1), (6, 14, 0), (24, 71, 1)]:
+        chain = glued_chain(scaled_hereditary((1,) * n, a), a)
+        made.clear()
+        assert certify_cell(n, a, chain), (n, a)
+        assert len(made) == want, (n, a, len(made))
+
+
 def test_midway_requires_proper_x0():
     with pytest.raises(OutOfRange):
         midway_state(6, 3)  # x0 = b here
@@ -204,14 +219,14 @@ def test_checkpoints_are_diag_conjugates_of_their_rotations():
     for n in range(2, 17):
         for a in range(1, 49):
             for cp in chain_checkpoints(n, a):
-                B = expand(cp.state).M
+                B = expand(CirculantState((1,) * n, cp.v, f=cp.depth or 0)).M
                 r = rng.randrange(n)
                 rot = tuple(tuple(B[(i + r) % n][(j + r) % n] for j in range(n)) for i in range(n))
                 t = [rng.randint(-5, 5) for _ in range(n)]
                 R = diag_conjugate(ExponentOrder((1,) * n, rot), t).M
                 assert equal_up_to_diag(R, B), (n, a, cp.tag, r)
                 # a checkpoint is its own state key
-                assert exponent.twisted_key(cp.state.v, -cp.state.v[-1]) == cp.state.v
+                assert exponent.twisted_key(cp.v, -cp.v[-1]) == cp.v
                 count += 1
     assert count == 6408
 
@@ -252,15 +267,15 @@ def test_closed_forms_are_the_last_early_form_and_the_grading():
         for b in range(1, n):
             l0, _ = _split(n, b)
             v1, step = defm1_state(n, b)
-            assert (v1, step) == (anfang_state(n, b, n - l0 - 1), n - l0)
-            assert v1.v == paper_v1(n, b) and v1.f == 0
+            assert (v1, 0, step) == (*anfang_state(n, b, n - l0 - 1), n - l0)
+            assert v1 == paper_v1(n, b)
             F = head_order_f(n, b).M
             if n % b:
                 w = head_order_w(n, b)
                 assert w.v == paper_w(n, b)
                 assert expand(w).M == F
             else:
-                assert expand(v1).M == F
+                assert expand(CirculantState((1,) * n, v1)).M == F
 
 
 def reference_anfang_v(n, b, m):
@@ -310,19 +325,23 @@ def reference_midway(n, b):
 
 def test_closed_forms_match_the_former_constructions():
     # every early form and midway form of n = 2..40, as multiplicity rows,
-    # against the position formula and the loops they replaced
+    # against the position formula and the loops they replaced; each early,
+    # plateau and midway row, with its depth, passes CirculantState's order check
     early = midway = 0
     for n in range(2, 41):
         for b in range(1, n):
             l0, x0 = _split(n, b)
             for m in range(n - l0):
-                st = anfang_state(n, b, m)
-                assert st.v == reference_anfang_v(n, b, m), (n, b, m)
-                assert st.f == max(0, b - m - 1)
+                v, depth = anfang_state(n, b, m)
+                assert v == reference_anfang_v(n, b, m), (n, b, m)
+                assert depth == max(0, b - m - 1)
+                CirculantState((1,) * n, v, f=depth)
                 early += 1
+            CirculantState((1,) * n, defm1_state(n, b)[0])
             if 0 < x0 < b:
-                st, m2 = midway_state(n, b)
-                assert (st.v, m2) == reference_midway(n, b), (n, b)
+                v, m2 = midway_state(n, b)
+                assert (v, m2) == reference_midway(n, b), (n, b)
+                CirculantState((1,) * n, v)
                 midway += 1
     assert (early, midway) == (18637, 662)
 
@@ -358,7 +377,7 @@ def test_twisted_matrices_match_the_former_constructions():
             assert scaled_hereditary((1,) * n, a).M == reference_scaled_hereditary(n, a)
             if a < 1:
                 continue
-            for v in ((0,) + (a,) * (n - 1), initial_reduction(n, a)[0].v):
+            for v in ((0,) + (a,) * (n - 1), initial_reduction(n, a)[0]):
                 state = CirculantState((1,) * n, v)
                 assert expand(state).M == reference_expand(state)
             b = a % n

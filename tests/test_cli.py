@@ -84,7 +84,7 @@ def reference_chain_tags(n, a):
     index of the checkpoint matrices, the matching that state keys replaced."""
     index = {}
     for cp in chain_checkpoints(n, a):
-        index.setdefault(diag_key(expand(cp.state).M), []).append(cp)
+        index.setdefault(diag_key(expand(CirculantState((1,) * n, cp.v)).M), []).append(cp)
     tags = []
     for order, depth in glued_chain(scaled_hereditary((1,) * n, a), a):
         candidates = index.get(diag_key(order.M), ())
