@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import serialize
-from .amalgam import AmalgamBlock, amalgam_chain
+from .amalgam import AmalgamBlock, GluingConstraint, amalgam_chain, validate_amalgam
 from .brauer import PlanarBrauerTree, head_order_report
 from .circulant import (
     CirculantState,
@@ -184,27 +184,29 @@ def cmd_tree(args):
     return head_order_report(value), 0
 
 
+ORACLE_CAP = (7, 20)  # verify and sweep run the oracle at n <= 7 and a <= 20
+
+
 def _verify_cell(n: int, a: int, oracle: bool, max_steps: int | None):
     """(verdict, chain, oracle detail) of the chain from a * H_n at depth a."""
-    start = scaled_hereditary((1,) * n, a)
     try:
-        chain = glued_chain(start, a, max_steps)
+        chain = glued_chain(scaled_hereditary((1,) * n, a), a, max_steps)
     except StepBudgetExceeded as exc:
         raise SchemaError("--max-steps", f"cell n = {n}, a = {a}: {exc}") from exc
     ok = certify_cell(n, a, chain)
-    detail = {}
-    if oracle and n <= 3 and a <= 2:
-        from .oracle import certify_order
+    if not oracle or n > ORACLE_CAP[0] or a > ORACLE_CAP[1]:
+        reason = "the oracle certifies only n <= %d and a <= %d" % ORACLE_CAP
+        return ok, chain, {"oracle": {"ran": False, "reason": reason}} if oracle else {}
+    from .oracle import certify_chain
 
-        agrees = certify_order(start, 3)
-        detail["oracle_first_step_agrees"] = agrees
-        ok = ok and agrees
-    elif oracle:
-        detail["oracle"] = {
-            "ran": False,
-            "reason": "the oracle certifies only n <= 3 and a <= 2",
-        }
-    return ok, chain, detail
+    # state k is its order with a copy of H_1 glued to each block at the state's depth
+    h1 = [ExponentOrder((1,), ((0,),))] * n
+    blocks = [
+        validate_amalgam([s, *h1], [GluingConstraint((0, q), (q + 1, 0), f) for q in range(n)])
+        for s, f in chain
+    ]
+    k = certify_chain(blocks, 3)
+    return ok and k is None, chain, {"oracle": {"ran": True, "first_disagreement": k}}
 
 
 def cmd_verify(args):

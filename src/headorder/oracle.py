@@ -5,8 +5,8 @@ sum of matrix rings over Z/p^K.  Radicals come from the characteristic-p
 radical algorithm on the mod-p quotient (coefficient-of-characteristic-
 polynomial conditions, no exponent formulas involved), idealizers from
 solving x J <= J and J x <= J as linear systems in the ambient truncation.
-Exponents are then read back off valuations and compared with the
-closed-form predictions.
+Radical exponents are then read back off valuations and compared with the
+exponent formulas, and each Id(J) must span the next state of the chain.
 
 Work whose result is known to be zero is skipped.  Ambient.mul, the one
 ambient product, forms only the terms of nonzero entries, from an index
@@ -26,13 +26,13 @@ takes each position's least valuation the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import gcd
 
 from .amalgam import WHOLE, AmalgamBlock
 from .errors import OracleCapExceeded, TruncationTooSmall
-from .exponent import ExponentOrder, conjugate_matrix, diag_conjugate, idealizer, radical
+from .exponent import ExponentOrder, diag_conjugate, radical
 from .modular import (
     annihilator,
     charpoly_modp,
@@ -439,32 +439,30 @@ def spans_agree(rows_a, rows_b, ambient: Ambient, noise_floor: int) -> bool:
     return howell(rows_a, p, noise_floor) == howell(rows_b, p, noise_floor)
 
 
-def certify_order(order: ExponentOrder, p: int) -> bool:
-    """Certify one idealizer step of an order with unit block dimensions.
+def chain_models(chain, p: int):
+    """(states, models, noise floor) of an amalgam chain, as certify_chain checks it.
 
-    The order is conjugated by the first column of its predicted Id(J),
-    which keeps both inside the ambient; the truncation is
-    truncation_for(mx) for mx the larger of 2 and its largest entry, and
-    the noise floor K - mx - 2.  True iff the oracle's J and Id(J) read
-    back as the exponent formulas' radical and idealizer and Id(J) spans
-    the model of the predicted idealizer.
-    """
-    n = order.n
-    N = radical(order)
-    pred = idealizer(order, N)
-    t = [pred.M[i][0] for i in range(n)]
-    oshift = diag_conjugate(order, t)
-    pshift = diag_conjugate(pred, t)
-    mx = max(2, oshift.max_entry())
-    K = truncation_for(mx)
-    noise = K - mx - 2
-    model = model_from_exponent(oshift, p, K)
-    J = oracle_radical(model)
-    want_J = [list(r) for r in conjugate_matrix(N.N, t)]
-    if read_exponents(J, model.ambient, noise)[0] != want_J:
-        return False
-    Id = oracle_idealizer(model, J)
-    if read_exponents(Id, model.ambient, noise)[0] != [list(r) for r in pshift.M]:
-        return False
-    predmodel = model_from_exponent(pshift, p, K)
-    return spans_agree(Id, predmodel.basis, model.ambient, noise)
+    Components are conjugated by the first column of their last state, so no
+    entry is negative; K = truncation_for(mx + mxd) and the floor is
+    K - mx - mxd - 2, mx the largest entry (at least 1), mxd the largest depth."""
+    t = [[row[0] for row in c.M] for c in chain[-1].components]
+    states = [replace(s, components=tuple(map(diag_conjugate, s.components, t))) for s in chain]
+    bound = max(c.max_entry() for s in states for c in s.components) or 1
+    bound += max((g.depth for s in states for g in s.gluings), default=0)
+    K = truncation_for(bound)
+    return states, [model_from_amalgam(s, p, K) for s in states], K - bound - 2
+
+
+def certify_chain(chain, p: int) -> int | None:
+    """The first state k of chain_models whose J does not read back as
+    radical(component) on every summand, or whose Id(J) does not span state
+    k + 1 (the last state: itself) at the noise floor; None if there is none."""
+    states, models, noise = chain_models(chain, p)
+    for k, (state, model, after) in enumerate(zip(states, models, models[1:] + models[-1:])):
+        J = oracle_radical(model)
+        want = [[list(r) for r in radical(c).N] for c in state.components]
+        if read_exponents(J, model.ambient, noise) != want or not spans_agree(
+            oracle_idealizer(model, J), after.basis, model.ambient, noise
+        ):
+            return k
+    return None

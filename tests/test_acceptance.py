@@ -12,7 +12,6 @@ from math import gcd
 
 from headorder.amalgam import (
     WHOLE,
-    AmalgamBlock,
     GluingConstraint,
     amalgam_chain,
     block_head_order,
@@ -33,21 +32,13 @@ from headorder.circulant import (
 )
 from headorder.exponent import (
     ExponentOrder,
-    diag_conjugate,
     glued_chain,
     is_hereditary,
     merge_unreduced,
     scaled_hereditary,
     standard_hereditary,
 )
-from headorder.oracle import (
-    certify_order,
-    model_from_amalgam,
-    oracle_idealizer,
-    oracle_radical,
-    spans_agree,
-    truncation_for,
-)
+from headorder.oracle import certify_chain
 from test_brauer import derive_permutations
 
 GRID = [(n, a) for n in range(2, 11) for a in range(1, 31)]
@@ -156,46 +147,6 @@ def _all_orders(n, maxent):
             yield ExponentOrder((1,) * n, tuple(tuple(r) for r in M))
 
 
-def _conj_chain(chain):
-    term = chain[-1]
-    shifts = [[c.M[i][0] for i in range(c.n)] for c in term.components]
-    out = []
-    for st in chain:
-        comps = tuple(
-            diag_conjugate(c, shifts[ci]) for ci, c in enumerate(st.components)
-        )
-        out.append(AmalgamBlock(comps, st.gluings, st.params))
-    return out
-
-
-def _amalgam_models(B, p):
-    """Models of every state of B's chain, conjugated to nonnegative
-    exponents, and the noise floor for comparing their spans."""
-    chain = _conj_chain(amalgam_chain(B))
-    mx = max(
-        max((x for row in c.M for x in row), default=0)
-        for st in chain
-        for c in st.components
-    )
-    mx = max(mx, 1)
-    mxd = max((g.depth for st in chain for g in st.gluings), default=0)
-    K = truncation_for(mx + mxd)
-    noise = K - (mx + mxd + 2)
-    return [model_from_amalgam(st, p, K) for st in chain], noise
-
-
-def _certify_amalgam(B, p):
-    models, noise = _amalgam_models(B, p)
-    for k in range(len(models) - 1):
-        J = oracle_radical(models[k])
-        Id = oracle_idealizer(models[k], J)
-        if not spans_agree(Id, models[k + 1].basis, models[k].ambient, noise):
-            return False
-    J = oracle_radical(models[-1])
-    Id = oracle_idealizer(models[-1], J)
-    return spans_agree(Id, models[-1].basis, models[-1].ambient, noise)
-
-
 def _amalgam_cases():
     one = ExponentOrder((1,), ((0,),))
     h2 = standard_hereditary((1, 1))
@@ -241,33 +192,19 @@ def _amalgam_cases():
 
 
 def test_c4_oracle_certification():
+    # each order as its one-component chain, then each amalgam's chain
     t0 = time.time()
-    ok = True
-    count = 0
-    for n in (1, 2, 3):
-        for order in _all_orders(n, 2):
-            count += 1
-            for p in (2, 3):
-                if not certify_order(order, p):
-                    ok = False
-                    break
-            if not ok:
-                break
-    acount = 0
-    if ok:
-        for B in _amalgam_cases():
-            acount += 1
-            for p in (2, 3):
-                if not _certify_amalgam(B, p):
-                    ok = False
-                    break
-            if not ok:
-                break
+    orders = [order for n in (1, 2, 3) for order in _all_orders(n, 2)]
+    blocks = [validate_amalgam([order], []) for order in orders]
+    amalgams = _amalgam_cases()
+    ok = all(
+        certify_chain(amalgam_chain(B), p) is None for B in blocks + amalgams for p in (2, 3)
+    )
     elapsed = time.time() - t0
     report(
-        "criterion 4, oracle certification of radical/idealizer/amalgam step",
+        "criterion 4, oracle certification of radical/idealizer/amalgam chains",
         ok and elapsed < 60.0,
-        f"{count} orders, {acount} amalgams, {elapsed:.1f}s",
+        f"{len(orders)} orders, {len(amalgams)} amalgams, {elapsed:.1f}s",
     )
 
 

@@ -150,38 +150,81 @@ def test_verify_with_oracle(capsys, monkeypatch):
     assert code == 0
     report = json.loads(out)
     assert report["agree"] is True
-    assert report["oracle_first_step_agrees"] is True
+    assert report["oracle"] == {"ran": True, "first_disagreement": None}
 
 
-def test_verify_oracle_disagreement_exit_1(capsys, monkeypatch):
+def _kernel_defect(monkeypatch):
+    """Make the row kernel take every miss as u_j (the radical's fast path
+    never lowers an entry to u_j - 1), and make certify_cell pass every
+    chain, so that only the oracle can see the defect."""
+    import headorder.cli as cli
+    from headorder import exponent
+
+    real = exponent._idealizer_row
+
+    def every_miss_is_u(N, sigma, f, u):
+        row = real(N, sigma, f, u)
+        if u[0] == 0 and N == exponent._radical_row(u, sigma):
+            return tuple(map(max, row, u))
+        return row
+
+    monkeypatch.setattr(exponent, "_idealizer_row", every_miss_is_u)
+    monkeypatch.setattr(cli, "certify_cell", lambda n, a, chain: True)
+
+
+def test_verify_oracle_catches_a_kernel_defect(capsys, monkeypatch):
+    # the defective chain never moves its start; at both cells the true
+    # glued first step leaves the start unchanged too, the second moves it
+    _kernel_defect(monkeypatch)
+    for cell in ('{"n": 3, "a": 2}', '{"n": 7, "a": 10}'):
+        code, out, _ = run(
+            capsys,
+            ["--command", "verify", "--input", "-", "--oracle", "on"],
+            stdin=cell,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert report["agree"] is False
+        assert report["oracle"] == {"ran": True, "first_disagreement": 1}
+
+
+def test_verify_oracle_certifies_the_cell_amalgam_chain(monkeypatch):
+    # the blocks verify certifies are the amalgam chain of a * H_n with
+    # H_1 glued at each block at depth a, here beyond the cap as well
+    import headorder.cli as cli
     from headorder import oracle
+    from headorder.amalgam import GluingConstraint, amalgam_chain, validate_amalgam
 
-    monkeypatch.setattr(oracle, "idealizer", lambda order, ideal: order)
-    code, out, _ = run(
-        capsys,
-        ["--command", "verify", "--input", "-", "--oracle", "on"],
-        stdin='{"n": 3, "a": 2}',
-        monkeypatch=monkeypatch,
-    )
-    assert code == 1
-    assert json.loads(out)["oracle_first_step_agrees"] is False
+    certified = []
+    # the stand-in records each chain and returns None: every chain passes
+    monkeypatch.setattr(oracle, "certify_chain", lambda chain, p: certified.append(chain))
+    monkeypatch.setattr(cli, "ORACLE_CAP", (8, 16))
+    one = standard_hereditary((1,))
+    for n in range(2, 9):
+        for a in range(1, 17):
+            ok, chain, detail = cli._verify_cell(n, a, True, None)
+            assert ok and detail["oracle"] == {"ran": True, "first_disagreement": None}
+            gluings = [GluingConstraint((0, q), (1 + q, 0), a) for q in range(n)]
+            block = validate_amalgam([scaled_hereditary((1,) * n, a)] + [one] * n, gluings)
+            assert certified.pop() == list(amalgam_chain(block)), (n, a)
 
 
 def test_verify_reports_oracle_outside_its_range(capsys, monkeypatch):
     code, out, _ = run(
         capsys,
         ["--command", "verify", "--input", "-", "--oracle", "on"],
-        stdin='{"n": 4, "a": 7}',
+        stdin='{"n": 8, "a": 3}',
         monkeypatch=monkeypatch,
     )
     assert code == 0
     report = json.loads(out)
     assert report["oracle"]["ran"] is False
-    assert "n <= 3" in report["oracle"]["reason"]
+    assert "n <= 7 and a <= 20" in report["oracle"]["reason"]
     _, out_off, _ = run(
         capsys,
         ["--command", "verify", "--input", "-"],
-        stdin='{"n": 4, "a": 7}',
+        stdin='{"n": 8, "a": 3}',
         monkeypatch=monkeypatch,
     )
     report.pop("oracle")
@@ -210,6 +253,21 @@ def test_sweep_disagreement_exit_1(capsys, monkeypatch):
     report = json.loads(out)
     assert report["disagreements"] == [{"n": 3, "a": 2}]
     assert (report["cells"], report["agree"]) == (9, False)
+
+
+def test_sweep_with_oracle(capsys, monkeypatch):
+    argv = ["--command", "sweep", "--grid", "n=2..4,a=1..4"]
+    code_off, out_off, _ = run(capsys, argv)
+    code, out, _ = run(capsys, argv + ["--oracle", "on"])
+    assert code == code_off == 0 and out == out_off
+    # a kernel defect only the oracle sees: every cell whose chain moves
+    _kernel_defect(monkeypatch)
+    code, out, _ = run(capsys, argv + ["--oracle", "on"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["disagreements"] == [
+        {"n": n, "a": a} for n in range(2, 5) for a in range(2, 5)
+    ]
 
 
 def test_sweep_requires_grid(capsys):

@@ -37,7 +37,8 @@ from headorder.modular import (
 from headorder.oracle import (
     Ambient,
     build_model,
-    certify_order,
+    certify_chain,
+    chain_models,
     model_from_amalgam,
     model_from_exponent,
     oracle_idealizer,
@@ -47,7 +48,7 @@ from headorder.oracle import (
     spans_agree,
     truncation_for,
 )
-from test_acceptance import _all_orders, _amalgam_cases, _amalgam_models, _conj_chain
+from test_acceptance import _all_orders, _amalgam_cases
 
 
 def struct_constants(mats, p):
@@ -183,7 +184,7 @@ def test_radical_modp_matches_dense_reference(p, monkeypatch):
         for order in _all_orders(n, 2)
     ]
     for B in _amalgam_cases():
-        mults.extend(m.mult for m in _amalgam_models(B, p)[0])
+        mults.extend(m.mult for m in chain_models(amalgam_chain(B), p)[1])
     g = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
     g2 = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
     for mats in (
@@ -324,24 +325,27 @@ def test_oracle_idealizer_scaled_h3():
 
 
 def _never(*args):
-    raise AssertionError("certify_order went past the read-back that fails")
+    raise AssertionError("certify_chain went past the J read-back that fails")
 
 
-def test_certify_order_rejects_a_wrong_radical(monkeypatch):
-    # every predicted radical exponent one too high: the J read-back says no
+def test_certify_chain_rejects_a_wrong_radical(monkeypatch):
+    # every predicted radical exponent one too high: the J read-back of
+    # state 0 says no before any idealizer is taken
     def high_radical(order):
         return ExponentIdeal(tuple(tuple(x + 1 for x in row) for row in radical(order).N))
 
+    chain = amalgam_chain(validate_amalgam([scaled_hereditary((1, 1, 1), 2)], []))
     monkeypatch.setattr(oracle, "radical", high_radical)
     monkeypatch.setattr(oracle, "oracle_idealizer", _never)
-    assert certify_order(scaled_hereditary((1, 1, 1), 2), 3) is False
+    assert certify_chain(chain, 3) == 0
 
 
-def test_certify_order_rejects_a_wrong_idealizer(monkeypatch):
-    # the predicted idealizer is the order itself: the Id read-back says no
-    monkeypatch.setattr(oracle, "idealizer", lambda order, ideal: order)
-    monkeypatch.setattr(oracle, "spans_agree", _never)
-    assert certify_order(scaled_hereditary((1, 1, 1), 2), 3) is False
+def test_certify_chain_rejects_a_wrong_idealizer():
+    # state 1 replaced by state 2: the oracle Id(J) of state 0 does not span it
+    chain = list(amalgam_chain(validate_amalgam([scaled_hereditary((1, 1, 1), 5)], [])))
+    assert len(chain) > 3 and chain[1] != chain[2]
+    assert certify_chain(chain, 3) is None
+    assert certify_chain(chain[:1] + chain[2:3] + chain[2:], 3) == 0
 
 
 def test_truncation_stability():
@@ -569,8 +573,8 @@ def test_model_from_amalgam_matches_generator_reference(p):
         for order in _all_orders(n, 2)
     ]
     for B in _amalgam_cases():
-        K = _amalgam_models(B, p)[0][0].ambient.K
-        blocks.extend((st, K) for st in _conj_chain(amalgam_chain(B)))
+        states, models, _ = chain_models(amalgam_chain(B), p)
+        blocks.extend((st, m.ambient.K) for st, m in zip(states, models))
     for B, K in blocks:
         got = model_from_amalgam(B, p, K)
         want = reference_model_from_amalgam(B, p, K)
@@ -844,7 +848,7 @@ def _reference_models(p):
         for order in _all_orders(n, 2):
             yield model_from_exponent(order, p, truncation_for(2))
     for B in _amalgam_cases():
-        yield from _amalgam_models(B, p)[0]
+        yield from chain_models(amalgam_chain(B), p)[1]
 
 
 @pytest.mark.parametrize("p", (2, 3))
