@@ -17,8 +17,8 @@ uniformizer.  Two congruence flavors appear:
 Both flavors lose exactly one level of depth per idealizer step and the
 constraint disappears at depth 0, splitting the components.
 
-The components never interact.  A step moves component c to
-glued_idealizer(c, J(c), depths), depths[q] the largest depth of the
+The components never interact.  A step moves component c to Id(J(c)),
+glued_idealizer(c, depths), depths[q] the largest depth of the
 diagonal gluings at block q (0 if none), then lowers every gluing depth by
 one.  So after k moves gluing g is at depth g.depth - k while that is
 positive, gone afterwards, and block q carries max(D_q - k, 0), D_q its
@@ -49,7 +49,6 @@ from .exponent import (
     glued_chain,
     glued_idealizer,
     is_hereditary,
-    radical,
 )
 
 KINDS = ("diagonal", "matrix")
@@ -159,7 +158,7 @@ def amalgam_idealizer_step(B: AmalgamBlock) -> AmalgamBlock:
     same states without it (module docstring).
     """
     components = tuple(
-        comp if comp.n == 1 else glued_idealizer(comp, radical(comp), depths)
+        comp if comp.n == 1 else glued_idealizer(comp, depths)
         for comp, depths in zip(B.components, _depth_vectors(B))
     )
     return _lowered(B, components, 1)
@@ -185,7 +184,7 @@ def _component_chain(comp: ExponentOrder, depths: tuple[int, ...], max_steps: in
 
     def step(state):
         order, ds = state
-        return glued_idealizer(order, radical(order), ds), tuple(max(d - 1, 0) for d in ds)
+        return glued_idealizer(order, ds), tuple(max(d - 1, 0) for d in ds)
 
     return fixed_point_chain(step, (comp, depths), max_steps)
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from itertools import accumulate, repeat
-from operator import add, getitem, indexOf, neg, sub
+from operator import add, indexOf, neg, sub
 from typing import NamedTuple
 
 from .errors import DiagonalNonzero, StepBudgetExceeded, TriangleViolation
@@ -59,10 +59,10 @@ class TwistedCirculant(NamedTuple):
 
     T(u, sigma)[i][j] = u[(j - i) % n] + sigma * [j < i]; twisted_matrix
     builds it, and _twisted_form finds it in a diagonal conjugate.  radical
-    and glued_idealizer (at one depth on every block, with the order in
-    this form too) take and return it in O(n) and O(n^2): see _radical_row
-    and _idealizer_row.  glued_chain runs every rotation-symmetric chain on
-    this form and builds a state's matrix when it is read.
+    and glued_idealizer (at one depth on every block) take and return it in
+    O(n) and O(n^2): see _radical_row and _idealizer_row.  glued_chain runs
+    every rotation-symmetric chain on this form and builds a state's matrix
+    when it is read.
     """
 
     u: tuple[int, ...]
@@ -146,24 +146,18 @@ def radical(order: ExponentOrder | TwistedCirculant) -> ExponentIdeal | TwistedC
     return ExponentIdeal(_radical_matrix(order.M))
 
 
-@lru_cache(maxsize=1)
 def _radical_matrix(M: Matrix) -> Matrix:
     """The exponent matrix of the radical of the order M (see radical).
 
     Entry (i, j) is m_ij + [m_ij + m_ji = 0], the rule of _radical_row: on
     an order the relation m_ij + m_ji = 0 is transitive (see
-    _unreduced_classes), so it is the class relation itself.  The last
-    result is kept: a chain step asks for the same matrix twice, in radical
-    and in the check of _maxplus_idealizer.
+    _unreduced_classes), so it is the class relation itself.
+    glued_idealizer makes it once per step and hands it to
+    _maxplus_idealizer.
     """
     return tuple(
         tuple(x + (x + y == 0) for x, y in zip(row, col)) for row, col in zip(M, zip(*M))
     )
-
-
-def _is_radical(M: Matrix, N: Matrix) -> bool:
-    """True if M has a zero diagonal and N is its radical: O(n^2)."""
-    return not any(map(getitem, M, range(len(M)))) and N == _radical_matrix(M)
 
 
 # Old name of the general radical.  perfbench/ calls it in its oracle set-up
@@ -195,86 +189,77 @@ def conjugate_matrix(M: Matrix, t) -> Matrix:
 
 
 def idealizer(order: ExponentOrder, ideal: ExponentIdeal) -> ExponentOrder:
-    """Two-sided idealizer of an ideal: the glued idealizer at depth 0 everywhere."""
-    return glued_idealizer(order, ideal, [0] * order.n)
+    """Id(J) of J = radical(order): the glued idealizer at depth 0 everywhere.
+
+    Any other ideal raises ValueError: the kernels take the radical alone."""
+    if ideal != radical(order):
+        raise ValueError("idealizer takes the radical of the order and no other ideal")
+    return glued_idealizer(order, [0] * order.n)
 
 
 def glued_idealizer(
-    order: ExponentOrder | TwistedCirculant, ideal: ExponentIdeal | TwistedCirculant, depths
+    order: ExponentOrder | TwistedCirculant, depths
 ) -> ExponentOrder | TwistedCirculant:
-    """Idealizer of an ideal when diagonal blocks carry congruence constraints.
+    """Idealizer of the order's radical N when diagonal blocks carry congruences.
 
     The left condition (x N inside N) forces m[i][j] >= N[i][k] - N[j][k] for
     all k, the right condition forces m[i][j] >= N[k][j] - N[k][i]; the
     idealizer is cut out by both.  With A_i the row N[i] followed by minus
     column i of N, both maxima are the one max-plus product
-    G[i][j] = max_k (A_i[k] - A_j[k]): O(n^3).  When N is the radical of
-    the order, each entry is m_ij or m_ij - 1 and the search for a term
-    equal to m_ij stops at the first one found (proof in
-    _maxplus_idealizer); each kernel checks this itself, and any other
-    ideal takes the maximum.
+    G[i][j] = max_k (A_i[k] - A_j[k]).  As N is the radical, each entry is
+    m_ij or m_ij - 1, and the search for a term equal to m_ij stops at the
+    first one found (proof in _maxplus_idealizer): O(n^3) at worst.
 
     depths[q] is the congruence depth amalgamating diagonal block q to a
     partner outside this component.  Multiplication into a glued diagonal
     block must land at valuation >= depths[q] off the diagonal, which adds
     the lower bound m[i][j] >= max(depths[i], depths[j]) - N[j][i].  With
     every depth 0 (idealizer) the bound is vacuous: the idealizer has
-    m[i][j] >= N[i][i] - N[j][i] and N[i][i] >= 0 for an ideal of the
-    order.  The result always contains the order.
+    m[i][j] >= N[i][i] - N[j][i] and N[i][i] = 1 > 0.  The result always
+    contains the order.
 
-    There is one kernel per form, and the order and the ideal must be in
-    the same one, with the same n.  An ExponentOrder and an ExponentIdeal
-    take the matrix kernel, _maxplus_idealizer, at any depths.  A
-    TwistedCirculant order and ideal, with one sigma, take the row kernel,
-    _idealizer_row, at one depth on every block, and get T(g, sigma): one
-    row of n entries, O(n^2).  Chains reach the row form through
-    glued_chain, which twists a rotation-symmetric start once.
+    The radical is made here, by one call of radical, in the order's form,
+    and goes to the kernel of that form.  An ExponentOrder takes the matrix
+    kernel, _maxplus_idealizer, at any depths.  A TwistedCirculant takes
+    the row kernel, _idealizer_row, at one depth on every block, and gets
+    T(g, sigma): one row of n entries, O(n^2).  Chains reach the row form
+    through glued_chain, which twists a rotation-symmetric start once.
     """
     depths = list(map(int, depths))
     n = order.n
     if len(depths) != n:
         raise ValueError("depths must have length n")
-    if isinstance(order, TwistedCirculant) != isinstance(ideal, TwistedCirculant):
-        raise ValueError("the order and the ideal must both be TwistedCirculant or neither")
-    if not isinstance(ideal, TwistedCirculant):
-        if len(ideal.N) != n:
-            raise ValueError("an ideal needs one row per block of the order")
-        return _maxplus_idealizer(order, ideal.N, depths)
+    if not isinstance(order, TwistedCirculant):
+        return _maxplus_idealizer(order, radical(order).N, depths)
     if depths.count(depths[0]) != n:
-        raise ValueError("a TwistedCirculant ideal needs one depth on every block")
-    if order.sigma != ideal.sigma or order.n != ideal.n:
-        raise ValueError("a TwistedCirculant ideal needs an order of its n and sigma")
-    return TwistedCirculant(_idealizer_row(ideal.u, ideal.sigma, depths[0], order.u), ideal.sigma)
+        raise ValueError("a TwistedCirculant order needs one depth on every block")
+    N = radical(order).u
+    return TwistedCirculant(_idealizer_row(N, order.sigma, depths[0], order.u), order.sigma)
 
 
 def _maxplus_idealizer(order: ExponentOrder, N: Matrix, depths) -> ExponentOrder:
     """glued_idealizer on every row: each entry of the maximum, then the depth bound.
 
-    If the order M has a zero diagonal and N is its radical (_is_radical,
-    O(n^2)), entry (i, j) of the maximum is m_ij when m_ij is one of its
-    terms and m_ij - 1 otherwise; on any other N it is the max-plus
-    maximum.  Both give the same matrix.  Write c_ij = [m_ij + m_ji = 0],
-    so N = M + C.  N is a two-sided ideal of M: m_ij + N_jk >= N_ik is the
-    triangle inequality unless c_ik = 1 and c_jk = 0; then i and j are in
-    different classes (the classes are transitive, see _unreduced_classes),
-    so m_ij >= 1 - m_ji >= 1 - m_jk - m_ki = 1 - m_jk + m_ik, as m_ki =
-    -m_ik.  The right side, N_ki + m_ij >= N_kj, is the same with the
-    transpose.  So every term N_ik - N_jk and N_kj - N_ki is at most m_ij.
-    The term k = j is N_ij - N_jj = m_ij + c_ij - 1, since N_jj = 1: the
-    maximum is at least m_ij - 1, and it is m_ij iff some term is (the
-    term k = j is, when c_ij = 1).  The search stops at the first such
-    term: O(n^3) at worst, as the maximum.
+    N is the radical of the order M, whose diagonal is zero.  Entry (i, j)
+    of the maximum is m_ij when m_ij is one of its terms and m_ij - 1
+    otherwise.  Write c_ij = [m_ij + m_ji = 0], so N = M + C.  N is a
+    two-sided ideal of M: m_ij + N_jk >= N_ik is the triangle inequality
+    unless c_ik = 1 and c_jk = 0; then i and j are in different classes
+    (the classes are transitive, see _unreduced_classes), so m_ij >= 1 -
+    m_ji >= 1 - m_jk - m_ki = 1 - m_jk + m_ik, as m_ki = -m_ik.  The right
+    side, N_ki + m_ij >= N_kj, is the same with the transpose.  So every
+    term N_ik - N_jk and N_kj - N_ki is at most m_ij.  The term k = j is
+    N_ij - N_jj = m_ij + c_ij - 1, since N_jj = 1: the maximum is at least
+    m_ij - 1, and it is m_ij iff some term is (the term k = j is, when
+    c_ij = 1).  The search stops at the first such term: O(n^3) at worst,
+    as the maximum.
     """
     cols = list(zip(*N))
     A = [row + tuple(map(neg, col)) for row, col in zip(N, cols)]
-    two_valued = _is_radical(order.M, N)
     G = []
     glued = any(depths)
     for i, Ai in enumerate(A):
-        if two_valued:
-            row = [m if m in map(sub, Ai, Aj) else m - 1 for m, Aj in zip(order.M[i], A)]
-        else:
-            row = [max(map(sub, Ai, Aj)) for Aj in A]
+        row = [m if m in map(sub, Ai, Aj) else m - 1 for m, Aj in zip(order.M[i], A)]
         if glued:
             # max(d_i, d_j) - N[j][i] is the larger of d_i - N[j][i] and
             # d_j - N[j][i]; column i of N holds N[j][i]
@@ -348,7 +333,6 @@ def _twisted_form(N: Matrix) -> tuple[tuple[int, ...], int, tuple[int, ...]] | N
     return (u, sigma, P) if N == (conjugate_matrix(T, P) if any(P) else T) else None
 
 
-@lru_cache(maxsize=1)
 def _radical_row(u, sigma: int) -> tuple[int, ...]:
     """Row 0 of the radical of the order T(u, sigma), in the same coordinates.
 
@@ -357,8 +341,8 @@ def _radical_row(u, sigma: int) -> tuple[int, ...]:
     otherwise (exactly one of j < i and i < j holds).  So the class
     indicator depends on d alone, and the radical, M plus that indicator
     (see radical), is T(r, sigma) with r_d = u_d + [u_d + u_(n-d) + sigma
-    * [d > 0] = 0]: O(n).  The last result is kept: a chain step asks for
-    the same row twice, in radical and in the check of _idealizer_row.
+    * [d > 0] = 0]: O(n).  glued_idealizer makes it once per step and
+    hands it to _idealizer_row.
     """
     twist = (0,) + (sigma,) * (len(u) - 1)
     return tuple(
@@ -369,21 +353,19 @@ def _radical_row(u, sigma: int) -> tuple[int, ...]:
 def _idealizer_row(N, sigma: int, f: int, u) -> tuple[int, ...]:
     """Row 0 of the glued idealizer of T(N, sigma) at depth f on every block.
 
-    u is the row of the order T(u, sigma) that T(N, sigma) is an ideal
-    of.  G_0 = 0.  For j >= 1, row j of T = T(N, sigma) is the
+    T(N, sigma) is the radical of the order T(u, sigma), u[0] = 0, and N
+    is _radical_row(u, sigma).  G_0 = 0.  For j >= 1, row j of T = T(N, sigma) is the
     slice E[n - j : 2n - j] of E = (N + sigma) ++ N, since
     E[n - j + k] = N[(k - j) % n] + sigma * [k < j].  So the left maximum
     is G_j = max_k (N_k - E[n - j + k]): one slice and one map.  When f is
     nonzero the depth bound is f - T[j][0] = f - E[n - j].
 
-    If u[0] = 0 and N is _radical_row(u, sigma), O(n) to check, then
-    T(N, sigma) is the radical of the order T(u, sigma), and G_j is u_j
-    when u_j is one of the terms and u_j - 1 otherwise; the search stops at
-    the first such term.  This is the maximum: entry (0, j) of the order is
-    u_j, and by the proof in _maxplus_idealizer every term is at most u_j
-    and the term k = j, N_j - N_0 = N_j - 1, is at least u_j - 1 (the
-    terms of the right maximum are those of the left one, see below).
-    If the check fails, G_j is the maximum itself.
+    G_j is u_j when u_j is one of the terms and u_j - 1 otherwise; the
+    search stops at the first such term.  This is the maximum: entry (0, j)
+    of the order is u_j, and by the proof in _maxplus_idealizer every term
+    is at most u_j and the term k = j, N_j - N_0 = N_j - 1, is at least
+    u_j - 1 (the terms of the right maximum are those of the left one, see
+    below).
 
     The right maximum, max_k (T[k][j] - T[k][0]), is not computed: it
     equals the left one term by term.  Its term at k is
@@ -398,13 +380,10 @@ def _idealizer_row(N, sigma: int, f: int, u) -> tuple[int, ...]:
     n = len(N)
     E = tuple(map(add, N, repeat(sigma))) + N
     # k = n - j for j = 1, ..., n - 1
-    if u[0] == 0 and N == _radical_row(u, sigma):
-        G = [
-            m if m in map(sub, N, E[k : k + n]) else m - 1
-            for m, k in zip(u[1:], range(n - 1, 0, -1))
-        ]
-    else:
-        G = [max(map(sub, N, E[k : k + n])) for k in range(n - 1, 0, -1)]
+    G = [
+        m if m in map(sub, N, E[k : k + n]) else m - 1
+        for m, k in zip(u[1:], range(n - 1, 0, -1))
+    ]
     if f:
         G = map(max, G, map(sub, repeat(f), E[n - 1 : 0 : -1]))
     return (0, *G)
@@ -479,7 +458,8 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
     step.  Returns the (order, depth) pairs from the start to the first
     exponent-and-depth fixed point: a list, or on a rotation-symmetric
     start a LazyChain.  Every step is step((T, f)) = (glued_idealizer(T,
-    radical(T), [f] * n), max(f - 1, 0)), on the form of the start.
+    [f] * n), max(f - 1, 0)), on the form of the start; glued_idealizer
+    makes the radical of T.
 
     _twisted_form checks the rotation symmetry once, on the start M: M
     conjugated by -P is T(u, sigma).  Radical and glued_idealizer at one
@@ -505,7 +485,7 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
 
     def step(state):
         T, f = state
-        return glued_idealizer(T, radical(T), [f] * n), max(f - 1, 0)
+        return glued_idealizer(T, [f] * n), max(f - 1, 0)
 
     form = _twisted_form(order.M)
     if form is None:

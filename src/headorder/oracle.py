@@ -443,21 +443,36 @@ def chain_models(chain, p: int):
     """(states, models, noise floor) of an amalgam chain, as certify_chain checks it.
 
     Components are conjugated by the first column of their last state, so no
-    entry is negative; K = truncation_for(mx + mxd) and the floor is
+    entry of an Id(J) chain is negative (see certify_chain); a state that has
+    one gets the model None.  K = truncation_for(mx + mxd) and the floor is
     K - mx - mxd - 2, mx the largest entry (at least 1), mxd the largest depth."""
     t = [[row[0] for row in c.M] for c in chain[-1].components]
     states = [replace(s, components=tuple(map(diag_conjugate, s.components, t))) for s in chain]
     bound = max(c.max_entry() for s in states for c in s.components) or 1
     bound += max((g.depth for s in states for g in s.gluings), default=0)
     K = truncation_for(bound)
-    return states, [model_from_amalgam(s, p, K) for s in states], K - bound - 2
+    models = [
+        None if any(x < 0 for c in s.components for row in c.M for x in row)
+        else model_from_amalgam(s, p, K)
+        for s in states
+    ]
+    return states, models, K - bound - 2
 
 
 def certify_chain(chain, p: int) -> int | None:
     """The first state k of chain_models whose J does not read back as
     radical(component) on every summand, or whose Id(J) does not span state
-    k + 1 (the last state: itself) at the noise floor; None if there is none."""
+    k + 1 (the last state: itself) at the noise floor; None if there is none.
+
+    If a state has a negative entry (model None), the first such state is
+    returned and no model is checked.  No state of an Id(J) chain has one:
+    Id(J) contains the order, so each state is contained in the next and in
+    the last state L, and its conjugated entry (i, j) is at least
+    l_ij - l_i0 + l_j0 >= 0, the triangle inequality of the order L.  So
+    the chain goes wrong at that state or after it."""
     states, models, noise = chain_models(chain, p)
+    if None in models:
+        return models.index(None)
     for k, (state, model, after) in enumerate(zip(states, models, models[1:] + models[-1:])):
         J = oracle_radical(model)
         want = [[list(r) for r in radical(c).N] for c in state.components]

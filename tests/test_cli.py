@@ -154,19 +154,16 @@ def test_verify_with_oracle(capsys, monkeypatch):
 
 
 def _kernel_defect(monkeypatch):
-    """Make the row kernel take every miss as u_j (the radical's fast path
-    never lowers an entry to u_j - 1), and make certify_cell pass every
-    chain, so that only the oracle can see the defect."""
+    """Make the row kernel take every miss as u_j (it never lowers an entry
+    to u_j - 1), and make certify_cell pass every chain, so that only the
+    oracle can see the defect."""
     import headorder.cli as cli
     from headorder import exponent
 
     real = exponent._idealizer_row
 
     def every_miss_is_u(N, sigma, f, u):
-        row = real(N, sigma, f, u)
-        if u[0] == 0 and N == exponent._radical_row(u, sigma):
-            return tuple(map(max, row, u))
-        return row
+        return tuple(map(max, real(N, sigma, f, u), u))
 
     monkeypatch.setattr(exponent, "_idealizer_row", every_miss_is_u)
     monkeypatch.setattr(cli, "certify_cell", lambda n, a, chain: True)
@@ -187,6 +184,30 @@ def test_verify_oracle_catches_a_kernel_defect(capsys, monkeypatch):
         report = json.loads(out)
         assert report["agree"] is False
         assert report["oracle"] == {"ran": True, "first_disagreement": 1}
+
+
+def test_verify_oracle_reports_a_chain_that_grows_entries(capsys, monkeypatch):
+    # a row kernel that adds 1 to every entry off the diagonal makes a chain
+    # whose first state, conjugated by the last state's first column, has a
+    # negative entry: verify reports that state and exits 1
+    import headorder.cli as cli
+    from headorder import exponent
+
+    real = exponent._idealizer_row
+    monkeypatch.setattr(
+        exponent, "_idealizer_row", lambda *args: (0, *(x + 1 for x in real(*args)[1:]))
+    )
+    monkeypatch.setattr(cli, "certify_cell", lambda n, a, chain: True)
+    code, out, _ = run(
+        capsys,
+        ["--command", "verify", "--input", "-", "--oracle", "on"],
+        stdin='{"n": 3, "a": 2}',
+        monkeypatch=monkeypatch,
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["agree"] is False
+    assert report["oracle"] == {"ran": True, "first_disagreement": 0}
 
 
 def test_verify_oracle_certifies_the_cell_amalgam_chain(monkeypatch):

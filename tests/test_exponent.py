@@ -254,7 +254,7 @@ def test_idealizer_matches_maxplus_reference():
     def check(order, ideal, depths=None):
         assert idealizer(order, ideal) == maxplus_idealizer(order, ideal)
         if depths is not None:
-            got = glued_idealizer(order, ideal, depths)
+            got = glued_idealizer(order, depths)
             assert got == maxplus_glued_idealizer(order, ideal, depths)
 
     # every state of the Lambda(v) chains, as a matrix
@@ -266,16 +266,13 @@ def test_idealizer_matches_maxplus_reference():
                 states += 1
     assert states == 8714
 
-    # random orders, with negative and unreduced entries, and random
-    # rotation-symmetric matrices
+    # random orders, with negative and unreduced entries
     rng = random.Random(20)
     for n in range(1, 9):
         for _ in range(25):
             order = _random_order(rng, n)
             depths = [rng.randint(0, 3) for _ in range(n)]
             check(order, radical(order), depths)
-            N = _random_rotation_symmetric(rng, n)
-            check(ExponentOrder((1,) * n, N), ExponentIdeal(N), [2] * n)
 
     # n = 1 and n = 2
     for M in ([[0]], [[0, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 2], [-1, 0]]):
@@ -316,21 +313,7 @@ def test_rotation_symmetric_left_maximum_is_the_right_one():
                     left = max(N[i][k] - N[j][k] for k in rng_n)
                     right = max(N[k][j] - N[k][i] for k in rng_n)
                     assert left == right
-            order, ideal = ExponentOrder((1,) * n, N), ExponentIdeal(N)
             assert exponent._untwist(u, sig, P) == N
-            T = TwistedCirculant(u, sig)
-            for f in range(4):
-                row = exponent._idealizer_row(u, sig, f, u)
-                assert glued_idealizer(T, T, [f] * n) == TwistedCirculant(row, sig)
-                got = ExponentOrder(order.dims, exponent._untwist(row, sig, P))
-                # at depth 0 no bound is applied: it is vacuous on an ideal,
-                # whose diagonal is >= 0, and these diagonals may be negative
-                want = (
-                    maxplus_glued_idealizer(order, ideal, [f] * n)
-                    if f
-                    else maxplus_idealizer(order, ideal)
-                )
-                assert got == want == glued_idealizer(order, ideal, [f] * n)
     # sig is the sigma of N's twisted form and P its conjugation
     assert twisted > 100 and prefixed > 100
 
@@ -357,36 +340,33 @@ def test_twisted_radical_is_the_radical():
 
 def test_twisted_ideal_needs_one_depth():
     T = TwistedCirculant((0, 1, 1), -1)
-    with pytest.raises(ValueError):
-        glued_idealizer(T, radical(T), [0, 1, 1])
-    with pytest.raises(ValueError):
-        glued_idealizer(T, radical(T), [1, 1])
+    with pytest.raises(ValueError, match="one depth on every block"):
+        glued_idealizer(T, [0, 1, 1])
+    with pytest.raises(ValueError, match="depths must have length n"):
+        glued_idealizer(T, [1, 1])
+
+
+def test_glued_idealizer_needs_one_depth_per_block():
+    # a matrix order takes unequal depths, but one per block
+    order = scaled_hereditary((1, 1, 1), 2)
+    for depths in ([], [1, 1], [1, 0, 0, 1]):
+        with pytest.raises(ValueError, match="depths must have length n"):
+            glued_idealizer(order, depths)
+    assert glued_idealizer(order, [2, 0, 1]).n == 3
 
 
 def test_twisted_ideal_needs_a_matching_order():
-    # the order's row bounds the result, so the order must be a twisted
-    # circulant of the ideal's length and sigma; a TwistedCirculant order
-    # needs an ideal in its form, and a matrix order an ideal of its n
+    # idealizer takes the radical of its order alone: a twisted circulant
+    # ideal or the radical of an order of another n is refused (ideals of
+    # the order's own n: test_idealizer_takes_the_radical_alone)
     T = TwistedCirculant((0, 1, 1), -1)
     H3 = ExponentOrder((1, 1, 1), exponent._untwist(T.u, T.sigma, (0, 0, 0)))
     H2 = scaled_hereditary((1, 1), 1)
-    for order, ideal in [
-        (T, TwistedCirculant((1, 1), -1)),
-        (TwistedCirculant((0, 1), -1), radical(T)),
-        (TwistedCirculant((0, 1, 1), 0), radical(T)),
-        (H3, radical(T)),
-        (T, radical(H3)),
-        (T, ExponentIdeal(H3.M)),
-        (H3, radical(H2)),
-        (H2, radical(H3)),
-    ]:
-        for depths in ([0] * order.n, [1] + [0] * (order.n - 1)):
-            with pytest.raises(ValueError):
-                glued_idealizer(order, ideal, depths)
-    for order, ideal in [(T, radical(H3)), (H2, radical(H3))]:
+    for order, ideal in [(H3, radical(T)), (H3, radical(H2)), (H2, radical(H3))]:
         with pytest.raises(ValueError):
             idealizer(order, ideal)
-    assert glued_idealizer(T, radical(T), [0] * 3) == T
+    assert idealizer(H3, radical(H3)) == H3
+    assert glued_idealizer(T, [0] * 3) == T
 
 
 # a start without rotation symmetry: glued_chain runs the max-plus kernel
@@ -403,26 +383,32 @@ _ASYMMETRIC = validate_order([[0, 4, 8, 9], [0, 0, 4, 8], [0, 0, 0, 4], [0, 0, 0
 )
 def test_chain_steps_through_radical_and_glued_idealizer(monkeypatch, start, depth, form):
     # every step of a chain, also the one that confirms the fixed point, is
-    # one radical and one glued_idealizer call: on its row when the start is
-    # rotation-symmetric (9 H_6), on its matrix otherwise (_ASYMMETRIC)
-    calls = []
+    # one glued_idealizer call with one radical call inside it: on its row
+    # when the start is rotation-symmetric (9 H_6), on its matrix otherwise
+    # (_ASYMMETRIC)
+    calls, open_calls = [], []
     for name in ("radical", "glued_idealizer"):
         fn = getattr(exponent, name)
 
         def spy(*args, fn=fn, name=name):
-            calls.append((name, type(args[0])))
-            return fn(*args)
+            calls.append((name, type(args[0]), tuple(open_calls)))
+            open_calls.append(name)
+            try:
+                return fn(*args)
+            finally:
+                open_calls.pop()
 
         monkeypatch.setattr(exponent, name, spy)
     chain = glued_chain(start, depth)
     assert len(chain) > 2
-    assert calls == [("radical", form), ("glued_idealizer", form)] * len(chain)
+    step = [("glued_idealizer", form, ()), ("radical", form, ("glued_idealizer",))]
+    assert calls == step * len(chain)
 
 
 def test_glued_idealizer_depth_zero_is_bare():
     order = scaled_hereditary((1, 1, 1), 2)
     bare = idealizer(order, radical(order))
-    glued = glued_idealizer(order, radical(order), [0, 0, 0])
+    glued = glued_idealizer(order, [0, 0, 0])
     assert glued.M == bare.M
 
 
@@ -431,14 +417,14 @@ def test_glued_idealizer_one_block(dims, ram):
     # a one-block order is the maximal order at every depth
     order = ExponentOrder(dims, ((0,),), ram)
     for depth in range(4):
-        got = glued_idealizer(order, radical(order), [depth])
+        got = glued_idealizer(order, [depth])
         assert got == ExponentOrder(dims, ((0,),), ram)
 
 
 def test_glued_idealizer_depth_blocks_growth():
     # with depth equal to the scale the first step only opens the diagonal
     order = scaled_hereditary((1, 1, 1), 2)
-    glued = glued_idealizer(order, radical(order), [2, 2, 2])
+    glued = glued_idealizer(order, [2, 2, 2])
     assert validate_order(glued.M, glued.dims)
     # containment between the bare and glued results
     bare = idealizer(order, radical(order))
@@ -499,24 +485,22 @@ def _not_radicals(order):
 
 def test_idealizer_of_a_radical_is_two_valued():
     # on the radical J of an order, every entry of the max-plus maximum is
-    # m_ij or m_ij - 1, and both kernels pick the same one as the maximum;
-    # an ideal that is not the radical gets the maximum itself
+    # m_ij or m_ij - 1, and both kernels pick the same one as the maximum
     def check(order, ideal, depths):
         bare = maxplus_idealizer(order, ideal).M
-        if ideal.N == radical(order).N:
-            assert all(
-                g in (m - 1, m) for grow, mrow in zip(bare, order.M) for g, m in zip(grow, mrow)
-            )
+        assert all(
+            g in (m - 1, m) for grow, mrow in zip(bare, order.M) for g, m in zip(grow, mrow)
+        )
         want = maxplus_glued_idealizer(order, ideal, depths).M
-        assert glued_idealizer(order, ideal, depths).M == want
+        assert glued_idealizer(order, depths).M == want
         return want
 
     def check_twisted(order, ideal, f):
         n = order.n
         u, sigma, P = exponent._twisted_form(order.M)
-        v, sigma_v, P_v = exponent._twisted_form(ideal.N)
+        _, sigma_v, P_v = exponent._twisted_form(ideal.N)
         assert (sigma_v, P_v) == (sigma, P)
-        G = glued_idealizer(TwistedCirculant(u, sigma), TwistedCirculant(v, sigma), [f] * n)
+        G = glued_idealizer(TwistedCirculant(u, sigma), [f] * n)
         assert exponent._untwist(G.u, sigma, P) == check(order, ideal, [f] * n)
 
     # the twisted form: every state of the Lambda(v) chains with n <= 12
@@ -543,33 +527,30 @@ def test_idealizer_of_a_radical_is_two_valued():
         check(start, radical(start), depths)
         for f in range(4):
             for order, g in glued_chain(start, f):
-                assert exponent._is_radical(order.M, radical(order).N)
+                # the zero diagonal the two-valued rule needs
+                assert not any(order.M[i][i] for i in range(n))
                 check(order, radical(order), [g] * n)
                 steps += 1
     assert steps > 1000
 
-    # ideals that are not the radical take the max-plus path, on both forms
+
+def test_idealizer_takes_the_radical_alone():
+    # idealizer refuses every ideal that is not radical(order), and gives
+    # the max-plus maximum on the radical
+    rng = random.Random(30)
+    starts = [_ASYMMETRIC, scaled_hereditary((1,) * 4, 3)]
+    for n in range(1, 9):
+        starts += [_random_order(rng, n) for _ in range(3)]
+        starts += [_random_circulant_order(rng, n) for _ in range(3)]
     others = 0
-    for start in starts[:40]:
-        for N in _not_radicals(start):
-            assert not exponent._is_radical(start.M, N)
-            for f in (0, 2):
-                check(start, ExponentIdeal(N), [f] * start.n)
+    for order in starts:
+        J = radical(order)
+        assert idealizer(order, J) == maxplus_idealizer(order, J)
+        for N in _not_radicals(order):
+            assert N != J.N
+            with pytest.raises(ValueError, match="radical"):
+                idealizer(order, ExponentIdeal(N))
             others += 1
-    for n in range(2, 8):
-        for order, f in glued_chain(scaled_hereditary((1,) * n, 2 * n), 2 * n):
-            J = radical(order).N
-            for N in (order.M, _min_plus_square(J)):
-                check_twisted(order, ExponentIdeal(N), f)
-                others += 1
-            for d in range(n):
-                # raise every entry (i, i + d): the twisted row's entry d
-                N = tuple(
-                    tuple(x + ((j - i) % n == d) for j, x in enumerate(row))
-                    for i, row in enumerate(J)
-                )
-                check_twisted(order, ExponentIdeal(N), f)
-                others += 1
     assert others > 500
 
 

@@ -348,6 +348,18 @@ def test_certify_chain_rejects_a_wrong_idealizer():
     assert certify_chain(chain[:1] + chain[2:3] + chain[2:], 3) == 0
 
 
+def test_certify_chain_rejects_a_chain_that_shrinks(monkeypatch):
+    # 5 H_3's chain backwards: its last state is the start, whose first
+    # column is zero, and its first state, the head, has a negative entry
+    chain = list(amalgam_chain(validate_amalgam([scaled_hereditary((1, 1, 1), 5)], [])))[::-1]
+    assert min(map(min, chain[0].components[0].M)) < 0
+    monkeypatch.setattr(oracle, "oracle_radical", _never)
+    assert certify_chain(chain, 3) == 0
+    # the head alone is a chain that certifies
+    monkeypatch.undo()
+    assert certify_chain(chain[:1], 3) is None
+
+
 def test_truncation_stability():
     order = scaled_hereditary((1, 1), 2)
     for K in (8, 9):
