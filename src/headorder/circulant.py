@@ -14,7 +14,7 @@ from math import gcd
 from operator import sub
 
 from .errors import NotACycle, OutOfRange
-from .exponent import ExponentOrder, HereditaryType, checked_dims, state_key, twisted_matrix
+from .exponent import ExponentOrder, HereditaryType, checked_dims, twisted_matrix
 
 
 @dataclass(frozen=True)
@@ -30,16 +30,10 @@ class CirculantState:
 
     def __post_init__(self):
         v = tuple(int(x) for x in self.v)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if len(self.dims) != len(v):
-            raise ValueError("dims and v must have equal length")
-        if any(d <= 0 for d in self.dims):
-            raise ValueError("dims must be positive")
-        if self.ram < 1:
-            raise ValueError("need ram >= 1")
         if not v:
             raise ValueError("v must be nonempty")
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "dims", checked_dims(self.dims, len(v), self.ram))
         if v[0] != 0:
             raise ValueError("v_0 must be 0")
         # Lambda(v) is an order iff v_a + v_b >= w_(a+b) for b >= a, where w
@@ -189,10 +183,11 @@ class Checkpoint:
 
     ``step`` indexes the chain from (0, a^{n-1}) at depth a, the start at
     step 0; the head has no step.  A state matches a checkpoint up to
-    diagonal conjugation, when exponent.state_key gives the checkpoint's v
-    (the twisted_key of Lambda(v) is v), and its depth too unless ``depth``
-    is None.  v is not checked to be an order: a state keyed v is a diagonal
-    conjugate of Lambda(v), and a row that no state has never matches.
+    diagonal conjugation, when the chain's key (LazyChain.key) gives the
+    checkpoint's v (the twisted_key of Lambda(v) is v), and its depth too
+    unless ``depth`` is None.  v is not checked to be an order: a state
+    keyed v is a diagonal conjugate of Lambda(v), and a row that no state
+    has never matches.
 
     No rotation is needed: write Lambda(v) as m_ij = g(j - i).  Its
     rotation m_(i+1)(j+1) is m_ij + t_i - t_j with t = (0, ..., 0, v_(n-1)),
@@ -245,12 +240,14 @@ def certify_cell(n: int, a: int, chain) -> bool:
     does, and the maximal order when b = 0 (the same as merging to one
     maximal block).  For b > 0 that matrix is head_order_f(n, a): see
     head_order_w, and for b | n the grading at x = 0 is v^(1).  States match
-    by state_key.  Precondition: the chain is glued_chain of a validated order.
+    by chain.key, which makes no state.  Precondition: the chain is a keyed
+    glued chain, glued_chain of a validated rotation-symmetric order such as
+    a * H_n.
     """
     checkpoints = chain_checkpoints(n, a)
-    return state_key(chain, -1)[0] == checkpoints[-1].v and all(
+    return chain.key(-1)[0] == checkpoints[-1].v and all(
         cp.step is None
-        or cp.step < len(chain) and (got := state_key(chain, cp.step))[0] == cp.v
+        or cp.step < len(chain) and (got := chain.key(cp.step))[0] == cp.v
         and cp.depth in (None, got[1])
         for cp in checkpoints
     )

@@ -34,7 +34,6 @@ from .exponent import (
     is_hereditary,
     radical,
     scaled_hereditary,
-    state_key,
 )
 
 
@@ -48,6 +47,8 @@ def _read_input(arg):
             return fh.read()
     except UnicodeDecodeError as exc:
         raise SchemaError("$", f"input is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise SchemaError("--input", str(exc)) from exc
 
 
 def _hereditary_doc(order: ExponentOrder):
@@ -79,17 +80,23 @@ def cmd_radical(args):
 
 
 def _chain_of(value, max_steps):
-    if isinstance(value, CirculantState):
-        return glued_chain(expand(value), value.f, max_steps)
-    if isinstance(value, ExponentOrder):
-        return glued_chain(value, 0, max_steps)
+    """The chain of an exponent, circulant or amalgam document, within max_steps moves."""
+    try:
+        if isinstance(value, AmalgamBlock):
+            return amalgam_chain(value, max_steps)
+        if isinstance(value, CirculantState):
+            return glued_chain(expand(value), value.f, max_steps)
+        if isinstance(value, ExponentOrder):
+            return glued_chain(value, 0, max_steps)
+    except StepBudgetExceeded as exc:
+        raise SchemaError("--max-steps", str(exc)) from exc
     raise SchemaError("$", "chain expects an exponent, circulant or amalgam document")
 
 
 def cmd_chain(args):
     value = serialize.loads(_read_input(args.input))
+    chain = _chain_of(value, args.max_steps)
     if isinstance(value, AmalgamBlock):
-        chain = amalgam_chain(value, args.max_steps)
         steps = []
         for k, state in enumerate(chain):
             steps.append(
@@ -100,7 +107,6 @@ def cmd_chain(args):
                 }
             )
         return {"steps": steps, "length": len(chain) - 1}, 0
-    chain = _chain_of(value, args.max_steps)
     # the checkpoints of each state key, in schedule order
     index = {}
     if isinstance(value, CirculantState):
@@ -113,7 +119,7 @@ def cmd_chain(args):
         entry = {"step": k, "matrix": [list(r) for r in order.M], "depth": depth}
         # the first checkpoint the state matches by content, whatever its step
         if index:
-            candidates = index.get(state_key(chain, k)[0], ())
+            candidates = index.get(chain.key(k)[0], ())
             tag = next((cp.tag for cp in candidates if cp.depth in (None, depth)), None)
             if tag:
                 entry["matches"] = tag
@@ -124,15 +130,14 @@ def cmd_chain(args):
 
 def cmd_head(args):
     value = serialize.loads(_read_input(args.input))
+    chain = _chain_of(value, args.max_steps)
     if isinstance(value, AmalgamBlock):
-        terminal = amalgam_chain(value, args.max_steps)[-1]
         return {
             "components": [
                 {"matrix": [list(r) for r in c.M], "hereditary": _hereditary_doc(c)}
-                for c in terminal.components
+                for c in chain[-1].components
             ]
         }, 0
-    chain = _chain_of(value, args.max_steps)
     head = chain[-1][0]
     return {
         "head": [list(r) for r in head.M],
@@ -313,7 +318,7 @@ def main(argv=None) -> int:
             if args.max_steps < 0:
                 raise SchemaError("--max-steps", "need an integer >= 0")
         report, code = HANDLERS[args.command](args)
-    except (HeadOrderError, OSError) as exc:
+    except HeadOrderError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2
     if args.format == "json":

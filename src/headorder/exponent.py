@@ -392,8 +392,9 @@ def _idealizer_row(N, sigma: int, f: int, u) -> tuple[int, ...]:
 class LazyChain(Sequence):
     """A chain of ``length`` states whose state k is make(k), made when read.
 
-    It takes negative indices and slices, equals any sequence with the same
-    states, and chain + list is a list.  key(k), if given, is state_key(self, k).
+    It takes negative indices, and chain + list is a list.  key(k), if
+    given, is (twisted_key of the order of state k, its depth), made in
+    O(n) without the state.
     """
 
     def __init__(self, length: int, make, key=None):
@@ -408,18 +409,11 @@ class LazyChain(Sequence):
         return map(self._make, range(self._len))
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self._make(i) for i in range(*k.indices(self._len))]
         if k < 0:
             k += self._len
         if not 0 <= k < self._len:
             raise IndexError("chain index out of range")
         return self._make(k)
-
-    def __eq__(self, other):
-        return isinstance(other, Sequence) and list(self) == list(other)
-
-    __hash__ = None
 
     def __add__(self, other):
         return list(self) + list(other)
@@ -457,9 +451,9 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
     Every diagonal block is glued at the same depth, which drops by one per
     step.  Returns the (order, depth) pairs from the start to the first
     exponent-and-depth fixed point: a list, or on a rotation-symmetric
-    start a LazyChain.  Every step is step((T, f)) = (glued_idealizer(T,
-    [f] * n), max(f - 1, 0)), on the form of the start; glued_idealizer
-    makes the radical of T.
+    start a LazyChain whose key(k) reads state k's key off its row.  Every
+    step is step((T, f)) = (glued_idealizer(T, [f] * n), max(f - 1, 0)),
+    on the form of the start; glued_idealizer makes the radical of T.
 
     _twisted_form checks the rotation symmetry once, on the start M: M
     conjugated by -P is T(u, sigma).  Radical and glued_idealizer at one
@@ -501,19 +495,6 @@ def glued_chain(order: ExponentOrder, depth: int, max_steps: int | None = None):
         return ExponentOrder(order.dims, _untwist(T.u, sigma, P), order.ram), f
 
     return LazyChain(len(states), state, lambda k: (twisted_key(states[k][0].u, sigma), states[k][1]))
-
-
-def state_key(chain, k: int):
-    """(twisted_key of the order of state k, its depth) in a chain of (order, depth) pairs.
-
-    O(n) from the row a glued_chain LazyChain keeps, else O(n^2) by _twisted_form;
-    None on a matrix without rotation symmetry, as no T(u, sigma) is conjugate to it.
-    """
-    if isinstance(chain, LazyChain) and chain.key:
-        return chain.key(k)
-    order, depth = chain[k]
-    form = _twisted_form(order.M)
-    return (None if form is None else twisted_key(*form[:2])), depth
 
 
 def idealizer_chain(order: ExponentOrder, max_steps: int | None = None):

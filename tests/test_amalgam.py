@@ -167,7 +167,7 @@ def test_chain_equals_chain_stepping_every_component():
     # one-step listing, which steps every component on every move
     for B in _equivalence_blocks():
         chain = amalgam_chain(B)
-        assert chain == fixed_point_chain(amalgam_idealizer_step, B, len(chain) - 1)
+        assert list(chain) == fixed_point_chain(amalgam_idealizer_step, B, len(chain) - 1)
 
 
 def test_chain_states_compare_and_hash_by_structure():
@@ -219,7 +219,7 @@ def test_equal_components_run_one_chain(monkeypatch):
     assert B.components.count(scaled_hereditary((1, 1), 3)) == 3
     chain = amalgam_chain(B)
     assert calls == [(scaled_hereditary((1, 1), 3), 3)]
-    assert chain == fixed_point_chain(amalgam_idealizer_step, B, len(chain) - 1)
+    assert list(chain) == fixed_point_chain(amalgam_idealizer_step, B, len(chain) - 1)
 
 
 def test_components_differing_in_ram_run_one_chain(monkeypatch):
@@ -235,7 +235,7 @@ def test_components_differing_in_ram_run_one_chain(monkeypatch):
     B = validate_amalgam(comps, [GluingConstraint((2, 0), (3, 0), 2)])
     chain = amalgam_chain(B)
     assert calls == [(comps[0], (0, 0, 0)), (comps[2], (2, 0, 0))]
-    assert chain == fixed_point_chain(amalgam_idealizer_step, B, len(chain) - 1)
+    assert list(chain) == fixed_point_chain(amalgam_idealizer_step, B, len(chain) - 1)
     for state in chain:
         assert [c.ram for c in state.components] == [1, 2, 4, 2]
 
@@ -250,7 +250,7 @@ def test_unequal_depths_on_one_component():
     )
     assert _depth_vectors(B) == [[2, 0], [0, 0], [2]]
     chain = amalgam_chain(B)
-    assert chain == fixed_point_chain(amalgam_idealizer_step, B, len(chain) - 1)
+    assert list(chain) == fixed_point_chain(amalgam_idealizer_step, B, len(chain) - 1)
     assert chain[1].components[0] != chain[1].components[1]
 
 
@@ -261,4 +261,4 @@ def test_depth_zero_gluing_goes_at_move_one():
     B = AmalgamBlock((h2, h2), (GluingConstraint((0, 0), (1, 0), 0),))
     chain = amalgam_chain(B)
     assert len(chain) == 2 and chain[0] is B and chain[1].gluings == ()
-    assert chain == fixed_point_chain(amalgam_idealizer_step, B, 1)
+    assert list(chain) == fixed_point_chain(amalgam_idealizer_step, B, 1)

@@ -341,7 +341,7 @@ def test_chain_of_component_chains_equals_the_listing():
         listed = fixed_point_chain(amalgam_idealizer_step, B, 10**5)
         chain = amalgam_chain(B)
         assert len(chain) == len(listed)
-        assert chain == listed
+        assert list(chain) == listed
         assert head_order_report(t)["chain_length"] == len(listed) - 1
     k = len(chain)
     assert chain[-1] == listed[-1] and chain[-k] == listed[0]

@@ -37,6 +37,8 @@ from headorder.exponent import (
 )
 from math import gcd
 
+from test_exponent import matrix_key
+
 
 def test_state_validation():
     with pytest.raises(ValueError):
@@ -125,33 +127,34 @@ def test_chain_hits_closed_forms_small():
     # before the head, or at the reduced start or an early form a depth off
     # by one or the state swapped for its successor.  (8, 6) runs one step
     # past its midway form, so only the head check sees the cut.  Each
-    # tampered list is refused again as a LazyChain keyed by rows.
+    # tampered list is given as a LazyChain keyed by the glued chain's rows.
     def refused(n, a, chain, tampered, picks):
         row_keyed = _row_keyed(chain, picks)
-        assert row_keyed == tampered
-        return not certify_cell(n, a, tampered) and not certify_cell(n, a, row_keyed)
+        assert list(row_keyed) == tampered
+        return not certify_cell(n, a, row_keyed)
 
     for n, a in [(5, 3), (7, 10), (8, 6), (6, 2), (4, 8)]:
         chain = glued_chain(scaled_hereditary((1,) * n, a), a)
+        states = list(chain)
         same = [(k, 0) for k in range(len(chain))]
         assert certify_cell(n, a, chain)
         assert certify_cell(n, a, _row_keyed(chain, same))
-        assert refused(n, a, chain, chain[:-1], same[:-1])
+        assert refused(n, a, chain, states[:-1], same[:-1])
         z, b = divmod(a, n)
         last_early = z * n + (n - (n - 1) // b if b else 0)
         for k in range(z * n, last_early + 1):
             order, depth = chain[k]
-            tampered = chain[:k] + [(order, depth + 1)] + chain[k + 1 :]
+            tampered = states[:k] + [(order, depth + 1)] + states[k + 1 :]
             assert refused(n, a, chain, tampered, same[:k] + [(k, 1)] + same[k + 1 :])
             if k + 1 < len(chain):
-                tampered = chain[:k] + [chain[k + 1]] + chain[k + 1 :]
+                tampered = states[:k] + [chain[k + 1]] + states[k + 1 :]
                 assert refused(n, a, chain, tampered, same[:k] + [(k + 1, 0)] + same[k + 1 :])
 
 
 def test_certify_cell_keys_rows_and_matrices_alike(monkeypatch):
     # every cell of n = 2..12, a = 1..36 certifies from the rows of its glued
-    # chain, making no state, and from the list of its states, whose keys
-    # come from their matrices
+    # chain, making no state, and the key read off each row is the one
+    # matrix_key makes from that state's matrix
     untwisted = []
     untwist = exponent._untwist
     monkeypatch.setattr(exponent, "_untwist", lambda *args: untwisted.append(1) or untwist(*args))
@@ -160,7 +163,9 @@ def test_certify_cell_keys_rows_and_matrices_alike(monkeypatch):
             chain = glued_chain(scaled_hereditary((1,) * n, a), a)
             assert certify_cell(n, a, chain), (n, a)
             assert not untwisted, (n, a)
-            assert certify_cell(n, a, list(chain)), (n, a)
+            for k, (order, depth) in enumerate(chain):
+                assert chain.key(k) == (matrix_key(order.M), depth), (n, a, k)
+            assert chain.key(-1) == chain.key(len(chain) - 1)
             untwisted.clear()
 
 

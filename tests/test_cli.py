@@ -443,6 +443,11 @@ AMALGAM_DOC = {
         ("check", None, "$"),
         # a flag after the command name: a negative step budget
         ("head --max-steps -1", H2_DOC, "--max-steps"),
+        # a chain or head over its budget, on each document type they take
+        ("chain --max-steps 0", CIRCULANT_DOC, "--max-steps"),
+        ("head --max-steps 0", COMPONENT_DOC, "--max-steps"),
+        ("chain --max-steps 0", AMALGAM_DOC, "--max-steps"),
+        ("head --max-steps 0", AMALGAM_DOC, "--max-steps"),
         # a verify or sweep cell over its budget; tree takes none
         ("verify --max-steps 0", {"n": 7, "a": 10}, "--max-steps"),
         ("tree --max-steps 0", TREE_DOC, "--max-steps"),
@@ -465,6 +470,8 @@ AMALGAM_DOC = {
          "gluing-self-whole", "gluing-depth-negative", "gluing-kind-unknown",
          "tree-exceptional-range", "tree-a-zero", "tree-p-psi12", "chain-on-tree",
          "radical-on-amalgam", "tree-on-exponent", "no-input", "max-steps-negative",
+         "max-steps-chain-circulant", "max-steps-head-exponent", "max-steps-chain-amalgam",
+         "max-steps-head-amalgam",
          "max-steps-verify", "max-steps-tree", "max-steps-sweep", "grid-empty-range",
          "grid-unknown-key", "grid-repeated-key"],
 )
@@ -499,9 +506,12 @@ def test_malformed_text_exit_2(tmp_path, capsys, command, data):
     assert json.loads(err)["error"].startswith("$:")
 
 
-def test_missing_file_exit_2(capsys):
-    code, _, _ = run(capsys, ["--command", "check", "--input", "/nope.json"])
-    assert code == 2
+def test_missing_file_exit_2(tmp_path, capsys):
+    # a missing file and a directory: the error names --input
+    for path in (tmp_path / "nope.json", tmp_path):
+        code, out, err = run(capsys, ["--command", "check", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"].startswith("--input:")
 
 
 class ClosedPipe(io.TextIOBase):
@@ -660,7 +670,9 @@ def test_max_steps_counts_moves(tmp_path, capsys):
         capsys, ["--command", "chain", "--input", path, "--max-steps", str(length - 1)]
     )
     assert code == 2
-    assert json.loads(err)["error"] == f"no idealizer fixed point within {length - 1} steps"
+    assert json.loads(err)["error"] == (
+        f"--max-steps: no idealizer fixed point within {length - 1} steps"
+    )
     # an order that already is its head takes no move
     path = write_doc(tmp_path, validate_order([[0, 1], [0, 0]], (1, 1)))
     code, out, _ = run(capsys, ["--command", "head", "--input", path, "--max-steps", "0"])
